@@ -10,7 +10,7 @@ from .eisenstein import (
     eval_ek_lattice,
     gk_regime_approx,
 )
-from .numerics import ExactRational, LogComplex, bernoulli, gamma_k, reg_gamma_q
+from .numerics import LogComplex, bernoulli, gamma_k
 from .zeros import (
     PredictedCounts,
     ZeroCountReport,
@@ -26,7 +26,6 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactRational",
     "LogComplex",
     "PredictedCounts",
     "Regime",
@@ -47,7 +46,6 @@ __all__ = [
     "gk_regime_approx",
     "interior_zero_hunt",
     "predicted_counts",
-    "reg_gamma_q",
     "stabilization_point",
     "__version__",
 ]

@@ -481,7 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("eval", help="evaluate E_k at a point")
     p.add_argument("--k", type=int, required=True, help="even weight >= 4")
-    p.add_argument("--z", required=True, help="point, e.g. 'i' or '0.5+3i'")
+    p.add_argument("--z", required=True,
+                   help="point, e.g. 'i' or '0.5+3i'; write a negative real "
+                        "part with '=', as --z=-0.3+2i")
     p.add_argument("--method", choices=("lattice", "fourier", "theta", "all"),
                    default="lattice")
     _add_common(p, "json")

@@ -28,7 +28,6 @@ from .eisenstein import eval_ek_lattice, fk_batch, hk_batch
 __all__ = [
     "CornerDerivatives",
     "WeightPair",
-    "arc_main_extended",
     "arc_real",
     "arc_real_batch",
     "corner_derivatives",
@@ -37,7 +36,6 @@ __all__ = [
     "m_main",
     "p_main",
     "side_normalized_batch",
-    "side_scaled_batch",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -168,17 +166,6 @@ def side_normalized_batch(wp, ys: np.ndarray,
     return vals.real, errs.real
 
 
-def side_scaled_batch(wp, ys: np.ndarray,
-                      eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """|z|^(k+l) Delta(1/2+iy), real; overflows for k log|z| beyond the
-    float range, so intended for moderate weights/heights."""
-    wp = _as_pair(wp)
-    ys = np.asarray(ys, dtype=np.float64)
-    vals, errs = side_normalized_batch(wp, ys, eps)
-    scale = np.abs(0.5 + 1j * ys) ** float(wp.k)
-    return vals * scale, errs * scale
-
-
 def m_main(wp, theta: float) -> float:
     """Arc main term M_{k,l}(theta); (2i sin)^(-even) is evaluated as
     (-1)^(w/2) (2 sin)^(-w) so the value is exactly real."""
@@ -191,24 +178,6 @@ def m_main(wp, theta: float) -> float:
     return (2.0 * math.cos(0.5 * (wp.k - wp.l) * theta)
             + 2.0 * math.cos(0.5 * wp.k * theta) * s
             + 2.0 * math.cos(0.5 * wp.l * theta) * sk)
-
-
-def arc_main_extended(wp, theta: float) -> float:
-    """All seven cross terms of the product of three-term arc expansions:
-    M_{k,l} plus the (2cos(theta/2))^(-w) exchange terms."""
-    wp = _as_pair(wp)
-    if not (math.pi / 3 - _CORNER_SLACK <= theta <= math.pi / 2 + 1e-12):
-        raise ValueError("arc expansion valid near [pi/3, pi/2]")
-    half = 0.5 * theta
-    k, l = wp.k, wp.l
-    cos_pow = {w: (2.0 * math.cos(half)) ** (-w) for w in (k, l)}
-    sin_pow = {w: (2.0 * math.sin(half)) ** (-w) * (-1.0 if w % 4 else 1.0)
-               for w in (k, l)}
-    return (m_main(wp, theta)
-            + 2.0 * math.cos(0.5 * k * theta) * cos_pow[l]
-            + 2.0 * math.cos(0.5 * l * theta) * cos_pow[k]
-            + cos_pow[k] * sin_pow[l]
-            + cos_pow[l] * sin_pow[k])
 
 
 def p_main(wp, theta: float) -> float:

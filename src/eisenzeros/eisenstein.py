@@ -186,8 +186,13 @@ def _truncation_radius(k: int, z: complex, eps: float,
     return t, tail
 
 
-def _disk_pairs(x: float, y: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """All (c, d) with c >= 1 and |c(x+iy) + d| <= t, as flat arrays."""
+def _disk_pairs(x_lo: float, x_hi: float, y: float,
+                t: float) -> tuple[np.ndarray, np.ndarray]:
+    """All (c, d) with c >= 1 and |c(x+iy) + d| <= t for some x in
+    [x_lo, x_hi], as flat arrays in (c, d) order.
+
+    With x_lo = x_hi this is one point's disk; a window gives the union of
+    the per-point d-ranges, a pair superset for a batch of points."""
     c_hi = min(int(t / y), _AXIS_CAP)
     cs, ds = [], []
     for c in range(1, c_hi + 1):
@@ -195,8 +200,8 @@ def _disk_pairs(x: float, y: float, t: float) -> tuple[np.ndarray, np.ndarray]:
         if s2 <= 0.0:
             break
         s = math.sqrt(s2)
-        d_lo = math.ceil(-c * x - s)
-        d_hi = math.floor(-c * x + s)
+        d_lo = math.ceil(-c * x_hi - s)
+        d_hi = math.floor(-c * x_lo + s)
         if d_hi < d_lo:
             continue
         d = np.arange(d_lo, d_hi + 1, dtype=np.float64)
@@ -225,7 +230,7 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12,
     if eps < _MIN_EPS:
         raise ValueError(f"eps below certificate floor {_MIN_EPS}")
     t, tail = _truncation_radius(k, z, eps, 0.0)
-    c, d = _disk_pairs(z.real, z.imag, t)
+    c, d = _disk_pairs(z.real, z.real, z.imag, t)
     terms = (c * z + d) ** (-k)
     d_row = np.arange(1.0, math.floor(t) + 1.0) ** float(-k)
     if compensated:
@@ -290,7 +295,7 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
     z_hi = complex(x, y_hi)
     log_az_hi = math.log(abs(z_hi))
     t, tail = _truncation_radius(k, z_hi, eps, k * log_az_hi)
-    c, d = _disk_pairs(x, y_lo, t)
+    c, d = _disk_pairs(x, x, y_lo, t)
     zs = x + 1j * ys
     log_az = np.log(np.abs(zs))
     vals = np.zeros(ys.shape, dtype=np.complex128)
@@ -346,30 +351,14 @@ def fk_batch(k: int, thetas: np.ndarray,
         t_i, tail_i = _truncation_radius(k, cmath.exp(1j * th), eps, 0.0)
         t = max(t, t_i)
         tail = max(tail, tail_i)
-    x_lo = float(np.cos(thetas).min())
-    x_hi = float(np.cos(thetas).max())
-    # union of the per-point d-windows over x in [x_lo, x_hi]
-    c_hi = min(int(t / y_min), _AXIS_CAP)
-    cs, ds = [], []
-    for c in range(1, c_hi + 1):
-        s2 = t * t - (c * y_min) ** 2
-        if s2 <= 0.0:
-            break
-        s = math.sqrt(s2)
-        d_lo = math.ceil(-c * x_hi - s)
-        d_hi = math.floor(-c * x_lo + s)
-        d = np.arange(d_lo, d_hi + 1, dtype=np.float64)
-        ds.append(d)
-        cs.append(np.full(d.shape, float(c)))
+    c, d = _disk_pairs(float(np.cos(thetas).min()),
+                       float(np.cos(thetas).max()), y_min, t)
     zs = np.exp(1j * thetas)
     vals = np.zeros(thetas.shape, dtype=np.complex128)
-    if cs:
-        c_arr = np.concatenate(cs)
-        d_arr = np.concatenate(ds)
-        chunk = max(1, _PAIR_BUDGET // max(thetas.size, 1))
-        for i in range(0, c_arr.size, chunk):
-            w = np.outer(zs, c_arr[i:i + chunk]) + d_arr[i:i + chunk]
-            vals += (w ** (-k)).sum(axis=1)
+    chunk = max(1, _PAIR_BUDGET // max(thetas.size, 1))
+    for i in range(0, c.size, chunk):
+        w = np.outer(zs, c[i:i + chunk]) + d[i:i + chunk]
+        vals += (w ** (-k)).sum(axis=1)
     vals += float((np.arange(1.0, math.floor(t) + 1.0) ** float(-k)).sum())
     vals = np.exp(0.5j * k * thetas) * vals / zeta(k)
     resid = float(np.abs(vals.imag).max())

@@ -1,5 +1,5 @@
-"""Scalar foundations: Bernoulli numbers, the Eisenstein Fourier constant,
-regularized incomplete gamma, and overflow-safe log-space complex arithmetic.
+"""Scalar foundations: Bernoulli numbers, zeta, the Eisenstein Fourier
+constant, and overflow-safe log-space complex arithmetic.
 
 Everything here is pure and immutable; values are safe to share across
 processes.
@@ -13,19 +13,13 @@ from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
-    "ExactRational",
     "LogComplex",
     "bernoulli",
     "gamma_k",
     "gamma_k_from_zeta",
     "lc_sum",
-    "reg_gamma_p",
-    "reg_gamma_q",
     "zeta",
 ]
-
-# Exact rational arithmetic (always lowest terms, positive denominator).
-ExactRational = Fraction
 
 _TWO_PI = 2.0 * math.pi
 
@@ -227,77 +221,3 @@ def gamma_k_from_zeta(k: int) -> LogComplex:
         raise ValueError(f"gamma_k_from_zeta requires even k >= 4, got {k}")
     log_mag = k * math.log(_TWO_PI) - math.lgamma(k) - math.log(zeta(k))
     return LogComplex(log_mag, 0.0 if k % 4 == 0 else math.pi)
-
-
-# --- regularized incomplete gamma --------------------------------------
-
-_GAMMA_TOL = 1e-14
-_GAMMA_MAX_ITER = 10_000
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # P(a,x) = x^a e^-x / Gamma(a) * sum_{n>=0} x^n / (a (a+1) ... (a+n)).
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_GAMMA_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _GAMMA_TOL:
-            return total * math.exp(a * math.log(x) - x - math.lgamma(a))
-    raise ArithmeticError(f"incomplete gamma series stalled at a={a}, x={x}")
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Q(a,x) via the Legendre continued fraction, modified Lentz iteration.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_TOL:
-            return h * math.exp(a * math.log(x) - x - math.lgamma(a))
-    raise ArithmeticError(f"incomplete gamma fraction stalled at a={a}, x={x}")
-
-
-def reg_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a,x) = Gamma(a,x)/Gamma(a).
-
-    Series below the x = a+1 crossover, continued fraction above; both
-    converge to 1e-14 relative for a <= 1e6.
-    """
-    if not 0 < a <= 1e6:
-        raise ValueError(f"reg_gamma_q requires 0 < a <= 1e6, got a={a}")
-    if x < 0:
-        raise ValueError(f"reg_gamma_q requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
-def reg_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a,x) = 1 - Q(a,x)."""
-    if not 0 < a <= 1e6:
-        raise ValueError(f"reg_gamma_p requires 0 < a <= 1e6, got a={a}")
-    if x < 0:
-        raise ValueError(f"reg_gamma_p requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)

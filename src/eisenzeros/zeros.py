@@ -6,18 +6,17 @@ and the vertical side x = 1/2, y > sqrt(3)/2.  Counting is by certified
 sign changes of the real-valued restrictions from the delta module:
 every zero is returned as a bracket whose endpoint signs clear the
 evaluator's own error bound by a safety factor, then narrowed by
-bisection.  Closed-form predictions for the counts, the stabilization
-threshold in k past which they stop moving, and the corner probe that
-decides whether an extra zero hides between pi/3 and the first comb
-point live alongside; audit() ties everything to the exact valence
-identity 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l.
+bisection.  Closed-form predictions for the counts and the stabilization
+threshold in k past which they stop moving live alongside, as does a
+falsification sweep for interior zeros; audit() ties the counts to the
+exact valence identity 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "ZeroBracket",
     "PredictedCounts",
     "ZeroCountReport",
-    "ProbeResult",
     "SignUncertainError",
     "DominanceCertificateError",
     "arc_sample_points",
@@ -39,13 +37,9 @@ __all__ = [
     "predicted_counts",
     "expected_boundary_counts",
     "trivial_orders",
-    "count_sign_changes",
-    "arc_evaluator",
-    "side_evaluator",
     "count_arc_zeros",
     "count_side_zeros",
     "side_upper_cutoff",
-    "extra_zero_probe",
     "interior_zero_hunt",
     "audit",
 ]
@@ -126,17 +120,6 @@ class ZeroCountReport:
     valence_ok: bool
     zero_locations: tuple[ZeroBracket, ...]
     findings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of the corner probe.  None means the congruence class has no
-    closed-form recipe on that boundary piece."""
-
-    arc_extra: Optional[bool]
-    side_extra: Optional[bool]
-    witness: Mapping[str, tuple[float, float]]
-    notes: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +226,11 @@ def expected_boundary_counts(wp, pc: Optional[PredictedCounts] = None,
 
     For n = 0 the special-case values apply at every k; otherwise the arc
     carries one extra zero and the side one fewer until k reaches the
-    stabilization point.
+    stabilization point.  For n = 0, j = 8 the arc restriction is near 2
+    at pi/2, so the arc carries its zero only when the restriction is
+    negative just right of pi/3.  For l = 0 mod 6 the corner value
+    vanishes and that sign is the sign of M'' at pi/3, which is positive
+    only for l <= 18; the zero then lies on the side instead.
     """
     wp = _as_pair(wp)
     if pc is None:
@@ -251,6 +238,9 @@ def expected_boundary_counts(wp, pc: Optional[PredictedCounts] = None,
     if wp.n == 0:
         a = 1 if wp.j == 8 else 0
         b = wp.l // 6 + _B_PRESTAB_OFFSET[wp.j][wp.l % 6]
+        if (a and wp.l % 6 == 0
+                and corner_derivatives(wp).m_double_prime > 0.0):
+            a, b = 0, b + 1
     elif wp.k < pc.sp:
         a = pc.N_prime + 1
         b = wp.l // 6 + _B_PRESTAB_OFFSET[wp.j][wp.l % 6]
@@ -279,69 +269,31 @@ def trivial_orders(w: int) -> tuple[int, int]:
 # certified sign machinery
 
 
-def _certified_sign(evaluator: Callable[[float, float], tuple[float, float]],
-                    x: float,
+# batch_eval(xs, eps) -> (values, pointwise error bounds), with the bounds
+# honest for accuracy target eps
+_BatchEval = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
+
+
+def _certified_sign(batch_eval: _BatchEval, x: float,
                     ladder: Sequence[float] = _EPS_LADDER) -> int:
-    """Sign of evaluator(x), or 0 if every escalation pass stays ambiguous.
+    """Sign of the restriction at x, evaluated as a batch of one, or 0 if
+    every escalation pass stays ambiguous.
 
     A sign counts only when |value| clears the evaluator's own error bound
     by the _CERTAINTY factor.
     """
     for eps in ladder:
-        val, err = evaluator(x, eps)
+        vals, errs = batch_eval(np.array([x]), eps)
+        val, err = float(vals[0]), float(errs[0])
         if abs(val) > _CERTAINTY * err:
             return 1 if val > 0.0 else -1
     return 0
 
 
-def count_sign_changes(evaluator, points: Sequence[float]) -> int:
-    """Certified sign changes between consecutive points.
-
-    evaluator(x, eps) must return (value, error_bound) with the bound
-    honest for accuracy target eps.  Points whose sign stays uncertain
-    through the escalation ladder abort the count; their number and
-    locations ride on the raised SignUncertainError instead of being
-    folded into the result as a fake zero or one.
-    """
-    pts = [float(p) for p in points]
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("points must be strictly increasing")
-    signs = [_certified_sign(evaluator, p) for p in pts]
-    bad = [p for p, s in zip(pts, signs) if s == 0]
-    if bad:
-        raise SignUncertainError(
-            f"{len(bad)} of {len(pts)} points stayed sign-uncertain after "
-            "precision escalation", points=bad, uncertain=len(bad))
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def arc_evaluator(wp) -> Callable[[float, float], tuple[float, float]]:
-    """Single-point certified evaluator for the arc restriction."""
-    wp = _as_pair(wp)
-
-    def ev(theta: float, eps: float) -> tuple[float, float]:
-        vals, errs = arc_real_batch(wp, np.array([theta]), eps)
-        return float(vals[0]), float(errs[0])
-
-    return ev
-
-
-def side_evaluator(wp) -> Callable[[float, float], tuple[float, float]]:
-    """Single-point certified evaluator for the rescaled side restriction;
-    the argument is the height y on the x = 1/2 line."""
-    wp = _as_pair(wp)
-
-    def ev(y: float, eps: float) -> tuple[float, float]:
-        vals, errs = side_normalized_batch(wp, np.array([y]), eps)
-        return float(vals[0]), float(errs[0])
-
-    return ev
-
-
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.40, 0.60)
 
 
-def _refine_bracket(evaluator, kind: str, lo: float, hi: float,
+def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
                     sign_lo: int, sign_hi: int) -> ZeroBracket:
     """Narrow a certified sign change to width <= 1e-12 by bisection.
 
@@ -357,7 +309,7 @@ def _refine_bracket(evaluator, kind: str, lo: float, hi: float,
         s = 0
         for frac in _SPLIT_FRACTIONS:
             mid = lo + frac * (hi - lo)
-            s = _certified_sign(evaluator, mid)
+            s = _certified_sign(batch_eval, mid)
             if s:
                 break
         if s == 0:
@@ -369,14 +321,15 @@ def _refine_bracket(evaluator, kind: str, lo: float, hi: float,
     return ZeroBracket(kind, lo, hi, sign_lo, sign_hi)
 
 
-def _certify_grid(batch_eval, single_eval, grid: np.ndarray, eps: float,
+def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Certified signs on a scan grid.
 
-    Ambiguous points are re-run on the escalation ladder, then nudged
-    within their own cell (a zero sitting exactly on a grid point is
-    isolated, so a nudged neighbour certifies).  Returns the possibly
-    nudged grid and the sign array.
+    Ambiguous points are re-run one at a time on the escalation ladder,
+    then nudged within their own cell (a zero sitting exactly on a grid
+    point is isolated, so a nudged neighbour certifies).  Returns the
+    possibly nudged grid and the sign array; a point that no nudge
+    certifies raises SignUncertainError.
     """
     vals, errs = batch_eval(grid, eps)
     signs = np.where(vals > 0.0, 1, -1).astype(np.int64)
@@ -386,14 +339,14 @@ def _certify_grid(batch_eval, single_eval, grid: np.ndarray, eps: float,
     grid = grid.astype(float).copy()
     gaps = np.diff(grid)
     for i in np.nonzero(~ok)[0]:
-        s = _certified_sign(single_eval, float(grid[i]), _EPS_LADDER[1:])
+        s = _certified_sign(batch_eval, float(grid[i]), _EPS_LADDER[1:])
         if s == 0:
             left = gaps[i - 1] if i > 0 else gaps[0]
             right = gaps[i] if i < gaps.size else gaps[-1]
             half = 0.5 * min(left, right)
             for frac in (0.61, -0.53, 0.87):
                 x2 = float(grid[i] + frac * half)
-                s = _certified_sign(single_eval, x2)
+                s = _certified_sign(batch_eval, x2)
                 if s:
                     grid[i] = x2
                     break
@@ -424,13 +377,15 @@ def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
     npts = max(64, math.ceil(16 * wp.weight_sum * oversample))
     h = (math.pi / 2.0 - math.pi / 3.0) / npts
     grid = math.pi / 3.0 + h * (np.arange(npts) + 0.5)
-    single = arc_evaluator(wp)
-    grid, signs = _certify_grid(
-        lambda xs, e: arc_real_batch(wp, xs, e), single, grid, eps)
+
+    def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
+        return arc_real_batch(wp, xs, e)
+
+    grid, signs = _certify_grid(ev, grid, eps)
     v_i, v_rho = trivial_orders(wp.weight_sum)
     out = []
     for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        br = _refine_bracket(single, "arc", float(grid[i]), float(grid[i + 1]),
+        br = _refine_bracket(ev, "arc", float(grid[i]), float(grid[i + 1]),
                              int(signs[i]), int(signs[i + 1]))
         if br.location - math.pi / 3.0 < _ENDPOINT_TOL and v_rho > 0:
             continue
@@ -472,13 +427,15 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
     ys = ys[(ys > y_lo + 1e-9) & (ys <= y_max)]
     if ys.size < 2:
         return 0, ()
-    single = side_evaluator(wp)
-    ys, signs = _certify_grid(
-        lambda xs, e: side_normalized_batch(wp, xs, e), single, ys, eps)
+
+    def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
+        return side_normalized_batch(wp, xs, e)
+
+    ys, signs = _certify_grid(ev, ys, eps)
     _, v_rho = trivial_orders(wp.weight_sum)
     out = []
     for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        br = _refine_bracket(single, "side", float(ys[i]), float(ys[i + 1]),
+        br = _refine_bracket(ev, "side", float(ys[i]), float(ys[i + 1]),
                              int(signs[i]), int(signs[i + 1]))
         if br.location - y_lo < _ENDPOINT_TOL and v_rho > 0:
             continue
@@ -576,194 +533,6 @@ def side_upper_cutoff(wp) -> float:
         else:
             lo = mid
     return hi
-
-
-# ---------------------------------------------------------------------------
-# corner probe
-
-# 2 cos(w pi / 6) for even w, keyed by w mod 12; exact dyadic values
-_TWO_COS_PI6 = {0: 2.0, 2: 1.0, 4: -1.0, 6: -2.0, 8: -1.0, 10: 1.0}
-# cos(w pi / 3) for even w, keyed by w mod 6
-_COS_PI3 = {0: 1.0, 2: -0.5, 4: -0.5}
-
-
-def _arc_corner_value(k: int, l: int) -> float:
-    """Arc main term at pi/3, exactly, from the dyadic cosine table."""
-    t1 = _TWO_COS_PI6[(k - l) % 12]
-    t2 = _TWO_COS_PI6[k % 12] * (1.0 if l % 4 == 0 else -1.0)
-    t3 = _TWO_COS_PI6[l % 12] * (1.0 if k % 4 == 0 else -1.0)
-    return t1 + t2 + t3
-
-
-def _side_corner_value(k: int, l: int) -> float:
-    """Side main term at the corner, exactly."""
-    ck, cl = _COS_PI3[k % 6], _COS_PI3[l % 6]
-    return ck + cl + 2.0 * ck * cl - _COS_PI3[(k + l) % 6]
-
-
-def _sign_or_none(x: Optional[float]) -> Optional[int]:
-    if x is None or x == 0.0:
-        return None
-    return 1 if x > 0.0 else -1
-
-
-def _arc_corner_sign(wp, notes: list) -> Optional[int]:
-    """Expected sign of the arc restriction just right of pi/3.
-
-    Cascade: exact corner value; for the vanishing-corner classes with
-    l = 2 mod 6 the probe-point main term fixes the sign outright; the
-    remaining covered classes fall to the first or second derivative
-    closed forms.  None when no closed form applies.
-    """
-    corner = _arc_corner_value(wp.k, wp.l)
-    if corner != 0.0:
-        return 1 if corner > 0.0 else -1
-    lm, km, j = wp.l % 6, wp.k % 6, wp.j
-    if lm == 2 and j in (0, 6):
-        return 1 if j == 0 else -1
-    if lm == 4 and km == 0 and j in (2, 8):
-        return _sign_or_none(corner_derivatives(wp).m_prime)
-    if (lm == 0 and km == 2) or (lm == 4 and km == 4):
-        s = _sign_or_none(corner_derivatives(wp).m_double_prime)
-        if s is None:
-            notes.append("arc second derivative vanished exactly; no sign")
-        return s
-    return None
-
-
-def _side_corner_sign(wp, notes: list) -> Optional[int]:
-    """Expected sign of the side restriction just above sqrt(3)/2."""
-    corner = _side_corner_value(wp.k, wp.l)
-    if corner != 0.0:
-        return 1 if corner > 0.0 else -1
-    lm, km = wp.l % 6, wp.k % 6
-    if (lm == 4 and km == 0) or (lm == 0 and km == 4):
-        return _sign_or_none(corner_derivatives(wp).p_prime)
-    if (lm == 0 and km == 2) or (lm == 4 and km == 4):
-        s = _sign_or_none(corner_derivatives(wp).p_double_prime)
-        if s is None:
-            notes.append("side second derivative vanished exactly; no sign")
-        return s
-    return None
-
-
-def _first_certified(evaluator, candidates: Sequence[float]) -> tuple[int, float]:
-    for x in candidates:
-        s = _certified_sign(evaluator, x)
-        if s:
-            return s, x
-    raise SignUncertainError(
-        "no probe point near the corner could be sign-certified",
-        points=candidates, uncertain=len(candidates))
-
-
-def _probe_arc(wp, notes: list, witness: dict) -> Optional[bool]:
-    ev = arc_evaluator(wp)
-    if wp.n == 0:
-        if wp.j != 8:
-            return None
-        # single comb point sits at pi/2 where the value is near 2; the
-        # corner side is negative, directly for l = 2 mod 6, at the probe
-        # angle pi/3 + pi/(2l) otherwise
-        right = arc_sample_points(wp)[0]
-        s_right = _certified_sign(ev, right)
-        if s_right == 0:
-            raise SignUncertainError("quarter-turn value sign-uncertain",
-                                     points=(right,), uncertain=1)
-        if wp.l % 6 == 2:
-            left = math.pi / 3.0
-        else:
-            left = math.pi / 3.0 + math.pi / (2.0 * wp.l)
-        s_left, point = _first_certified(ev, (left,))
-        if s_left != -1:
-            notes.append("arc corner-side sign at the n=0 probe is not "
-                         "negative as the closed form expects")
-        extra = s_left != s_right
-        if extra:
-            witness["arc"] = (point, right)
-        return extra
-    expected = _arc_corner_sign(wp, notes)
-    if expected is None:
-        return None
-    th_first = arc_sample_points(wp)[0]
-    m_first = (12 * wp.n + wp.j) // 6 + 1
-    s_first = _certified_sign(ev, th_first)
-    if s_first == 0:
-        raise SignUncertainError("first arc comb point sign-uncertain",
-                                 points=(th_first,), uncertain=1)
-    if s_first != (-1 if m_first % 2 else 1):
-        notes.append(f"arc comb sign at theta = {th_first:.6f} disagrees "
-                     "with the alternation law")
-    corner = _arc_corner_value(wp.k, wp.l)
-    if corner != 0.0:
-        s_near, point = _first_certified(ev, (math.pi / 3.0,))
-    else:
-        # lead with the canonical probe offset, one eighth of the gap to
-        # the first comb point, then walk inward
-        x_f = th_first - math.pi / 3.0
-        cands = [math.pi / 3.0 + f * x_f for f in (0.125, 0.25, 0.0625, 0.5)]
-        s_near, point = _first_certified(ev, cands)
-    if s_near != expected:
-        notes.append("arc corner-local sign disagrees with the closed-form "
-                     f"cascade at k={wp.k}, l={wp.l}")
-    extra = s_near != s_first
-    if extra:
-        witness["arc"] = (point, th_first)
-    return extra
-
-
-def _probe_side(wp, notes: list, witness: dict) -> Optional[bool]:
-    expected = _side_corner_sign(wp, notes)
-    if expected is None:
-        return None
-    ev = side_evaluator(wp)
-    th_first = side_sample_points(wp.l)[0]
-    d_first = 1 if wp.a in (0, 2) else 2
-    y_first = 0.5 * math.tan(th_first)
-    s_first = _certified_sign(ev, y_first)
-    if s_first == 0:
-        raise SignUncertainError("first side comb point sign-uncertain",
-                                 points=(y_first,), uncertain=1)
-    if s_first != (-1 if d_first % 2 else 1):
-        notes.append(f"side comb sign at y = {y_first:.6f} disagrees with "
-                     "the alternation law")
-    if _side_corner_value(wp.k, wp.l) != 0.0:
-        s_near, point = _first_certified(ev, (_SQRT3 / 2.0,))
-    else:
-        cands = [0.5 * math.tan(math.pi / 3.0 + f * (th_first - math.pi / 3.0))
-                 for f in (0.125, 0.25, 0.0625, 0.5)]
-        s_near, point = _first_certified(ev, cands)
-    if s_near != expected:
-        notes.append("side corner-local sign disagrees with the closed-form "
-                     f"cascade at k={wp.k}, l={wp.l}")
-    extra = s_near != s_first
-    if extra:
-        witness["side"] = (point, y_first)
-    return extra
-
-
-def extra_zero_probe(wp) -> ProbeResult:
-    """Decides whether a zero hides between the corner rho and the first
-    comb point, on the arc and on the side.
-
-    The expected corner-local sign comes from the exact corner value when
-    nonzero and from the derivative closed forms when it vanishes; the
-    returned booleans, however, compare certified evaluations at a probe
-    point and at the first comb point, so a discrepancy with the closed
-    form is reported in notes rather than trusted either way.  Raises
-    ValueError when neither boundary piece has a closed-form recipe for
-    this congruence class.
-    """
-    wp = _as_pair(wp)
-    notes: list = []
-    witness: dict = {}
-    arc_extra = _probe_arc(wp, notes, witness)
-    side_extra = _probe_side(wp, notes, witness)
-    if arc_extra is None and side_extra is None:
-        raise ValueError(
-            f"no corner probe covers k={wp.k}, l={wp.l} "
-            f"(k - l = 12*{wp.n} + {wp.j}, l mod 6 = {wp.l % 6})")
-    return ProbeResult(arc_extra, side_extra, witness, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

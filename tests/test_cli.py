@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -109,6 +110,17 @@ class TestEval:
         assert float(row["value_re"]) == jrow["value_re"]
         assert float(row["g_im"]) == jrow["g_im"]
         assert int(row["schema_version"]) == cli.SCHEMA_VERSION
+
+    def test_negative_real_part_with_equals(self, capsys):
+        # "--z -0.3+2i" would be read as a flag; the "=" form passes it
+        rc, out, _ = run_cli(
+            capsys, ["eval", "--k", "20", "--z=-0.3+2i", "--method", "all"])
+        assert rc == 0
+        rows = json_rows(out)
+        assert all((r["x"], r["y"]) == (-0.3, 2.0) for r in rows)
+        lattice, fourier = (complex(r["value_re"], r["value_im"])
+                            for r in rows[:2])
+        assert abs(lattice - fourier) <= 1e-8 * abs(lattice)
 
     def test_rejects_bad_eps(self, capsys):
         rc, _, err = run_cli(
@@ -286,3 +298,12 @@ class TestDeterminism:
             assert float(c["location"]) == j["location"]
             assert float(c["lo"]) == j["lo"]
             assert float(c["hi"]) == j["hi"]
+
+
+@pytest.mark.parametrize("module", [
+    "eisenzeros", "eisenzeros.numerics", "eisenzeros.eisenstein",
+    "eisenzeros.delta", "eisenzeros.zeros", "eisenzeros.cli",
+])
+def test_all_exports_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -14,7 +14,6 @@ import pytest
 from eisenzeros.delta import (
     CornerDerivatives,
     WeightPair,
-    arc_main_extended,
     arc_real,
     arc_real_batch,
     corner_derivatives,
@@ -23,7 +22,6 @@ from eisenzeros.delta import (
     m_main,
     p_main,
     side_normalized_batch,
-    side_scaled_batch,
 )
 from eisenzeros.eisenstein import eval_ek_lattice
 
@@ -42,6 +40,14 @@ def arc_sample_angles(k, l):
         out.append((2 * n + r, PI / 3 + 2 * x))
         r += 1
     return out
+
+
+def side_scaled(wp, ys, eps=1e-12):
+    """|z|^(k+l) Delta(1/2+iy) and its bound: the normalized side
+    restriction times |z|^k."""
+    vals, errs = side_normalized_batch(wp, ys, eps)
+    scale = np.abs(0.5 + 1j * ys) ** float(wp.k)
+    return vals * scale, errs * scale
 
 
 def side_sample_angles(l):
@@ -109,7 +115,7 @@ class TestEvalDelta:
             wp = WeightPair(k, l)
             z = complex(0.5, y)
             lhs = abs(z) ** (k + l) * eval_delta(wp, z, eps=1e-14)
-            rhs, err = side_scaled_batch(wp, np.array([y]), eps=1e-14)
+            rhs, err = side_scaled(wp, np.array([y]), eps=1e-14)
             scale = max(1.0, abs(lhs))
             assert abs(lhs.imag) <= 1e-10 * scale
             assert abs(lhs.real - rhs[0]) <= 1e-10 * scale + err[0]
@@ -132,14 +138,6 @@ class TestArcRestriction:
             vals, errs = arc_real_batch(wp, thetas)
             main = np.array([m_main(wp, t) for t in thetas])
             assert np.max(np.abs(vals - main) - errs) <= 0.091
-
-    def test_extended_expansion_tighter(self):
-        thetas = np.linspace(PI / 3, PI / 2, 120)
-        for k, l in [(14, 14), (26, 14), (40, 22), (36, 36)]:
-            wp = WeightPair(k, l)
-            vals, errs = arc_real_batch(wp, thetas)
-            ext = np.array([arc_main_extended(wp, t) for t in thetas])
-            assert np.max(np.abs(vals - ext) - errs) <= 0.044
 
     def test_sample_signs_alternate(self):
         for k, l in [(50, 14), (62, 26)]:
@@ -222,20 +220,11 @@ class TestSideRescaling:
         for l in (40, 46):
             for k in (l, l + 12, 2 * l):
                 wp = WeightPair(k, l)
-                scaled, errs = side_scaled_batch(wp, ys)
+                scaled, errs = side_scaled(wp, ys)
                 main = np.array(
                     [2.0 * (0.25 + y * y) ** (k / 2) * p_main(wp, t)
                      for y, t in zip(ys, thetas)])
                 assert np.max(np.abs(scaled - main) - errs) <= 0.01
-
-    def test_normalized_is_sign_compatible_with_scaled(self):
-        wp = WeightPair(30, 18)
-        ys = np.linspace(0.9, 2.5, 8)
-        norm, _ = side_normalized_batch(wp, ys)
-        scaled, _ = side_scaled_batch(wp, ys)
-        assert np.all(np.sign(norm) == np.sign(scaled))
-        r = np.abs(0.5 + 1j * ys)
-        assert scaled == pytest.approx(norm * r ** 30, rel=1e-12)
 
 
 class TestCornerDerivatives:

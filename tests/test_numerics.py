@@ -1,8 +1,8 @@
 """Tests for the scalar foundations.
 
 Derived expected values are frozen from independent oracles:
-Akiyama-Tanigawa for Bernoulli numbers, mpmath quadrature for incomplete
-gamma, and 50-digit mpmath products for LogComplex.
+Akiyama-Tanigawa for Bernoulli numbers and 50-digit mpmath products for
+LogComplex.
 """
 
 import cmath
@@ -21,8 +21,6 @@ from eisenzeros.numerics import (
     gamma_k,
     gamma_k_from_zeta,
     lc_sum,
-    reg_gamma_p,
-    reg_gamma_q,
     zeta,
 )
 
@@ -101,74 +99,6 @@ class TestZeta:
     def test_against_mpmath(self):
         for k in (5, 6, 10, 40, 100):
             assert math.isclose(zeta(k), float(mpmath.zeta(k)), rel_tol=1e-15)
-
-
-def gamma_q_quadrature(a: float, x: float) -> float:
-    """Independent oracle: direct quadrature of the defining integral."""
-    with mpmath.workdps(40):
-        integral = mpmath.quad(lambda t: t ** (a - 1) * mpmath.exp(-t),
-                               [x, mpmath.inf])
-        return float(integral / mpmath.gamma(a))
-
-
-class TestRegGammaQ:
-    def test_full_mass_at_zero(self):
-        for a in (0.5, 1.0, 7.0, 250.0):
-            assert reg_gamma_q(a, 0.0) == 1.0
-
-    def test_exponential_tail(self):
-        for x in (0.1, 1.0, 5.0, 30.0):
-            assert math.isclose(reg_gamma_q(1.0, x), math.exp(-x),
-                                rel_tol=1e-13)
-
-    def test_spot_values_against_quadrature(self):
-        for a, x in [(2.0, 3.0), (10.0, 4.0), (10.0, 25.0),
-                     (100.0, 80.0), (100.0, 130.0), (500.0, 560.0)]:
-            oracle = gamma_q_quadrature(a, x)
-            assert math.isclose(reg_gamma_q(a, x), oracle, rel_tol=5e-13), (a, x)
-
-    def test_spec_point_envelope(self):
-        # Frozen derived check: Q(100, 200) against quadrature, then the
-        # tail envelope with constant 3.
-        val = reg_gamma_q(100.0, 100.0 + 10.0 * math.sqrt(100.0))
-        oracle = gamma_q_quadrature(100.0, 200.0)
-        assert math.isclose(val, oracle, rel_tol=1e-10)
-        assert val <= 3.0 * (math.exp(-100.0 / 4.0) + math.exp(-25.0))
-
-    def test_tail_envelope_constant_3(self):
-        # Q(a,x) <= 3 (exp(-(x-a)^2/(4a)) + exp(-|x-a|/4)) for x > a.
-        for a in [10.0 * (100.0 ** (i / 39.0)) for i in range(40)]:
-            for j in range(1, 51):
-                x = a * (1.0 + 3.0 * j / 50.0)
-                bound = 3.0 * (math.exp(-((x - a) ** 2) / (4.0 * a))
-                               + math.exp(-abs(x - a) / 4.0))
-                assert reg_gamma_q(a, x) <= bound, (a, x)
-
-    def test_monotone_decreasing_in_x(self):
-        # 50 a-values x 200 x-values.
-        for i in range(50):
-            a = 0.5 * (2000.0 ** (i / 49.0))
-            prev = 1.0
-            for j in range(1, 201):
-                x = 4.0 * a * j / 200.0
-                cur = reg_gamma_q(a, x)
-                assert cur <= prev + 1e-15, (a, x)
-                prev = cur
-
-    def test_p_plus_q_is_one(self):
-        for a, x in [(3.0, 1.0), (3.0, 10.0), (75.0, 75.0), (75.0, 200.0)]:
-            assert math.isclose(reg_gamma_p(a, x) + reg_gamma_q(a, x), 1.0,
-                                rel_tol=1e-13)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            reg_gamma_q(0.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_gamma_q(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_gamma_q(2.0, -0.5)
-        with pytest.raises(ValueError):
-            reg_gamma_q(2e6, 1.0)
 
 
 finite_complex = st.builds(

@@ -1,4 +1,5 @@
-"""Tests for boundary zero counting, predictions, probes, and the audit."""
+"""Tests for boundary zero counting, predictions, sign certification, and
+the audit."""
 
 import math
 
@@ -7,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenzeros.delta import WeightPair, arc_real, m_main, p_main
+from eisenzeros.delta import (WeightPair, arc_real, m_main, p_main,
+                              side_normalized_batch)
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
-                              SignUncertainError, ZeroBracket, arc_evaluator,
+                              SignUncertainError, ZeroBracket, _certify_grid,
                               arc_sample_points, audit, count_arc_zeros,
-                              count_side_zeros, count_sign_changes,
-                              expected_boundary_counts, extra_zero_probe,
+                              count_side_zeros, expected_boundary_counts,
                               interior_zero_hunt, predicted_counts,
-                              side_evaluator, side_sample_points,
-                              side_upper_cutoff, stabilization_point,
-                              trivial_orders)
+                              side_sample_points, side_upper_cutoff,
+                              stabilization_point, trivial_orders)
 
 even_l = st.integers(min_value=7, max_value=50).map(lambda t: 2 * t)
 small_n = st.integers(min_value=0, max_value=6)
@@ -139,42 +139,32 @@ class TestPredictedCounts:
         assert abs(arc_real(wp, math.pi / 2)) > 0.5
 
 
+def constant_batch(value, bound):
+    """Batch evaluator returning value everywhere with error bound(eps)."""
+    def ev(xs, eps):
+        n = len(xs)
+        return np.full(n, value), np.full(n, bound(eps))
+    return ev
+
+
 class TestCountSignChanges:
-    def test_alternating(self):
-        vals = [1.0, -1.0, 1.0, -1.0]
-        ev = lambda x, eps: (vals[int(x)], 1e-15)
-        assert count_sign_changes(ev, [0, 1, 2, 3]) == 3
-
-    def test_constant(self):
-        ev = lambda x, eps: (1.0, 1e-15)
-        assert count_sign_changes(ev, [0.0, 1.0, 2.0]) == 0
-
-    def test_requires_increasing(self):
-        ev = lambda x, eps: (1.0, 1e-15)
-        with pytest.raises(ValueError):
-            count_sign_changes(ev, [0.0, 0.0, 1.0])
+    # the scans count sign changes of the signs _certify_grid certifies
 
     def test_uncertain_raises_with_count(self):
-        ev = lambda x, eps: (5e-14, max(eps, 1e-13))
+        # never certifiable: escalation and all three nudges fail, and the
+        # first offending point aborts the scan
+        ev = constant_batch(5e-14, lambda eps: max(eps, 1e-13))
         with pytest.raises(SignUncertainError) as info:
-            count_sign_changes(ev, [0.0, 1.0, 2.0])
-        assert info.value.uncertain == 3
-        assert len(info.value.points) == 3
+            _certify_grid(ev, np.array([0.0, 1.0, 2.0]), 1e-12)
+        assert info.value.uncertain == 1
+        assert info.value.points == (0.0,)
 
     def test_escalation_resolves(self):
         # uncertain at 1e-12 and 1e-14, certified positive at 1e-15
-        ev = lambda x, eps: (5e-14, eps)
-        assert count_sign_changes(ev, [0.0, 1.0]) == 0
-
-    def test_arc_comb_with_corner_probe(self):
-        # the comb alone shows 2 changes; prepending the corner-side probe
-        # point exposes the third
-        wp = WeightPair(56, 20)
-        pts = arc_sample_points(wp)
-        probe = math.pi / 3 + (pts[0] - math.pi / 3) / 8.0
-        ev = arc_evaluator(wp)
-        assert count_sign_changes(ev, pts) == 2
-        assert count_sign_changes(ev, [probe] + pts) == 3
+        ev = constant_batch(5e-14, lambda eps: eps)
+        grid, signs = _certify_grid(ev, np.array([0.0, 1.0]), 1e-12)
+        assert grid.tolist() == [0.0, 1.0]
+        assert signs.tolist() == [1, 1]
 
 
 class TestScans:
@@ -208,10 +198,9 @@ class TestScans:
         # above y_max the side restriction is certifiably nonzero
         wp = WeightPair(56, 22)
         y_max = side_upper_cutoff(wp)
-        ev = side_evaluator(wp)
-        for y in (y_max + 0.05, y_max + 0.5, y_max + 2.0):
-            val, err = ev(y, 1e-12)
-            assert abs(val) > 10 * err
+        ys = np.array([y_max + 0.05, y_max + 0.5, y_max + 2.0])
+        vals, errs = side_normalized_batch(wp, ys, 1e-12)
+        assert np.all(np.abs(vals) > 10 * errs)
 
     def test_equidistribution_window(self):
         # for k - l >= 120 every comb window far enough from the corner
@@ -232,51 +221,6 @@ class TestScans:
     def test_no_arc_zero_other_n0_classes(self):
         for kp in (0, 2, 4, 6, 10):
             assert count_arc_zeros((40 + kp, 40))[0] == 0
-
-
-class TestExtraZeroProbe:
-    def test_corner_value_class(self):
-        res = extra_zero_probe((48, 24))  # j = 0, l = 0 mod 6: corner +6
-        assert res.arc_extra is True
-        assert res.side_extra is True
-        assert "arc" in res.witness and "side" in res.witness
-        assert res.notes == ()
-
-    def test_second_derivative_class_post_stabilization(self):
-        res = extra_zero_probe((62, 24))  # j = 2, l = 0 mod 6, k > sp
-        assert res.arc_extra is False
-        assert res.side_extra is True
-
-    def test_stabilization_flips_side_probe(self):
-        pre = extra_zero_probe((56, 42))   # k < sp_2(42) = 57
-        post = extra_zero_probe((68, 42))
-        assert pre.side_extra is False
-        assert post.side_extra is True
-
-    def test_n0_probe(self):
-        res = extra_zero_probe((48, 40))
-        assert res.arc_extra is True
-        lo, hi = res.witness["arc"]
-        assert math.pi / 3 < lo < hi <= math.pi / 2
-        ev = arc_evaluator(WeightPair(48, 40))
-        v_lo, e_lo = ev(lo, 1e-13)
-        v_hi, e_hi = ev(hi, 1e-13)
-        assert v_lo * v_hi < 0
-        assert abs(v_lo) > 10 * e_lo and abs(v_hi) > 10 * e_hi
-
-    def test_uncovered_class_raises(self):
-        # l = 2 mod 6 with j = 4: both corner values vanish and no
-        # closed-form derivative exists on either boundary piece
-        with pytest.raises(ValueError, match="no corner probe"):
-            extra_zero_probe((60, 20))
-
-    def test_witness_brackets_certified(self):
-        res = extra_zero_probe((48, 24))
-        ev = arc_evaluator(WeightPair(48, 24))
-        lo, hi = res.witness["arc"]
-        v_lo, _ = ev(lo, 1e-13)
-        v_hi, _ = ev(hi, 1e-13)
-        assert v_lo * v_hi < 0
 
 
 class TestAudit:
@@ -313,11 +257,12 @@ class TestAudit:
         assert audit((58, 22)).B == 2
 
     def test_small_n0_pair_keeps_valence(self):
-        # below the effective range the closed-form prediction is only
-        # informational; the measured counts still satisfy the valence
+        # n = 0, j = 8 with a positive M'' at the vanishing corner: the
+        # quarter-turn arc zero is absent and the side carries it instead
         r = audit((26, 18))
         assert r.valence_ok
         assert r.A + r.B == 2
+        assert (r.predicted_A, r.predicted_B) == (r.A, r.B) == (0, 2)
 
 
 class TestInteriorHunt:
