@@ -27,6 +27,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -473,7 +474,9 @@ def _add_common(sub, fmt_default: str, jobs: bool = False):
                          help="worker processes; results stay in pair order")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="eisenzeros",
         description="Zero counting and certified evaluation for E_k E_l - E_{k+l}.")

@@ -241,24 +241,37 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12,
     return val / zeta(k), tail
 
 
-def _drow_scaled_tail(k: int, log_az: float, d_start: int) -> tuple[float, float]:
-    """(|z|^k * sum_{d > d_start} d^(-k), remainder bound), by direct
-    summation of (|z|/d)^k with an integral bound on what is left."""
+@lru_cache(maxsize=4096)
+def _drow_tail_factor(k: int, d_start: int) -> tuple[float, float]:
+    """(S, remainder bound) with S = sum_{d > d_start} (d0/d)^k, d0 =
+    d_start + 1, by direct summation with an integral bound on what is
+    left; S >= 1 and depends only on (k, d_start)."""
+    d0 = d_start + 1
+    log_d0 = math.log(d0)
     total = 0.0
-    d = d_start + 1
+    d = d0
     chunk = 2048
     for _ in range(512):
         ds = np.arange(d, d + chunk, dtype=np.float64)
-        vals = np.exp(k * (log_az - np.log(ds)))
+        vals = np.exp(k * (log_d0 - np.log(ds)))
         total += float(vals.sum())
         d += chunk
         if vals[-1] < 1e-18 * max(total, 1.0):
             break
-    # Integral comparison for the rest: sum_{d >= d0} (|z|/d)^k
-    # <= (|z|/d0)^k * d0/(k-1) + first term.
-    log_rem = k * (log_az - math.log(d)) + math.log(d / (k - 1.0) + 1.0)
+    # Integral comparison for the rest: sum_{d >= d1} (d0/d)^k
+    # <= (d0/d1)^k * d1/(k-1) + first term.
+    log_rem = k * (log_d0 - math.log(d)) + math.log(d / (k - 1.0) + 1.0)
     rem = math.exp(log_rem) if log_rem > -745.0 else 0.0
     return total, rem
+
+
+def _drow_tail(k: int, log_az: np.ndarray,
+               d_start: int) -> tuple[np.ndarray, float]:
+    """(|z|^k * sum_{d > d_start} d^(-k) per point, remainder bound for
+    the batch), as (|z|/d0)^k times the cached factor S(k, d_start)."""
+    factor, rem = _drow_tail_factor(k, d_start)
+    scale = np.exp(k * (log_az - math.log(d_start + 1)))
+    return scale * factor, rem * float(scale.max())
 
 
 def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
@@ -304,13 +317,9 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
         w = np.outer(zs, c[i:i + chunk]) + d[i:i + chunk]
         # (|z|/w)^k with the magnitude split out, safe against overflow
         vals += np.exp(k * (log_az[:, None] - np.log(w))).sum(axis=1)
-    d_start = math.floor(t)
-    rem_max = 0.0
-    for j, yv in enumerate(ys):
-        row, rem = _drow_scaled_tail(k, float(log_az[j]), d_start)
-        vals[j] -= row
-        rem_max = max(rem_max, rem)
-    return vals / zeta(k), tail + rem_max
+    row, rem = _drow_tail(k, log_az, math.floor(t))
+    vals -= row
+    return vals / zeta(k), tail + rem
 
 
 def hk(k: int, z, eps: float = 1e-12) -> complex:

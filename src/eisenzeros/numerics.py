@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
@@ -183,11 +184,13 @@ def bernoulli(k: int) -> Fraction:
 
 # --- zeta and the Fourier normalization constant -----------------------
 
+@lru_cache(maxsize=1024)
 def zeta(k: int) -> float:
     """zeta(k) for integer k >= 4 by direct summation.
 
     The cutoff N makes the integral tail bound N^(1-k)/(k-1) < 1e-16, and the
     partial sum is fsum-accumulated, so the result is correct to ~1 ulp.
+    Memoized: at k = 4 the sum has about 150k terms.
     """
     if k < 4:
         raise ValueError(f"zeta requires k >= 4, got {k}")

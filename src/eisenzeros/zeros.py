@@ -3,10 +3,10 @@
 Counts zeros of delta(k, l) on the two non-trivial pieces of the
 fundamental-domain boundary: the unit-circle arc theta in (pi/3, pi/2)
 and the vertical side x = 1/2, y > sqrt(3)/2.  Counting is by certified
-sign changes of the real-valued restrictions from the delta module:
-every zero is returned as a bracket whose endpoint signs clear the
-evaluator's own error bound by a safety factor, then narrowed by
-bisection.  Closed-form predictions for the counts and the stabilization
+sign changes of the real-valued restrictions from the delta module
+between grid points whose signs clear the evaluator's own error bound by
+a safety factor; the counters also narrow each change to a bracket by
+bisection, which audit() skips.  Closed-form predictions for the counts and the stabilization
 threshold in k past which they stop moving live alongside, as does a
 falsification sweep for interior zeros; audit() ties the counts to the
 exact valence identity 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -118,7 +119,6 @@ class ZeroCountReport:
     predicted_A: int
     predicted_B: int
     valence_ok: bool
-    zero_locations: tuple[ZeroBracket, ...]
     findings: tuple[str, ...] = ()
 
 
@@ -210,7 +210,15 @@ def predicted_counts(wp) -> PredictedCounts:
     lm = l % 6
     n_floor = max(0, n - 1 if j in (0, 2, 6) else n)
     if n == 0:
+        # for j = 8 the arc restriction is near 2 at pi/2, so the arc
+        # carries its one zero only when the restriction is negative just
+        # right of pi/3.  For l = 0 mod 6 the corner value vanishes and
+        # that sign is the sign of M'' at pi/3, which is positive only for
+        # l <= 18; the zero then lies on the side instead.
         n_prime = 1 if j == 8 else 0
+        if (n_prime and lm == 0
+                and corner_derivatives(wp).m_double_prime > 0.0):
+            n_prime = 0
     else:
         n_prime = n + _N_PRIME_OFFSET[j][lm]
     t_floor = l // 6 - (2 if lm == 0 else 1)
@@ -224,23 +232,19 @@ def expected_boundary_counts(wp, pc: Optional[PredictedCounts] = None,
                              ) -> tuple[int, int]:
     """Expected (A, B) at this k, including the pre-stabilization transient.
 
-    For n = 0 the special-case values apply at every k; otherwise the arc
-    carries one extra zero and the side one fewer until k reaches the
-    stabilization point.  For n = 0, j = 8 the arc restriction is near 2
-    at pi/2, so the arc carries its zero only when the restriction is
-    negative just right of pi/3.  For l = 0 mod 6 the corner value
-    vanishes and that sign is the sign of M'' at pi/3, which is positive
-    only for l <= 18; the zero then lies on the side instead.
+    For n = 0 the special-case values apply at every k, and a j = 8
+    zero that predicted_counts moves off the arc lies on the side;
+    otherwise the arc carries one extra zero and the side one fewer until
+    k reaches the stabilization point.
     """
     wp = _as_pair(wp)
     if pc is None:
         pc = predicted_counts(wp)
     if wp.n == 0:
-        a = 1 if wp.j == 8 else 0
+        a = pc.N_prime
         b = wp.l // 6 + _B_PRESTAB_OFFSET[wp.j][wp.l % 6]
-        if (a and wp.l % 6 == 0
-                and corner_derivatives(wp).m_double_prime > 0.0):
-            a, b = 0, b + 1
+        if wp.j == 8 and a == 0:
+            b += 1
     elif wp.k < pc.sp:
         a = pc.N_prime + 1
         b = wp.l // 6 + _B_PRESTAB_OFFSET[wp.j][wp.l % 6]
@@ -328,8 +332,9 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
     Ambiguous points are re-run one at a time on the escalation ladder,
     then nudged within their own cell (a zero sitting exactly on a grid
     point is isolated, so a nudged neighbour certifies).  Returns the
-    possibly nudged grid and the sign array; a point that no nudge
-    certifies raises SignUncertainError.
+    possibly nudged grid and the sign array.  Every ambiguous point is
+    tried; if any stays uncertain, one SignUncertainError carries all of
+    them.
     """
     vals, errs = batch_eval(grid, eps)
     signs = np.where(vals > 0.0, 1, -1).astype(np.int64)
@@ -338,6 +343,7 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
         return grid, signs
     grid = grid.astype(float).copy()
     gaps = np.diff(grid)
+    uncertain = []
     for i in np.nonzero(~ok)[0]:
         s = _certified_sign(batch_eval, float(grid[i]), _EPS_LADDER[1:])
         if s == 0:
@@ -350,11 +356,14 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
                 if s:
                     grid[i] = x2
                     break
-        if s == 0:
-            raise SignUncertainError(
-                f"scan point {float(grid[i]):.12g} stayed sign-uncertain",
-                points=(float(grid[i]),), uncertain=1)
-        signs[i] = s
+        if s:
+            signs[i] = s
+        else:
+            uncertain.append(float(grid[i]))
+    if uncertain:
+        raise SignUncertainError(
+            f"{len(uncertain)} scan point(s) stayed sign-uncertain, first at "
+            f"{uncertain[0]:.12g}", points=uncertain, uncertain=len(uncertain))
     return grid, signs
 
 
@@ -362,16 +371,51 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
 # boundary scans
 
 
-def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
-                    ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """Zeros of the arc restriction on the open arc, endpoints excluded.
+@dataclass(frozen=True)
+class _Scan:
+    """One boundary piece scanned on a certified grid: the batch evaluator,
+    the (possibly nudged) grid, its certified signs and the boundary
+    corners whose forced zero a sign change there belongs to."""
 
-    Scans 16 (k + l) equispaced interior angles (half-offset so neither
-    corner is sampled), certifies every sign, and bisects each change to a
-    1e-12 bracket.  A bracket whose midpoint lands within 1e-9 of pi/3 or
-    pi/2 is attributed to the forced corner order there when one exists.
+    kind: str
+    batch_eval: _BatchEval
+    grid: np.ndarray
+    signs: np.ndarray
+    corners: tuple[float, ...]
+
+
+def _near_corner(lo: float, hi: float, corners: Sequence[float]) -> bool:
+    """True when [lo, hi] comes within _ENDPOINT_TOL of a corner."""
+    return any(max(lo - c, c - hi) < _ENDPOINT_TOL for c in corners)
+
+
+def _scan_zeros(scan: _Scan, refine: bool,
+                ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """(zero count, refined brackets) of a scanned boundary piece.
+
+    Every certified sign change is a zero, except one whose bisected
+    location lands within _ENDPOINT_TOL of a corner with a forced order:
+    that change is the corner's own zero.  Only a cell reaching that close
+    to such a corner needs bisection to decide, so refine=False bisects
+    just those cells; refine=True bisects every change to a 1e-12 bracket
+    and returns the brackets of the counted zeros.
     """
-    wp = _as_pair(wp)
+    count, out = 0, []
+    for i in np.nonzero(scan.signs[:-1] * scan.signs[1:] < 0)[0]:
+        lo, hi = float(scan.grid[i]), float(scan.grid[i + 1])
+        if refine or _near_corner(lo, hi, scan.corners):
+            br = _refine_bracket(scan.batch_eval, scan.kind, lo, hi,
+                                 int(scan.signs[i]), int(scan.signs[i + 1]))
+            if _near_corner(br.location, br.location, scan.corners):
+                continue
+            out.append(br)
+        count += 1
+    return count, tuple(out)
+
+
+def _arc_scan(wp: WeightPair, eps: float, oversample: float) -> _Scan:
+    """Certified signs on 16 (k + l) equispaced interior angles of the arc,
+    half-offset so neither corner is sampled."""
     if wp.l < 14:
         raise ValueError("arc census needs k >= l >= 14")
     npts = max(64, math.ceil(16 * wp.weight_sum * oversample))
@@ -383,28 +427,19 @@ def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
 
     grid, signs = _certify_grid(ev, grid, eps)
     v_i, v_rho = trivial_orders(wp.weight_sum)
-    out = []
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        br = _refine_bracket(ev, "arc", float(grid[i]), float(grid[i + 1]),
-                             int(signs[i]), int(signs[i + 1]))
-        if br.location - math.pi / 3.0 < _ENDPOINT_TOL and v_rho > 0:
-            continue
-        if math.pi / 2.0 - br.location < _ENDPOINT_TOL and v_i > 0:
-            continue
-        out.append(br)
-    return len(out), tuple(out)
+    corners = (((math.pi / 3.0,) if v_rho > 0 else ())
+               + ((math.pi / 2.0,) if v_i > 0 else ()))
+    return _Scan("arc", ev, grid, signs, corners)
 
 
-def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
-                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max.
+def _side_scan(wp: WeightPair, eps: float, oversample: float) -> _Scan:
+    """Certified signs on the side x = 1/2, sqrt(3)/2 < y <= y_max.
 
     The grid is the union of 16 l points uniform in theta up to height
     k^(2/5) and 8 points between consecutive resonance heights
     y_N = k / (2 pi N), truncated at the certified dominance cutoff y_max
     above which no zero can exist.
     """
-    wp = _as_pair(wp)
     if wp.l < 14:
         raise ValueError("side census needs k >= l >= 14")
     y_lo = _SQRT3 / 2.0
@@ -425,22 +460,35 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
         pieces.append(y_lo_r + t * (y_hi_r - y_lo_r))
     ys = np.unique(np.concatenate(pieces))
     ys = ys[(ys > y_lo + 1e-9) & (ys <= y_max)]
-    if ys.size < 2:
-        return 0, ()
 
     def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
         return side_normalized_batch(wp, xs, e)
 
-    ys, signs = _certify_grid(ev, ys, eps)
+    if ys.size < 2:
+        signs = np.zeros(ys.size, dtype=np.int64)
+    else:
+        ys, signs = _certify_grid(ev, ys, eps)
     _, v_rho = trivial_orders(wp.weight_sum)
-    out = []
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        br = _refine_bracket(ev, "side", float(ys[i]), float(ys[i + 1]),
-                             int(signs[i]), int(signs[i + 1]))
-        if br.location - y_lo < _ENDPOINT_TOL and v_rho > 0:
-            continue
-        out.append(br)
-    return len(out), tuple(out)
+    return _Scan("side", ev, ys, signs, (y_lo,) if v_rho > 0 else ())
+
+
+def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
+                    ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """Zeros of the arc restriction on the open arc, endpoints excluded.
+
+    Scans 16 (k + l) equispaced interior angles (half-offset so neither
+    corner is sampled), certifies every sign, and bisects each change to a
+    1e-12 bracket.  A bracket whose midpoint lands within 1e-9 of pi/3 or
+    pi/2 is attributed to the forced corner order there when one exists.
+    """
+    return _scan_zeros(_arc_scan(_as_pair(wp), eps, oversample), refine=True)
+
+
+def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
+                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max,
+    each bisected to a 1e-12 bracket; the grid is _side_scan's."""
+    return _scan_zeros(_side_scan(_as_pair(wp), eps, oversample), refine=True)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +502,16 @@ def _logsumexp(vals: Sequence[float]) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
-def _delta_log_coeffs(wp, count: int = _COEFF_COUNT) -> list[LogComplex]:
+@lru_cache(maxsize=64)
+def _delta_log_coeffs(wp: WeightPair,
+                      count: int = _COEFF_COUNT) -> tuple[LogComplex, ...]:
     """First Fourier coefficients of delta as signed log-magnitude reals.
 
     a_m combines the three single-series coefficients with the divisor-sum
     convolution from the product term; everything stays in log scale
     because the gamma factors underflow floats near total weight 400.
+    Memoized: the side scan and the interior hunt both read them.
     """
-    wp = _as_pair(wp)
     k, l, w = wp.k, wp.l, wp.weight_sum
     gk, gl, gw = gamma_k(k), gamma_k(l), gamma_k(w)
     gkl = gk * gl
@@ -475,9 +525,10 @@ def _delta_log_coeffs(wp, count: int = _COEFF_COUNT) -> list[LogComplex]:
                                for r in range(1, m)])
             terms.append(gkl.scaled(conv))
         out.append(lc_sum(terms))
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=64)
 def side_upper_cutoff(wp) -> float:
     """Height above which the leading Fourier term certifiably dominates.
 
@@ -485,7 +536,8 @@ def side_upper_cutoff(wp) -> float:
     |a_2 q^2| + ... + |a_50 q^50| and a geometric majorant for the rest
     stays below |a_1 q|, so the side restriction cannot vanish.  The
     smallest such y is found by bisection; the certificate is monotone
-    because every ratio |a_m q^m / a_1 q| decreases in y.
+    because every ratio |a_m q^m / a_1 q| decreases in y.  Memoized per
+    pair, as given (a tuple or a WeightPair).
     """
     wp = _as_pair(wp)
     coeffs = _delta_log_coeffs(wp)
@@ -539,6 +591,45 @@ def side_upper_cutoff(wp) -> float:
 # interior falsification sweep
 
 
+_HUNT_MARGIN = 1.02
+
+
+def _hunt_field(wp: WeightPair,
+                ) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], float]:
+    """The interior hunt's normalized |delta| as a function of point arrays
+    (xs, ys), and the top height y_hi of the hunt.
+
+    |delta| comes from the signed-log Fourier series as one max-shifted
+    log-sum-exp over the coefficients per point, divided by the leading
+    envelope |a_1| e^(-2 pi y).  Points off the hunt region read inf.
+    """
+    coeffs = _delta_log_coeffs(wp)
+    la1 = coeffs[0].log_mag
+    y_hi = max(1.8, side_upper_cutoff(wp))
+    live = [(m, c) for m, c in enumerate(coeffs, start=1) if not c.is_zero()]
+    two_pi_m = 2.0 * math.pi * np.array([m for m, _ in live], dtype=np.float64)
+    log_mag = np.array([c.log_mag for _, c in live])
+    phase = np.array([c.phase for _, c in live])
+
+    def norm_abs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        logs = log_mag - np.outer(ys, two_pi_m)
+        top = logs.max(axis=1)
+        w = np.exp(logs - top[:, None])
+        phases = phase + np.outer(xs, two_pi_m)
+        re = (w * np.cos(phases)).sum(axis=1)
+        im = (w * np.sin(phases)).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            vals = np.exp(top + np.log(np.hypot(re, im))
+                          + 2.0 * math.pi * ys - la1)
+        outside = ((np.hypot(xs, ys) < _HUNT_MARGIN) | (np.abs(xs) > 0.49)
+                   | (ys > y_hi + 0.5))
+        return np.where(outside, math.inf, vals)
+
+    return norm_abs, y_hi
+
+
 def interior_zero_hunt(wp, nx: int = 13, ny: int = 11) -> tuple[str, ...]:
     """Falsification sweep for zeros strictly inside the fundamental domain.
 
@@ -547,30 +638,16 @@ def interior_zero_hunt(wp, nx: int = 13, ny: int = 11) -> tuple[str, ...]:
     moderate) and normalized by the leading envelope |a_1| e^(-2 pi y) so
     a genuine zero shows as a dip many orders below the generic O(1)
     level.  Strict local minima of the normalized grid below 1e-4 are
-    polished by pattern search; anything ending below 1e-8 is reported.
-    An empty result means the sweep saw nothing suspicious.
+    polished by pattern search, nine points a step; anything ending below
+    1e-8 is reported.  An empty result means the sweep saw nothing
+    suspicious.
     """
     wp = _as_pair(wp)
-    coeffs = _delta_log_coeffs(wp)
-    la1 = coeffs[0].log_mag
-    w = wp.weight_sum
-    two_pi = 2.0 * math.pi
-    y_hi = max(1.8, side_upper_cutoff(wp))
-    margin = 1.02
+    norm_abs, y_hi = _hunt_field(wp)
     xs = np.linspace(-0.48, 0.48, nx)
-    rows = np.geomspace(0.9 * margin, y_hi, ny)
-
-    def norm_abs(x: float, y: float) -> float:
-        if math.hypot(x, y) < margin or abs(x) > 0.49 or y > y_hi + 0.5:
-            return math.inf
-        total = lc_sum([c * LogComplex.from_polar(-two_pi * m * y,
-                                                  two_pi * m * x)
-                        for m, c in enumerate(coeffs, start=1)])
-        if total.is_zero():
-            return 0.0
-        return math.exp(total.log_mag + two_pi * y - la1)
-
-    vals = np.array([[norm_abs(float(x), float(y)) for x in xs] for y in rows])
+    rows = np.geomspace(0.9 * _HUNT_MARGIN, y_hi, ny)
+    grid_x, grid_y = np.meshgrid(xs, rows)
+    vals = norm_abs(grid_x.ravel(), grid_y.ravel()).reshape(grid_x.shape)
     findings = []
     for iy in range(vals.shape[0]):
         for ix in range(vals.shape[1]):
@@ -581,18 +658,19 @@ def interior_zero_hunt(wp, nx: int = 13, ny: int = 11) -> tuple[str, ...]:
             if v > np.min(neigh[np.isfinite(neigh)]):
                 continue
             x, y = float(xs[ix]), float(rows[iy])
-            fx = v
+            fx = float(v)
             sx = float(xs[1] - xs[0])
             sy = float(rows[min(iy + 1, ny - 1)] - rows[max(iy - 1, 0)]) / 2.0
             for _ in range(60):
-                best = (fx, x, y)
-                for dx in (-sx, 0.0, sx):
-                    for dy in (-sy, 0.0, sy):
-                        f2 = norm_abs(x + dx, y + dy)
-                        if f2 < best[0]:
-                            best = (f2, x + dx, y + dy)
-                if best[0] < fx:
-                    fx, x, y = best
+                # the 3 x 3 stencil in (dx, dy) order; argmin keeps the
+                # first of equal minima
+                dxs = np.repeat([-sx, 0.0, sx], 3)
+                dys = np.tile([-sy, 0.0, sy], 3)
+                f = norm_abs(x + dxs, y + dys)
+                best = int(np.argmin(f))
+                if f[best] < fx:
+                    fx = float(f[best])
+                    x, y = float(x + dxs[best]), float(y + dys[best])
                 else:
                     sx *= 0.5
                     sy *= 0.5
@@ -612,15 +690,17 @@ def interior_zero_hunt(wp, nx: int = 13, ny: int = 11) -> tuple[str, ...]:
 def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
     """Full boundary census for one pair with the exact valence cross-check.
 
-    Measured counts come from the certified scans; the valence identity is
-    checked in cleared-denominator integer form.  Once k has passed the
+    Measured counts are the sign changes of the certified scan grids;
+    only a change next to a corner with a forced order is bisected (see
+    _scan_zeros).  The valence identity is checked in cleared-denominator
+    integer form.  Once k has passed the
     stabilization point (and the pair is not in the n = 0 family) the
     measured counts must equal the stabilized predictions; mismatches are
     reported as findings, as is a valence failure.
     """
     wp = _as_pair(wp)
-    a_count, arc_locs = count_arc_zeros(wp, eps=eps, oversample=oversample)
-    b_count, side_locs = count_side_zeros(wp, eps=eps, oversample=oversample)
+    a_count, _ = _scan_zeros(_arc_scan(wp, eps, oversample), refine=False)
+    b_count, _ = _scan_zeros(_side_scan(wp, eps, oversample), refine=False)
     v_i, v_rho = trivial_orders(wp.weight_sum)
     pc = predicted_counts(wp)
     pa, pb = expected_boundary_counts(wp, pc)
@@ -641,5 +721,4 @@ def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
                 f"stabilized side count {b_count} != {pc.T_prime} predicted "
                 f"at k={wp.k}, l={wp.l}")
     return ZeroCountReport(wp, a_count, b_count, v_i, v_rho, pa, pb,
-                           valence_ok, tuple(arc_locs) + tuple(side_locs),
-                           tuple(findings))
+                           valence_ok, tuple(findings))

@@ -10,6 +10,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from eisenzeros.eisenstein import (
     Regime,
+    _drow_tail,
+    _truncation_radius,
     ThetaArgs,
     UpperHalfPoint,
     ek_minus_one_fourier,
@@ -217,6 +220,30 @@ class TestRescalings:
             expect = abs(z) ** k * (ek - 1.0)
             tol = 1e-11 + 2e-15 * abs(z) ** k
             assert abs(hk(k, z) - expect) <= tol
+
+    @pytest.mark.parametrize("k", [8, 14, 100, 200])
+    def test_drow_tail_matches_hurwitz_zeta(self, k):
+        # |z|^k sum_{d > D} d^(-k) = |z|^k zeta(k, D + 1) at 50 digits for a
+        # batch of |z| up to 30.  With D from hk_batch's own truncation
+        # radius for the batch's largest |z| the tail is ~1e-15 and the gap
+        # stays within the batch remainder plus 1e-15; with the smallest D
+        # hk_batch allows the tail is O(1) and the gap is roundoff relative
+        # to it (k log|z| amplifies one ulp of the exponent)
+        radii = (0.9, 1.5, 3.0, 7.0, 15.0, 30.0)
+        for top in range(len(radii)):
+            az = np.array(radii[:top + 1])
+            z_hi = complex(0.5, math.sqrt(az[-1] ** 2 - 0.25))
+            t, _ = _truncation_radius(k, z_hi, 1e-12, k * math.log(az[-1]))
+            for d_start, rtol, atol in (
+                    (math.floor(t), 0.0, 1e-15),
+                    (math.floor(1.0001 * (1.0 + az[-1])), 1e-12, 0.0)):
+                vals, rem = _drow_tail(k, np.log(az), d_start)
+                with mpmath.workdps(50):
+                    for a, v in zip(az, vals):
+                        exact = (mpmath.mpf(a) ** k
+                                 * mpmath.zeta(k, d_start + 1))
+                        gap = abs(mpmath.mpf(float(v)) - exact)
+                        assert gap <= rem + atol + rtol * exact, (k, a, d_start)
 
     def test_hk_matches_fourier_when_e_minus_one_underflows(self):
         # at k = 40, y = 5 the true E_k - 1 is ~ e^(-64), lost entirely in

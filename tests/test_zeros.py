@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from eisenzeros.delta import (WeightPair, arc_real, m_main, p_main,
                               side_normalized_batch)
+from eisenzeros.numerics import LogComplex, lc_sum
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               SignUncertainError, ZeroBracket, _certify_grid,
+                              _delta_log_coeffs, _hunt_field,
                               arc_sample_points, audit, count_arc_zeros,
                               count_side_zeros, expected_boundary_counts,
                               interior_zero_hunt, predicted_counts,
@@ -151,13 +153,13 @@ class TestCountSignChanges:
     # the scans count sign changes of the signs _certify_grid certifies
 
     def test_uncertain_raises_with_count(self):
-        # never certifiable: escalation and all three nudges fail, and the
-        # first offending point aborts the scan
+        # never certifiable: escalation and all three nudges fail at every
+        # point, and one error reports all of them
         ev = constant_batch(5e-14, lambda eps: max(eps, 1e-13))
         with pytest.raises(SignUncertainError) as info:
             _certify_grid(ev, np.array([0.0, 1.0, 2.0]), 1e-12)
-        assert info.value.uncertain == 1
-        assert info.value.points == (0.0,)
+        assert info.value.uncertain == 3
+        assert info.value.points == (0.0, 1.0, 2.0)
 
     def test_escalation_resolves(self):
         # uncertain at 1e-12 and 1e-14, certified positive at 1e-15
@@ -237,11 +239,16 @@ class TestAudit:
         assert r.valence_ok
         assert r.findings == ()
 
-    def test_locations_match_counts(self):
-        r = audit((56, 20))
-        arcs = [b for b in r.zero_locations if b.kind == "arc"]
-        sides = [b for b in r.zero_locations if b.kind == "side"]
-        assert len(arcs) == r.A and len(sides) == r.B
+    @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
+                                      (100, 14), (98, 96), (70, 40)])
+    def test_counts_match_refined_counters(self, k, l):
+        # audit counts grid sign changes; the counters bisect every change
+        pair = (k, l)
+        r = audit(pair)
+        a, arcs = count_arc_zeros(pair)
+        b, sides = count_side_zeros(pair)
+        assert (r.A, r.B) == (a, b) == (len(arcs), len(sides))
+        assert all(br.width <= 1e-12 for br in arcs + sides)
 
     def test_valence_scatter(self):
         for pair in [(14, 14), (100, 14), (44, 26), (98, 96), (100, 40)]:
@@ -263,9 +270,41 @@ class TestAudit:
         assert r.valence_ok
         assert r.A + r.B == 2
         assert (r.predicted_A, r.predicted_B) == (r.A, r.B) == (0, 2)
+        assert predicted_counts((26, 18)).N_prime == r.A
+        # the same class from l = 24 on: M'' < 0 and the zero is on the arc
+        r = audit((32, 24))
+        assert (r.A, r.B) == (r.predicted_A, r.predicted_B)
+        assert predicted_counts((32, 24)).N_prime == r.A == 1
+
+
+def hunt_reference(wp, x, y, y_hi):
+    """The hunt's normalized |delta| at one point, summed term by term with
+    lc_sum, independently of the vectorized evaluator."""
+    if math.hypot(x, y) < 1.02 or abs(x) > 0.49 or y > y_hi + 0.5:
+        return math.inf
+    coeffs = _delta_log_coeffs(wp)
+    two_pi = 2.0 * math.pi
+    total = lc_sum([c * LogComplex.from_polar(-two_pi * m * y, two_pi * m * x)
+                    for m, c in enumerate(coeffs, start=1)])
+    return math.exp(total.log_mag + two_pi * y - coeffs[0].log_mag)
 
 
 class TestInteriorHunt:
+    @pytest.mark.parametrize("k, l", [(56, 20), (100, 98), (82, 22)])
+    def test_grid_matches_lc_sum_reference(self, k, l):
+        wp = WeightPair(k, l)
+        norm_abs, y_hi = _hunt_field(wp)
+        xs = np.linspace(-0.48, 0.48, 13)
+        rows = np.geomspace(0.9 * 1.02, y_hi, 11)
+        gx, gy = np.meshgrid(xs, rows)
+        got = norm_abs(gx.ravel(), gy.ravel())
+        want = np.array([hunt_reference(wp, float(x), float(y), y_hi)
+                         for x, y in zip(gx.ravel(), gy.ravel())])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        live = np.isfinite(want)
+        assert live.sum() > 100
+        assert np.all(np.abs(got[live] - want[live]) <= 1e-9 * want[live])
+
     def test_clean_on_reference_pairs(self):
         assert interior_zero_hunt((56, 20)) == ()
         assert interior_zero_hunt((82, 22)) == ()
