@@ -3,10 +3,10 @@
 Counts zeros of delta(k, l) on the two non-trivial pieces of the
 fundamental-domain boundary: the unit-circle arc theta in (pi/3, pi/2)
 and the vertical side x = 1/2, y > sqrt(3)/2.  Counting is by certified
-sign changes of the real-valued restrictions from the delta module
-between grid points whose signs clear the evaluator's own error bound by
-a safety factor; the counters also narrow each change to a bracket by
-bisection, which audit() skips.  Closed-form predictions for the counts and the stabilization
+sign changes of the real-valued restrictions from the delta module:
+every zero is returned as a bracket whose endpoint signs clear the
+evaluator's own error bound by a safety factor, then narrowed by
+bisection.  Closed-form predictions for the counts and the stabilization
 threshold in k past which they stop moving live alongside, as does a
 falsification sweep for interior zeros; audit() ties the counts to the
 exact valence identity 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l.
@@ -49,6 +49,7 @@ _SQRT3 = math.sqrt(3.0)
 _CERTAINTY = 10.0
 _EPS_LADDER = (1e-12, 1e-14, 1e-15)
 _BRACKET_WIDTH = 1e-12
+_PROBE_LEVELS = 3      # levels probed while an end value is unknown
 _ENDPOINT_TOL = 1e-9
 _COEFF_COUNT = 50
 _Y_CEILING = 64.0
@@ -371,51 +372,116 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
 # boundary scans
 
 
-@dataclass(frozen=True)
-class _Scan:
-    """One boundary piece scanned on a certified grid: the batch evaluator,
-    the (possibly nudged) grid, its certified signs and the boundary
-    corners whose forced zero a sign change there belongs to."""
+def _probes(lo: float, hi: float, seen: dict[float, float]) -> list[float]:
+    """Points one round of _refine_brackets evaluates for the bracket
+    (lo, hi), given the certified values seen so far.
 
-    kind: str
-    batch_eval: _BatchEval
-    grid: np.ndarray
-    signs: np.ndarray
-    corners: tuple[float, ...]
-
-
-def _near_corner(lo: float, hi: float, corners: Sequence[float]) -> bool:
-    """True when [lo, hi] comes within _ENDPOINT_TOL of a corner."""
-    return any(max(lo - c, c - hi) < _ENDPOINT_TOL for c in corners)
-
-
-def _scan_zeros(scan: _Scan, refine: bool,
-                ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """(zero count, refined brackets) of a scanned boundary piece.
-
-    Every certified sign change is a zero, except one whose bisected
-    location lands within _ENDPOINT_TOL of a corner with a forced order:
-    that change is the corner's own zero.  Only a cell reaching that close
-    to such a corner needs bisection to decide, so refine=False bisects
-    just those cells; refine=True bisects every change to a 1e-12 bracket
-    and returns the brackets of the counted zeros.
+    With values at both ends these are the midpoints bisection visits if
+    the zero lies where the chord crosses zero, down to a 1e-12 bracket.
+    Otherwise they are the ends without a value and the midpoints the
+    next _PROBE_LEVELS steps can visit.  Every midpoint is computed as
+    _refine_bracket computes its first split, lo + 0.5 (hi - lo).
     """
-    count, out = 0, []
-    for i in np.nonzero(scan.signs[:-1] * scan.signs[1:] < 0)[0]:
-        lo, hi = float(scan.grid[i]), float(scan.grid[i + 1])
-        if refine or _near_corner(lo, hi, scan.corners):
-            br = _refine_bracket(scan.batch_eval, scan.kind, lo, hi,
-                                 int(scan.signs[i]), int(scan.signs[i + 1]))
-            if _near_corner(br.location, br.location, scan.corners):
+    if lo in seen and hi in seen:
+        guess = lo - seen[lo] * (hi - lo) / (seen[hi] - seen[lo])
+        path = []
+        while hi - lo > _BRACKET_WIDTH:
+            m = lo + 0.5 * (hi - lo)
+            path.append(m)
+            lo, hi = (m, hi) if guess > m else (lo, m)
+        return path
+    nodes = [x for x in (lo, hi) if x not in seen]
+    spans = [(lo, hi)]
+    for _ in range(_PROBE_LEVELS):
+        halves = []
+        for a, b in spans:
+            m = a + 0.5 * (b - a)
+            nodes.append(m)
+            halves += [(a, m), (m, b)]
+        spans = halves
+    return nodes
+
+
+def _refine_brackets(batch_eval: _BatchEval, kind: str,
+                     cells: Sequence[tuple[float, float, int, int]],
+                     ) -> list[ZeroBracket]:
+    """_refine_bracket for every cell (lo, hi, sign_lo, sign_hi) at once,
+    with the same brackets.
+
+    Each round evaluates the _probes of every open cell in one batch per
+    escalation rung, then bisects each cell as far as certified signs at
+    its midpoints are known.  A certified sign is the true sign, so the
+    path is the one sequential bisection takes.  A cell whose next
+    midpoint is uncertain moves up the escalation ladder and, once the
+    ladder is spent, finishes on _refine_bracket, which sidesteps.
+    """
+    out: list[Optional[ZeroBracket]] = [None] * len(cells)
+    # open cell -> (lo, hi, escalation rung, certified values seen)
+    state = {i: (lo, hi, 0, {}) for i, (lo, hi, _, _) in enumerate(cells)}
+    while state:
+        for rung, eps in enumerate(_EPS_LADDER):
+            group = [i for i, st in state.items() if st[2] == rung]
+            if not group:
                 continue
-            out.append(br)
-        count += 1
-    return count, tuple(out)
+            probes = [_probes(state[i][0], state[i][1], state[i][3])
+                      for i in group]
+            vals, errs = batch_eval(np.array([x for p in probes for x in p]),
+                                    eps)
+            certified = np.abs(vals) > _CERTAINTY * errs
+            at = 0
+            for i, xs in zip(group, probes):
+                lo, hi, _, seen = state.pop(i)
+                seen.update((x, float(v)) for x, v, c in
+                            zip(xs, vals[at:], certified[at:]) if c)
+                at += len(xs)
+                _, _, sign_lo, sign_hi = cells[i]
+                while hi - lo > _BRACKET_WIDTH:
+                    m = lo + 0.5 * (hi - lo)
+                    if m not in seen:
+                        break
+                    if (seen[m] > 0.0) == (sign_lo > 0):
+                        lo = m
+                    else:
+                        hi = m
+                if hi - lo <= _BRACKET_WIDTH:
+                    out[i] = ZeroBracket(kind, lo, hi, sign_lo, sign_hi)
+                elif m not in xs:
+                    state[i] = (lo, hi, rung, seen)
+                elif rung + 1 < len(_EPS_LADDER):
+                    state[i] = (lo, hi, rung + 1, seen)
+                else:
+                    out[i] = _refine_bracket(batch_eval, kind, lo, hi,
+                                             sign_lo, sign_hi)
+    return out
 
 
-def _arc_scan(wp: WeightPair, eps: float, oversample: float) -> _Scan:
-    """Certified signs on 16 (k + l) equispaced interior angles of the arc,
-    half-offset so neither corner is sampled."""
+def _refined_zeros(batch_eval: _BatchEval, kind: str, grid: np.ndarray,
+                   signs: np.ndarray, corners: Sequence[float],
+                   ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """(count, brackets) of the certified sign changes on a scan grid.
+
+    Every change is bisected to a 1e-12 bracket; one whose midpoint lands
+    within _ENDPOINT_TOL of a corner with a forced order is that corner's
+    own zero and is not counted.
+    """
+    cells = [(float(grid[i]), float(grid[i + 1]), int(signs[i]),
+              int(signs[i + 1]))
+             for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
+    out = tuple(br for br in _refine_brackets(batch_eval, kind, cells)
+                if all(abs(br.location - c) >= _ENDPOINT_TOL for c in corners))
+    return len(out), out
+
+
+def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
+                    ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """Zeros of the arc restriction on the open arc, endpoints excluded.
+
+    Scans 16 (k + l) equispaced interior angles (half-offset so neither
+    corner is sampled), certifies every sign, and bisects each change to a
+    1e-12 bracket.  A bracket whose midpoint lands within 1e-9 of pi/3 or
+    pi/2 is attributed to the forced corner order there when one exists.
+    """
+    wp = _as_pair(wp)
     if wp.l < 14:
         raise ValueError("arc census needs k >= l >= 14")
     npts = max(64, math.ceil(16 * wp.weight_sum * oversample))
@@ -429,17 +495,19 @@ def _arc_scan(wp: WeightPair, eps: float, oversample: float) -> _Scan:
     v_i, v_rho = trivial_orders(wp.weight_sum)
     corners = (((math.pi / 3.0,) if v_rho > 0 else ())
                + ((math.pi / 2.0,) if v_i > 0 else ()))
-    return _Scan("arc", ev, grid, signs, corners)
+    return _refined_zeros(ev, "arc", grid, signs, corners)
 
 
-def _side_scan(wp: WeightPair, eps: float, oversample: float) -> _Scan:
-    """Certified signs on the side x = 1/2, sqrt(3)/2 < y <= y_max.
+def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
+                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max.
 
     The grid is the union of 16 l points uniform in theta up to height
     k^(2/5) and 8 points between consecutive resonance heights
     y_N = k / (2 pi N), truncated at the certified dominance cutoff y_max
     above which no zero can exist.
     """
+    wp = _as_pair(wp)
     if wp.l < 14:
         raise ValueError("side census needs k >= l >= 14")
     y_lo = _SQRT3 / 2.0
@@ -460,35 +528,15 @@ def _side_scan(wp: WeightPair, eps: float, oversample: float) -> _Scan:
         pieces.append(y_lo_r + t * (y_hi_r - y_lo_r))
     ys = np.unique(np.concatenate(pieces))
     ys = ys[(ys > y_lo + 1e-9) & (ys <= y_max)]
+    if ys.size < 2:
+        return 0, ()
 
     def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
         return side_normalized_batch(wp, xs, e)
 
-    if ys.size < 2:
-        signs = np.zeros(ys.size, dtype=np.int64)
-    else:
-        ys, signs = _certify_grid(ev, ys, eps)
+    ys, signs = _certify_grid(ev, ys, eps)
     _, v_rho = trivial_orders(wp.weight_sum)
-    return _Scan("side", ev, ys, signs, (y_lo,) if v_rho > 0 else ())
-
-
-def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
-                    ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """Zeros of the arc restriction on the open arc, endpoints excluded.
-
-    Scans 16 (k + l) equispaced interior angles (half-offset so neither
-    corner is sampled), certifies every sign, and bisects each change to a
-    1e-12 bracket.  A bracket whose midpoint lands within 1e-9 of pi/3 or
-    pi/2 is attributed to the forced corner order there when one exists.
-    """
-    return _scan_zeros(_arc_scan(_as_pair(wp), eps, oversample), refine=True)
-
-
-def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
-                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max,
-    each bisected to a 1e-12 bracket; the grid is _side_scan's."""
-    return _scan_zeros(_side_scan(_as_pair(wp), eps, oversample), refine=True)
+    return _refined_zeros(ev, "side", ys, signs, (y_lo,) if v_rho > 0 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +550,10 @@ def _logsumexp(vals: Sequence[float]) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
-@lru_cache(maxsize=64)
+# Both caches below hold one pair: a census item reads the coefficients
+# and the cutoff in its side scan and again in its interior hunt, and
+# never comes back to a pair after that.
+@lru_cache(maxsize=1)
 def _delta_log_coeffs(wp: WeightPair,
                       count: int = _COEFF_COUNT) -> tuple[LogComplex, ...]:
     """First Fourier coefficients of delta as signed log-magnitude reals.
@@ -510,7 +561,6 @@ def _delta_log_coeffs(wp: WeightPair,
     a_m combines the three single-series coefficients with the divisor-sum
     convolution from the product term; everything stays in log scale
     because the gamma factors underflow floats near total weight 400.
-    Memoized: the side scan and the interior hunt both read them.
     """
     k, l, w = wp.k, wp.l, wp.weight_sum
     gk, gl, gw = gamma_k(k), gamma_k(l), gamma_k(w)
@@ -528,7 +578,6 @@ def _delta_log_coeffs(wp: WeightPair,
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
 def side_upper_cutoff(wp) -> float:
     """Height above which the leading Fourier term certifiably dominates.
 
@@ -536,10 +585,13 @@ def side_upper_cutoff(wp) -> float:
     |a_2 q^2| + ... + |a_50 q^50| and a geometric majorant for the rest
     stays below |a_1 q|, so the side restriction cannot vanish.  The
     smallest such y is found by bisection; the certificate is monotone
-    because every ratio |a_m q^m / a_1 q| decreases in y.  Memoized per
-    pair, as given (a tuple or a WeightPair).
+    because every ratio |a_m q^m / a_1 q| decreases in y.
     """
-    wp = _as_pair(wp)
+    return _side_upper_cutoff(_as_pair(wp))
+
+
+@lru_cache(maxsize=1)
+def _side_upper_cutoff(wp: WeightPair) -> float:
     coeffs = _delta_log_coeffs(wp)
     la1 = coeffs[0].log_mag
     if not math.isfinite(la1):
@@ -690,17 +742,15 @@ def interior_zero_hunt(wp, nx: int = 13, ny: int = 11) -> tuple[str, ...]:
 def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
     """Full boundary census for one pair with the exact valence cross-check.
 
-    Measured counts are the sign changes of the certified scan grids;
-    only a change next to a corner with a forced order is bisected (see
-    _scan_zeros).  The valence identity is checked in cleared-denominator
-    integer form.  Once k has passed the
+    Measured counts come from the certified scans; the valence identity is
+    checked in cleared-denominator integer form.  Once k has passed the
     stabilization point (and the pair is not in the n = 0 family) the
     measured counts must equal the stabilized predictions; mismatches are
     reported as findings, as is a valence failure.
     """
     wp = _as_pair(wp)
-    a_count, _ = _scan_zeros(_arc_scan(wp, eps, oversample), refine=False)
-    b_count, _ = _scan_zeros(_side_scan(wp, eps, oversample), refine=False)
+    a_count, _ = count_arc_zeros(wp, eps=eps, oversample=oversample)
+    b_count, _ = count_side_zeros(wp, eps=eps, oversample=oversample)
     v_i, v_rho = trivial_orders(wp.weight_sum)
     pc = predicted_counts(wp)
     pa, pb = expected_boundary_counts(wp, pc)

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisenzeros import zeros
 from eisenzeros.delta import (WeightPair, arc_real, m_main, p_main,
                               side_normalized_batch)
 from eisenzeros.numerics import LogComplex, lc_sum
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               SignUncertainError, ZeroBracket, _certify_grid,
-                              _delta_log_coeffs, _hunt_field,
+                              _delta_log_coeffs, _hunt_field, _refine_bracket,
+                              _refine_brackets,
                               arc_sample_points, audit, count_arc_zeros,
                               count_side_zeros, expected_boundary_counts,
                               interior_zero_hunt, predicted_counts,
@@ -169,6 +171,45 @@ class TestCountSignChanges:
         assert signs.tolist() == [1, 1]
 
 
+def sequential_brackets(ev, kind, cells):
+    return [_refine_bracket(ev, kind, *cell) for cell in cells]
+
+
+class TestRefinement:
+    # _refine_brackets bisects all cells together and must land on the
+    # brackets one-at-a-time bisection finds
+
+    def test_batched_matches_sequential_through_escalation(self):
+        # x - root with a bound that hides the sign within 100 eps of the
+        # root, so the last steps escalate and some end on the sidestep
+        # path; the root at 0.5 sits on its cell's first midpoint
+        roots = [0.1234567890123, 0.5, 0.75 + 1e-13, 0.9]
+        calls = []
+
+        def ev(xs, eps):
+            calls.append(len(xs))
+            xs = np.asarray(xs)
+            nearest = np.array([min(roots, key=lambda r: abs(x - r))
+                                for x in xs])
+            return xs - nearest, np.full(xs.shape, 10.0 * eps)
+
+        cells = [(0.0, 0.25, -1, 1), (0.4, 0.6, -1, 1), (0.7, 0.8, -1, 1),
+                 (0.85, 1.0, -1, 1)]
+        batched = _refine_brackets(ev, "arc", cells)
+        n_batched = len(calls)
+        calls.clear()
+        assert batched == sequential_brackets(ev, "arc", cells)
+        assert n_batched < len(calls) / 2
+        assert all(lo <= br.lo < br.hi <= hi
+                   for br, (lo, hi, _, _) in zip(batched, cells))
+
+    @pytest.mark.parametrize("k, l", [(100, 58), (98, 96), (100, 14)])
+    def test_counters_match_sequential_bisection(self, k, l, monkeypatch):
+        batched = (count_arc_zeros((k, l)), count_side_zeros((k, l)))
+        monkeypatch.setattr(zeros, "_refine_brackets", sequential_brackets)
+        assert (count_arc_zeros((k, l)), count_side_zeros((k, l))) == batched
+
+
 class TestScans:
     def test_arc_count_example(self):
         a, locs = count_arc_zeros((56, 20))
@@ -200,6 +241,7 @@ class TestScans:
         # above y_max the side restriction is certifiably nonzero
         wp = WeightPair(56, 22)
         y_max = side_upper_cutoff(wp)
+        assert side_upper_cutoff([56, 22]) == y_max
         ys = np.array([y_max + 0.05, y_max + 0.5, y_max + 2.0])
         vals, errs = side_normalized_batch(wp, ys, 1e-12)
         assert np.all(np.abs(vals) > 10 * errs)
@@ -242,7 +284,7 @@ class TestAudit:
     @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
                                       (100, 14), (98, 96), (70, 40)])
     def test_counts_match_refined_counters(self, k, l):
-        # audit counts grid sign changes; the counters bisect every change
+        # audit counts through the counters, which bisect every change
         pair = (k, l)
         r = audit(pair)
         a, arcs = count_arc_zeros(pair)
