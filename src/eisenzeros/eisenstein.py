@@ -21,7 +21,8 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -212,6 +213,44 @@ def _disk_pairs(x_lo: float, x_hi: float, y: float,
     return np.concatenate(cs), np.concatenate(ds)
 
 
+# Point-pair terms per kernel block: a block and its temporaries stay
+# inside a 2 MB L2 cache.
+_BLOCK_TERMS = 1 << 15
+# numpy's complex power multiplies by repeated squaring for integer
+# exponents below this and falls back to exp/log at or above it.
+_INT_POW_LIMIT = 100
+
+
+def _neg_power(u: np.ndarray, k: int) -> np.ndarray:
+    """u^(-k) elementwise through integer powers only: numpy's squaring
+    below _INT_POW_LIMIT, above it the square of the (k // 2)-th power,
+    divided once more by u when k is odd."""
+    if k < _INT_POW_LIMIT:
+        return u ** (-k)
+    h = _neg_power(u, k // 2)
+    h *= h
+    if k % 2:
+        h /= u
+    return h
+
+
+def _lattice_blocks(zs: np.ndarray, c: np.ndarray, d: np.ndarray, k: int,
+                    s: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """The one lattice kernel: blocks of the terms (s_i (c z_i + d))^(-k),
+    shape (len(zs), m), over consecutive runs of the pair set (c, d).
+
+    A block holds about _BLOCK_TERMS point-pair terms.  s (default 1)
+    rescales each point's terms; s_i = 1/|z_i| keeps them <= 1.
+    """
+    step = max(1, _BLOCK_TERMS // zs.size)
+    for i in range(0, c.size, step):
+        u = np.multiply.outer(zs, c[i:i + step])
+        u += d[i:i + step]
+        if s is not None:
+            u *= s[:, None]
+        yield _neg_power(u, k)
+
+
 def eval_ek_lattice(k: int, z, eps: float = 1e-12,
                     compensated: bool = False) -> tuple[complex, float]:
     """E_k(z) by truncated lattice sum; returns (value, tail_bound).
@@ -231,13 +270,19 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12,
         raise ValueError(f"eps below certificate floor {_MIN_EPS}")
     t, tail = _truncation_radius(k, z, eps, 0.0)
     c, d = _disk_pairs(z.real, z.real, z.imag, t)
-    terms = (c * z + d) ** (-k)
+    zs = np.array([z])
     d_row = np.arange(1.0, math.floor(t) + 1.0) ** float(-k)
     if compensated:
-        val = complex(math.fsum(terms.real) + math.fsum(d_row),
-                      math.fsum(terms.imag))
+        # fsum rounds the exact sum once, so the blocking cannot move it;
+        # each part regenerates the blocks rather than holding the disk
+        def part(attr: str) -> float:
+            return math.fsum(chain.from_iterable(
+                getattr(b, attr).ravel()
+                for b in _lattice_blocks(zs, c, d, k)))
+        val = complex(part("real") + math.fsum(d_row), part("imag"))
     else:
-        val = complex(terms.sum()) + float(d_row.sum())
+        blocks = [complex(b.sum()) for b in _lattice_blocks(zs, c, d, k)]
+        val = sum(blocks[1:], blocks[0]) + float(d_row.sum())
     return val / zeta(k), tail
 
 
@@ -279,8 +324,8 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
     """H_k(x+iy) for an array of heights on a vertical line, with one
     shared truncation certificate (max over the batch).
 
-    H_k = |z|^k (E_k - 1) is assembled from magnitude-ratio terms
-    (|z|/|cz+d|)^k which stay <= 1 in the fundamental domain, so no
+    H_k = |z|^k (E_k - 1) is assembled from the kernel terms
+    (|z|/(cz+d))^k, of magnitude <= 1 in the fundamental domain, so no
     overflow occurs even at k = 400.  Returns (values, tail_bound);
     values are real up to roundoff when x = 1/2 and are returned complex.
     """
@@ -310,14 +355,11 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
     t, tail = _truncation_radius(k, z_hi, eps, k * log_az_hi)
     c, d = _disk_pairs(x, x, y_lo, t)
     zs = x + 1j * ys
-    log_az = np.log(np.abs(zs))
+    az = np.abs(zs)
     vals = np.zeros(ys.shape, dtype=np.complex128)
-    chunk = max(1, _PAIR_BUDGET // max(ys.size, 1))
-    for i in range(0, c.size, chunk):
-        w = np.outer(zs, c[i:i + chunk]) + d[i:i + chunk]
-        # (|z|/w)^k with the magnitude split out, safe against overflow
-        vals += np.exp(k * (log_az[:, None] - np.log(w))).sum(axis=1)
-    row, rem = _drow_tail(k, log_az, math.floor(t))
+    for block in _lattice_blocks(zs, c, d, k, 1.0 / az):
+        vals += block.sum(axis=1)
+    row, rem = _drow_tail(k, np.log(az), math.floor(t))
     vals -= row
     return vals / zeta(k), tail + rem
 
@@ -364,10 +406,8 @@ def fk_batch(k: int, thetas: np.ndarray,
                        float(np.cos(thetas).max()), y_min, t)
     zs = np.exp(1j * thetas)
     vals = np.zeros(thetas.shape, dtype=np.complex128)
-    chunk = max(1, _PAIR_BUDGET // max(thetas.size, 1))
-    for i in range(0, c.size, chunk):
-        w = np.outer(zs, c[i:i + chunk]) + d[i:i + chunk]
-        vals += (w ** (-k)).sum(axis=1)
+    for block in _lattice_blocks(zs, c, d, k):
+        vals += block.sum(axis=1)
     vals += float((np.arange(1.0, math.floor(t) + 1.0) ** float(-k)).sum())
     vals = np.exp(0.5j * k * thetas) * vals / zeta(k)
     resid = float(np.abs(vals.imag).max())

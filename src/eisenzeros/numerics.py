@@ -203,12 +203,14 @@ def _log_abs_fraction(q: Fraction) -> float:
     return math.log(abs(q.numerator)) - math.log(q.denominator)
 
 
+@lru_cache(maxsize=256)
 def gamma_k(k: int) -> LogComplex:
     """Fourier normalization constant -2k/B_k of the weight-k Eisenstein
     series, as a real-signed LogComplex (phase 0 or pi).
 
     Exact rationals underneath; |gamma_400| ~ 1e-548 underflows a float,
-    hence the log-space return type.
+    hence the log-space return type.  Memoized: the big-rational division
+    costs tens of microseconds, and every even weight up to 400 fits.
     """
     if k % 2 != 0 or k < 4:
         raise ValueError(f"gamma_k requires even k >= 4, got {k}")

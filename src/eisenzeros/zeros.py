@@ -24,7 +24,9 @@ import numpy as np
 from .delta import (WeightPair, _as_pair, arc_real_batch, corner_derivatives,
                     side_normalized_batch)
 from .eisenstein import _log_sigma
-from .numerics import LogComplex, gamma_k, lc_sum, zeta
+# lc_sum is no longer called here but stays importable: perfbench's
+# tracer installs its numerics.lc_sum span at eisenzeros.zeros:lc_sum.
+from .numerics import gamma_k, lc_sum, zeta  # noqa: F401
 
 __all__ = [
     "ZeroBracket",
@@ -543,39 +545,57 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
 # dominance cutoff for the side scan
 
 
-def _logsumexp(vals: Sequence[float]) -> float:
-    m = max(vals)
-    if not math.isfinite(m):
-        return m
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+def _logsumexp(vals: np.ndarray) -> float:
+    top = float(vals.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(vals - top).sum()))
 
 
 # Both caches below hold one pair: a census item reads the coefficients
 # and the cutoff in its side scan and again in its interior hunt, and
 # never comes back to a pair after that.
 @lru_cache(maxsize=1)
-def _delta_log_coeffs(wp: WeightPair,
-                      count: int = _COEFF_COUNT) -> tuple[LogComplex, ...]:
-    """First Fourier coefficients of delta as signed log-magnitude reals.
+def _delta_log_coeffs(wp: WeightPair, count: int = _COEFF_COUNT,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """First Fourier coefficients a_1..a_count of delta as arrays of
+    log|a_m| (-inf where a_m vanishes) and arg a_m (0 or pi).
 
     a_m combines the three single-series coefficients with the divisor-sum
     convolution from the product term; everything stays in log scale
     because the gamma factors underflow floats near total weight 400.
     """
     k, l, w = wp.k, wp.l, wp.weight_sum
+    ls_k, ls_l, ls_w = (
+        np.array([_log_sigma(j - 1, n) for n in range(1, count + 1)])
+        for j in (k, l, w))
+    # log sum_{r+s=m} sigma_{k-1}(r) sigma_{l-1}(s): one log-sum-exp per
+    # anti-diagonal of the (r, s) table, row m - 2 for m = 2..count
+    m = np.arange(2, count + 1)[:, None]
+    r = np.arange(1, count)[None, :]
+    anti = np.where(r < m, ls_k[r - 1] + ls_l[np.maximum(m - r, 1) - 1],
+                    -np.inf)
+    top = anti.max(axis=1)
+    conv = np.concatenate((
+        [-np.inf], top + np.log(np.exp(anti - top[:, None]).sum(axis=1))))
     gk, gl, gw = gamma_k(k), gamma_k(l), gamma_k(w)
-    gkl = gk * gl
-    out = []
-    for m in range(1, count + 1):
-        terms = [gk.scaled(_log_sigma(k - 1, m)),
-                 gl.scaled(_log_sigma(l - 1, m)),
-                 (-gw).scaled(_log_sigma(w - 1, m))]
-        if m >= 2:
-            conv = _logsumexp([_log_sigma(k - 1, r) + _log_sigma(l - 1, m - r)
-                               for r in range(1, m)])
-            terms.append(gkl.scaled(conv))
-        out.append(lc_sum(terms))
-    return tuple(out)
+    factors = (gk, gl, -gw, gk * gl)
+    logs = (np.column_stack((ls_k, ls_l, ls_w, conv))
+            + [g.log_mag for g in factors])
+    signs = [g.real_sign() for g in factors]
+    top = logs.max(axis=1)
+    log_mag = np.full(count, -np.inf)
+    phase = np.zeros(count)
+    # the signed four-term sums cancel deeply near total weight 400
+    for i, row in enumerate(np.exp(logs - top[:, None]).tolist()):
+        re = math.fsum(sg * v for sg, v in zip(signs, row))
+        if re != 0.0:
+            log_mag[i] = top[i] + math.log(abs(re))
+            phase[i] = 0.0 if re > 0.0 else math.pi
+    # the cache hands these arrays to every caller
+    log_mag.flags.writeable = False
+    phase.flags.writeable = False
+    return log_mag, phase
 
 
 def side_upper_cutoff(wp) -> float:
@@ -592,33 +612,35 @@ def side_upper_cutoff(wp) -> float:
 
 @lru_cache(maxsize=1)
 def _side_upper_cutoff(wp: WeightPair) -> float:
-    coeffs = _delta_log_coeffs(wp)
-    la1 = coeffs[0].log_mag
+    log_mag, _ = _delta_log_coeffs(wp)
+    la1 = float(log_mag[0])
     if not math.isfinite(la1):
         raise DominanceCertificateError("leading Fourier coefficient vanishes")
     k, l, w = wp.k, wp.l, wp.weight_sum
     # crude tail majorant |a_m| <= C m^(w-1) from sigma_{j}(m) <= m^j zeta(j)
-    log_c = _logsumexp([
+    log_c = _logsumexp(np.array([
         gamma_k(k).log_mag + math.log(zeta(k - 1)),
         gamma_k(l).log_mag + math.log(zeta(l - 1)),
         gamma_k(w).log_mag + math.log(zeta(w - 1)),
         gamma_k(k).log_mag + gamma_k(l).log_mag
         + math.log(zeta(k - 1)) + math.log(zeta(l - 1)),
-    ])
+    ]))
     two_pi = 2.0 * math.pi
-    m0 = len(coeffs) + 1
-    partial_logs = [c.log_mag for c in coeffs[1:]]
+    m0 = log_mag.size + 1
+    partial_logs = log_mag[1:]
+    slopes = two_pi * np.arange(2, m0, dtype=np.float64)
+    terms = np.empty(m0 - 1)   # log|a_m q^m| for m = 2..50, then the tail
 
     def dominated(y: float) -> bool:
-        partial = _logsumexp([lm - two_pi * m * y
-                              for m, lm in enumerate(partial_logs, start=2)])
         # consecutive tail terms shrink by at most (1 + 1/m0)^(w-1) e^(-2 pi y)
         log_ratio = (w - 1) * math.log1p(1.0 / m0) - two_pi * y
         if log_ratio >= -1e-9:
             return False
         tail = (log_c + (w - 1) * math.log(m0) - two_pi * m0 * y
                 - math.log1p(-math.exp(log_ratio)))
-        rhs = math.log(2.0) + _logsumexp([partial, tail]) + 1e-9
+        np.subtract(partial_logs, slopes * y, out=terms[:-1])
+        terms[-1] = tail
+        rhs = math.log(2.0) + _logsumexp(terms) + 1e-9
         return la1 - two_pi * y > rhs
 
     lo = _SQRT3 / 2.0
@@ -655,13 +677,13 @@ def _hunt_field(wp: WeightPair,
     log-sum-exp over the coefficients per point, divided by the leading
     envelope |a_1| e^(-2 pi y).  Points off the hunt region read inf.
     """
-    coeffs = _delta_log_coeffs(wp)
-    la1 = coeffs[0].log_mag
+    all_logs, all_phases = _delta_log_coeffs(wp)
+    la1 = all_logs[0]
     y_hi = max(1.8, side_upper_cutoff(wp))
-    live = [(m, c) for m, c in enumerate(coeffs, start=1) if not c.is_zero()]
-    two_pi_m = 2.0 * math.pi * np.array([m for m, _ in live], dtype=np.float64)
-    log_mag = np.array([c.log_mag for _, c in live])
-    phase = np.array([c.phase for _, c in live])
+    live = np.isfinite(all_logs)
+    two_pi_m = 2.0 * math.pi * np.arange(1.0, all_logs.size + 1.0)[live]
+    log_mag = all_logs[live]
+    phase = all_phases[live]
 
     def norm_abs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisenzeros.eisenstein import (
+    _BLOCK_TERMS,
     Regime,
     _drow_tail,
+    _lattice_blocks,
     _truncation_radius,
     ThetaArgs,
     UpperHalfPoint,
@@ -253,6 +255,91 @@ class TestRescalings:
         lat = hk(40, z)
         fou = gk_fourier(40, z)
         assert math.isclose(abs(lat), abs(fou), rel_tol=1e-9)
+
+
+def ek_minus_one_mp(k: int, z: complex) -> "mpmath.mpc":
+    """E_k(z) - 1 = gamma_k sum sigma_{k-1}(n) q^n at the working precision,
+    summed directly rather than as E_k minus 1 (which loses every digit
+    once E_k - 1 is far below 1)."""
+    gamma = -2 * k / mpmath.bernoulli(k)
+    q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(z))
+    floor = mpmath.mpf(10) ** (-mpmath.mp.dps - 10)
+    total = mpmath.mpc(0)
+    qn = mpmath.mpc(1)
+    n = 0
+    while True:
+        n += 1
+        qn *= q
+        sigma = sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+        term = gamma * sigma * qn
+        total += term
+        # terms fall for good once n passes the peak at k / (2 pi y)
+        if n > k and abs(term) < floor * (abs(total) + 1):
+            return total
+
+
+class TestLatticeKernel:
+    @pytest.mark.parametrize(
+        "k", [4, 8, 98, 100, 102, 150, 200, 202, 210, 302, 400])
+    def test_term_matches_mpmath(self, k):
+        # (s (cz + d))^(-k) against 30 digits from the same float inputs.
+        # k = 202, 210, 302 have an odd k // 2 above the squaring limit,
+        # so their power needs the extra division by u
+        zs = np.array([0.5 + 0.87j, -0.31 + 1.3j, 0.12 + 4.7j, 0.5 + 11.0j])
+        s = 1.0 / np.abs(zs)
+        c = np.array([1.0, 1.0, 2.0, 3.0, 5.0, 1.0])
+        d = np.array([-1.0, 0.0, 1.0, -2.0, 3.0, 4.0])
+        for scale in (None, s):
+            (block,) = _lattice_blocks(zs, c, d, k, scale)
+            with mpmath.workdps(30):
+                for i, z in enumerate(zs):
+                    si = 1 if scale is None else mpmath.mpf(float(scale[i]))
+                    for j in range(c.size):
+                        u = si * (mpmath.mpf(c[j]) * mpmath.mpc(z)
+                                  + mpmath.mpf(d[j]))
+                        exact = u ** (-k)
+                        got = mpmath.mpc(complex(block[i, j]))
+                        if abs(exact) < 2.0 ** -1000:
+                            # underflow: only negligibility is owed
+                            assert abs(got) <= 2.0 ** -990
+                            continue
+                        rel = abs(got - exact) / abs(exact)
+                        assert rel <= 4 * k * 2.0 ** -53, (k, z, c[j], d[j])
+
+    def test_blocks_cover_the_pair_set_in_order(self):
+        zs = np.array([0.5 + 1.0j, 0.5 + 1.5j, 0.5 + 2.0j])
+        n_pairs = 3 * _BLOCK_TERMS // zs.size + 5
+        c = np.ones(n_pairs)
+        d = np.arange(n_pairs, dtype=np.float64)
+        blocks = list(_lattice_blocks(zs, c, d, 12))
+        assert len(blocks) == 4
+        assert all(b.size <= _BLOCK_TERMS for b in blocks)
+        whole = (np.multiply.outer(zs, c) + d) ** -12
+        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+
+    @pytest.mark.parametrize("k", [14, 58, 100, 158])
+    def test_hk_batch_oracle_fence(self, k):
+        # a fence, not the reported bound: that bound covers truncation
+        # only, while this gap is mostly rounding
+        ys = np.array([0.87, 1.0, 1.4, 2.5, 4.0, 7.5])
+        vals, _ = hk_batch(k, ys)
+        with mpmath.workdps(50):
+            for y, v in zip(ys, vals):
+                z = complex(0.5, y)
+                exact = abs(mpmath.mpc(z)) ** k * ek_minus_one_mp(k, z)
+                assert abs(mpmath.mpc(complex(v)) - exact) <= 1e-13, (k, y)
+
+    @pytest.mark.parametrize("k", [14, 58, 100, 158])
+    def test_fk_batch_oracle_fence(self, k):
+        thetas = np.array([math.pi / 3 + 1e-3, 1.2, 1.4, math.pi / 2,
+                           1.9, 2 * math.pi / 3 - 1e-3])
+        vals, _ = fk_batch(k, thetas)
+        with mpmath.workdps(50):
+            for th, v in zip(thetas, vals):
+                z = cmath.exp(1j * th)
+                exact = mpmath.exp(0.5j * k * mpmath.mpf(th)) * (
+                    1 + ek_minus_one_mp(k, z))
+                assert abs(mpmath.mpf(float(v)) - exact) <= 1e-13, (k, th)
 
 
 class TestArcMainTerms:

@@ -324,11 +324,12 @@ def hunt_reference(wp, x, y, y_hi):
     lc_sum, independently of the vectorized evaluator."""
     if math.hypot(x, y) < 1.02 or abs(x) > 0.49 or y > y_hi + 0.5:
         return math.inf
-    coeffs = _delta_log_coeffs(wp)
+    log_mag, phase = _delta_log_coeffs(wp)
     two_pi = 2.0 * math.pi
-    total = lc_sum([c * LogComplex.from_polar(-two_pi * m * y, two_pi * m * x)
-                    for m, c in enumerate(coeffs, start=1)])
-    return math.exp(total.log_mag + two_pi * y - coeffs[0].log_mag)
+    total = lc_sum([LogComplex(float(lm), float(ph))
+                    * LogComplex.from_polar(-two_pi * m * y, two_pi * m * x)
+                    for m, (lm, ph) in enumerate(zip(log_mag, phase), start=1)])
+    return math.exp(total.log_mag + two_pi * y - log_mag[0])
 
 
 class TestInteriorHunt:
