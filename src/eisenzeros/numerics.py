@@ -158,28 +158,36 @@ def lc_sum(terms: Iterable[LogComplex]) -> LogComplex:
 
 # --- Bernoulli numbers -------------------------------------------------
 
-_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+_bernoulli_cache: list[Fraction] = []    # B_2, B_4, ..., B_2n
 
 
 def _extend_bernoulli(n: int) -> None:
-    # Standard recurrence: sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1.
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        if m % 2 == 1:
-            _bernoulli_cache.append(Fraction(0))
-            continue
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-acc / (m + 1))
+    # Brent and Harvey's tangent-number algorithm ("Fast computation of
+    # Bernoulli, tangent and secant numbers", 2011): O(n^2) integer
+    # operations for T_1..T_n, then
+    # B_2j = (-1)^(j-1) 2j T_j / (2^(2j) (2^(2j) - 1)).
+    # The tangent numbers for a larger n are a fresh run, so the table at
+    # least doubles each time it grows, up to B_400.
+    if len(_bernoulli_cache) >= n:
+        return
+    n = min(max(n, 2 * len(_bernoulli_cache)), 200)
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for j in range(2, n + 1):
+        for i in range(j, n + 1):
+            t[i] = (i - j) * t[i - 1] + (i - j + 2) * t[i]
+    _bernoulli_cache[:] = [
+        Fraction((-1) ** (j - 1) * 2 * j * t[j], 4 ** j * (4 ** j - 1))
+        for j in range(1, n + 1)]
 
 
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k for even k with 2 <= k <= 400."""
     if k % 2 != 0 or not 2 <= k <= 400:
         raise ValueError(f"bernoulli requires even k in [2, 400], got {k}")
-    _extend_bernoulli(k)
-    return _bernoulli_cache[k]
+    _extend_bernoulli(k // 2)
+    return _bernoulli_cache[k // 2 - 1]
 
 
 # --- zeta and the Fourier normalization constant -----------------------

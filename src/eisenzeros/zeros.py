@@ -6,12 +6,23 @@ and the vertical side x = 1/2, y > sqrt(3)/2.  Counting is by certified
 sign changes of the real-valued restrictions from the delta module:
 every zero is returned as a bracket whose endpoint signs clear the
 evaluator's own error bound by a safety factor, then narrowed by
-bisection.  Closed-form predictions for the counts and the stabilization
-threshold in k past which they stop moving live alongside, as does a
-falsification sweep for interior zeros; audit() ties the counts to the
-exact valence identity 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l.
-"""
+bisection.
 
+Both pieces are scanned together.  Certified sign changes are lower
+bounds on the arc and side counts A and B, and the valence identity
+12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l fixes their sum, so once the
+changes on a sub-grid of every 8th scan point reach that sum they are the
+counts: each sub-grid cell with a change holds one simple zero and every
+other cell holds none.  Only the points inside the cells with a change
+are then certified, which finds the same sign-change cells as certifying
+the whole grid.  A sub-grid count that falls short (or a cell with more
+than one change) falls back to certifying every grid point, so a wrong
+sign still shows as a valence failure in audit().
+
+Closed-form predictions for the counts and the stabilization threshold
+in k past which they stop moving live alongside, as does a falsification
+sweep for interior zeros; audit() ties the counts to the valence identity.
+"""
 from __future__ import annotations
 
 import math
@@ -329,26 +340,31 @@ def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
 
 
 def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
+                  at: Optional[np.ndarray] = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Certified signs on a scan grid.
+    """Certified signs at the points grid[at] of a scan grid, every point
+    when at is None.
 
     Ambiguous points are re-run one at a time on the escalation ladder,
-    then nudged within their own cell (a zero sitting exactly on a grid
-    point is isolated, so a nudged neighbour certifies).  Returns the
-    possibly nudged grid and the sign array.  Every ambiguous point is
-    tried; if any stays uncertain, one SignUncertainError carries all of
-    them.
+    then nudged within their own cell of the whole grid (a zero sitting
+    exactly on a grid point is isolated, so a nudged neighbour certifies),
+    so a point moves by the same nudge whichever of its neighbours are
+    certified with it.  Returns the possibly nudged points and their
+    signs.  Every ambiguous point is tried; if any stays uncertain, one
+    SignUncertainError carries all of them.
     """
-    vals, errs = batch_eval(grid, eps)
+    idx = np.arange(grid.size) if at is None else at
+    xs = np.asarray(grid, dtype=float)[idx]
+    vals, errs = batch_eval(xs, eps)
     signs = np.where(vals > 0.0, 1, -1).astype(np.int64)
     ok = np.abs(vals) > _CERTAINTY * errs
     if bool(ok.all()):
-        return grid, signs
-    grid = grid.astype(float).copy()
+        return xs, signs
     gaps = np.diff(grid)
     uncertain = []
-    for i in np.nonzero(~ok)[0]:
-        s = _certified_sign(batch_eval, float(grid[i]), _EPS_LADDER[1:])
+    for j in np.nonzero(~ok)[0]:
+        i = idx[j]
+        s = _certified_sign(batch_eval, float(xs[j]), _EPS_LADDER[1:])
         if s == 0:
             left = gaps[i - 1] if i > 0 else gaps[0]
             right = gaps[i] if i < gaps.size else gaps[-1]
@@ -357,17 +373,17 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
                 x2 = float(grid[i] + frac * half)
                 s = _certified_sign(batch_eval, x2)
                 if s:
-                    grid[i] = x2
+                    xs[j] = x2
                     break
         if s:
-            signs[i] = s
+            signs[j] = s
         else:
-            uncertain.append(float(grid[i]))
+            uncertain.append(float(xs[j]))
     if uncertain:
         raise SignUncertainError(
             f"{len(uncertain)} scan point(s) stayed sign-uncertain, first at "
             f"{uncertain[0]:.12g}", points=uncertain, uncertain=len(uncertain))
-    return grid, signs
+    return xs, signs
 
 
 # ---------------------------------------------------------------------------
@@ -457,63 +473,38 @@ def _refine_brackets(batch_eval: _BatchEval, kind: str,
     return out
 
 
-def _refined_zeros(batch_eval: _BatchEval, kind: str, grid: np.ndarray,
-                   signs: np.ndarray, corners: Sequence[float],
-                   ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """(count, brackets) of the certified sign changes on a scan grid.
+# (lo, hi, sign_lo, sign_hi): one dense grid cell whose ends have opposite
+# certified signs
+_Cell = tuple[float, float, int, int]
 
-    Every change is bisected to a 1e-12 bracket; one whose midpoint lands
+
+def _refined_zeros(batch_eval: _BatchEval, kind: str,
+                   cells: Sequence[_Cell], corners: Sequence[float],
+                   ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """(count, brackets) of a scan's sign-change cells.
+
+    Every cell is bisected to a 1e-12 bracket; one whose midpoint lands
     within _ENDPOINT_TOL of a corner with a forced order is that corner's
     own zero and is not counted.
     """
-    cells = [(float(grid[i]), float(grid[i + 1]), int(signs[i]),
-              int(signs[i + 1]))
-             for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
     out = tuple(br for br in _refine_brackets(batch_eval, kind, cells)
                 if all(abs(br.location - c) >= _ENDPOINT_TOL for c in corners))
     return len(out), out
 
 
-def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
-                    ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """Zeros of the arc restriction on the open arc, endpoints excluded.
-
-    Scans 16 (k + l) equispaced interior angles (half-offset so neither
-    corner is sampled), certifies every sign, and bisects each change to a
-    1e-12 bracket.  A bracket whose midpoint lands within 1e-9 of pi/3 or
-    pi/2 is attributed to the forced corner order there when one exists.
-    """
-    wp = _as_pair(wp)
-    if wp.l < 14:
-        raise ValueError("arc census needs k >= l >= 14")
+def _arc_grid(wp: WeightPair, oversample: float) -> np.ndarray:
+    """16 (k + l) equispaced interior angles of the arc, half-offset so
+    neither corner is sampled."""
     npts = max(64, math.ceil(16 * wp.weight_sum * oversample))
     h = (math.pi / 2.0 - math.pi / 3.0) / npts
-    grid = math.pi / 3.0 + h * (np.arange(npts) + 0.5)
-
-    def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
-        return arc_real_batch(wp, xs, e)
-
-    grid, signs = _certify_grid(ev, grid, eps)
-    v_i, v_rho = trivial_orders(wp.weight_sum)
-    corners = (((math.pi / 3.0,) if v_rho > 0 else ())
-               + ((math.pi / 2.0,) if v_i > 0 else ()))
-    return _refined_zeros(ev, "arc", grid, signs, corners)
+    return math.pi / 3.0 + h * (np.arange(npts) + 0.5)
 
 
-def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
-                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max.
-
-    The grid is the union of 16 l points uniform in theta up to height
-    k^(2/5) and 8 points between consecutive resonance heights
-    y_N = k / (2 pi N), truncated at the certified dominance cutoff y_max
-    above which no zero can exist.
-    """
-    wp = _as_pair(wp)
-    if wp.l < 14:
-        raise ValueError("side census needs k >= l >= 14")
+def _side_grid(wp: WeightPair, oversample: float, y_max: float) -> np.ndarray:
+    """Heights on the side: 16 l points uniform in theta up to height
+    k^(2/5), 8 between consecutive resonance heights y_N = k / (2 pi N),
+    and y_max, all in (sqrt(3)/2, y_max]."""
     y_lo = _SQRT3 / 2.0
-    y_max = side_upper_cutoff(wp)
     pieces = [np.array([y_max])]
     y_cap = min(wp.k ** 0.4, y_max)
     th_hi = math.atan2(y_cap, 0.5)
@@ -529,16 +520,137 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
         t = (np.arange(8) + 0.5) / 8.0
         pieces.append(y_lo_r + t * (y_hi_r - y_lo_r))
     ys = np.unique(np.concatenate(pieces))
-    ys = ys[(ys > y_lo + 1e-9) & (ys <= y_max)]
-    if ys.size < 2:
-        return 0, ()
+    return ys[(ys > y_lo + 1e-9) & (ys <= y_max)]
 
+
+def _arc_eval(wp: WeightPair) -> _BatchEval:
+    def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
+        return arc_real_batch(wp, xs, e)
+    return ev
+
+
+def _side_eval(wp: WeightPair) -> _BatchEval:
     def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
         return side_normalized_batch(wp, xs, e)
+    return ev
 
-    ys, signs = _certify_grid(ev, ys, eps)
+
+_STRIDE = 8    # sub-grid stride of the valence-closed scan
+
+
+@dataclass(frozen=True)
+class _BoundaryScan:
+    """The sign-change cells of the dense arc and side grids, and the
+    stride of the sub-grid that found them (1 after the dense fallback)."""
+
+    arc: tuple[_Cell, ...]
+    side: tuple[_Cell, ...]
+    stride: int
+
+
+def _joint_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
+                stride: int) -> Optional[_BoundaryScan]:
+    """Sign-change cells of both dense grids from their stride sub-grids.
+
+    Certifies every stride-th grid point and both ends of each piece, one
+    _certify_grid call per piece.  When the sub-grid sign changes close the
+    valence identity, the grid points inside every sub-grid cell with a
+    change are certified in one more call per piece (at stride 8 these 7
+    points are all the probes of three bisection levels), and each such
+    cell must hold exactly one change of the dense grid.  Returns None
+    when the count does not close or a cell breaks that rule.  At stride 1
+    this is the dense scan, and it returns its cells whatever they count.
+    """
+    pieces = []
+    changes = 0
+    for ev, grid in ((_arc_eval(wp), _arc_grid(wp, oversample)),
+                     (_side_eval(wp), _side_grid(wp, oversample, y_max))):
+        pts, signs = grid.copy(), np.zeros(grid.size, dtype=np.int64)
+        spans = []      # sub-grid cells (a, b) with a sign change
+        if grid.size >= 2:
+            sub = np.unique(np.append(np.arange(0, grid.size, stride),
+                                      grid.size - 1))
+            pts[sub], signs[sub] = _certify_grid(ev, grid, eps, sub)
+            lows = np.nonzero(signs[sub[:-1]] * signs[sub[1:]] < 0)[0]
+            spans = list(zip(sub[lows].tolist(), sub[lows + 1].tolist()))
+        pieces.append((ev, grid, pts, signs, spans))
+        changes += len(spans)
+    v_i, v_rho = trivial_orders(wp.weight_sum)
+    if stride > 1 and 12 * changes + 6 * v_i + 4 * v_rho + 12 != wp.weight_sum:
+        return None
+    cells = []
+    for ev, grid, pts, signs, spans in pieces:
+        inner = np.array([i for a, b in spans for i in range(a + 1, b)],
+                         dtype=np.int64)
+        if inner.size:
+            pts[inner], signs[inner] = _certify_grid(ev, grid, eps, inner)
+        cells.append(tuple(
+            (float(pts[i]), float(pts[i + 1]), int(signs[i]), int(signs[i + 1]))
+            for a, b in spans for i in range(a, b)
+            if signs[i] * signs[i + 1] < 0))
+    if stride > 1 and len(cells[0]) + len(cells[1]) != changes:
+        return None
+    return _BoundaryScan(cells[0], cells[1], stride)
+
+
+# One pair: audit reads the scan through count_arc_zeros and then
+# count_side_zeros, and never comes back to a pair after that.
+@lru_cache(maxsize=1)
+def _boundary_scan(wp: WeightPair, eps: float, oversample: float,
+                   y_max: float) -> _BoundaryScan:
+    """The valence-closed scan of both boundary pieces, falling back to
+    the dense scan when the sub-grid does not close the count."""
+    scan = _joint_scan(wp, eps, oversample, y_max, _STRIDE)
+    if scan is None:
+        scan = _joint_scan(wp, eps, oversample, y_max, 1)
+    return scan
+
+
+def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
+                    ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """Zeros of the arc restriction on the open arc, endpoints excluded.
+
+    The scan grid is 16 (k + l) equispaced interior angles (half-offset so
+    neither corner is sampled).  Its sign-change cells come from the joint
+    scan of arc and side (see _joint_scan): every 8th point is certified,
+    and when those signs close the valence identity
+    12 (A + B) + 6 v_i + 4 v_rho + 12 = k + l, only the grid points inside
+    the sub-grid cells with a sign change are certified too; otherwise
+    every grid point is.  Each change is bisected to a 1e-12 bracket.  A
+    bracket whose midpoint lands within 1e-9 of pi/3 or pi/2 is attributed
+    to the forced corner order there when one exists.
+    """
+    wp = _as_pair(wp)
+    if wp.l < 14:
+        raise ValueError("arc census needs k >= l >= 14")
+    # the closure needs the side's count, so the arc scan needs its cutoff
+    scan = _boundary_scan(wp, eps, oversample, _side_upper_cutoff(wp))
+    v_i, v_rho = trivial_orders(wp.weight_sum)
+    corners = (((math.pi / 3.0,) if v_rho > 0 else ())
+               + ((math.pi / 2.0,) if v_i > 0 else ()))
+    return _refined_zeros(_arc_eval(wp), "arc", scan.arc, corners)
+
+
+def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
+                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max.
+
+    The scan grid is the union of 16 l points uniform in theta up to
+    height k^(2/5) and 8 points between consecutive resonance heights
+    y_N = k / (2 pi N), truncated at the certified dominance cutoff y_max
+    above which no zero can exist.  Its sign-change cells come from the
+    same joint scan as count_arc_zeros: the every-8th-point sub-grid when
+    it closes the valence identity, with only its sign-change cells
+    searched point by point, else the whole grid.  Each change is bisected
+    to a 1e-12 bracket.
+    """
+    wp = _as_pair(wp)
+    if wp.l < 14:
+        raise ValueError("side census needs k >= l >= 14")
+    scan = _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp))
     _, v_rho = trivial_orders(wp.weight_sum)
-    return _refined_zeros(ev, "side", ys, signs, (y_lo,) if v_rho > 0 else ())
+    return _refined_zeros(_side_eval(wp), "side", scan.side,
+                          (_SQRT3 / 2.0,) if v_rho > 0 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +877,10 @@ def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
     """Full boundary census for one pair with the exact valence cross-check.
 
     Measured counts come from the certified scans; the valence identity is
-    checked in cleared-denominator integer form.  Once k has passed the
+    checked in cleared-denominator integer form.  A scan whose sub-grid
+    closed the count satisfies it by construction, unless a bracket is
+    attributed to a corner; it fails only on the dense fallback, when the
+    certified changes do not add up.  Once k has passed the
     stabilization point (and the pair is not in the n = 0 family) the
     measured counts must equal the stabilized predictions; mismatches are
     reported as findings, as is a valence failure.

@@ -1,8 +1,8 @@
 """Tests for the scalar foundations.
 
 Derived expected values are frozen from independent oracles:
-Akiyama-Tanigawa for Bernoulli numbers and 50-digit mpmath products for
-LogComplex.
+Akiyama-Tanigawa and the binomial recurrence for Bernoulli numbers and
+50-digit mpmath products for LogComplex.
 """
 
 import cmath
@@ -35,6 +35,22 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     return row[0]
 
 
+def bernoulli_recurrence(n: int) -> list[Fraction]:
+    """Reference B_0..B_n from sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1,
+    the O(n^2) rational recurrence bernoulli() used before the
+    tangent-number algorithm."""
+    b = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, n + 1):
+        if m % 2:
+            b.append(Fraction(0))
+            continue
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * b[j]
+        b.append(-acc / (m + 1))
+    return b
+
+
 class TestBernoulli:
     def test_base_cases(self):
         assert bernoulli(2) == Fraction(1, 6)
@@ -47,6 +63,11 @@ class TestBernoulli:
     @pytest.mark.parametrize("k", [2, 6, 8, 10, 20, 30, 50, 100])
     def test_matches_oracle(self, k):
         assert bernoulli(k) == bernoulli_akiyama_tanigawa(k)
+
+    def test_matches_recurrence_through_400(self):
+        ref = bernoulli_recurrence(400)
+        for k in range(2, 401, 2):
+            assert bernoulli(k) == ref[k], k
 
     def test_top_of_range(self):
         b400 = bernoulli(400)

@@ -171,6 +171,23 @@ class TestCountSignChanges:
         assert signs.tolist() == [1, 1]
 
 
+    def test_sub_grid_nudge_uses_dense_gaps(self):
+        # uncertain exactly at 3.0: the nudge there is 0.61 of half the
+        # smaller dense gap (2.0), as in the dense scan, not of the
+        # sub-grid's gaps (3.0 and 7.0)
+        def ev(xs, eps):
+            xs = np.asarray(xs)
+            return np.ones(xs.shape), np.where(xs == 3.0, 1.0, 1e-3)
+
+        grid = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
+        at = np.array([0, 2, 4])
+        dense, _ = _certify_grid(ev, grid, 1e-12)
+        sub, signs = _certify_grid(ev, grid, 1e-12, at)
+        assert dense.tolist() == [0.0, 1.0, 3.61, 6.0, 10.0]
+        assert sub.tolist() == dense[at].tolist()
+        assert signs.tolist() == [1, 1, 1]
+
+
 def sequential_brackets(ev, kind, cells):
     return [_refine_bracket(ev, kind, *cell) for cell in cells]
 
@@ -208,6 +225,133 @@ class TestRefinement:
         batched = (count_arc_zeros((k, l)), count_side_zeros((k, l)))
         monkeypatch.setattr(zeros, "_refine_brackets", sequential_brackets)
         assert (count_arc_zeros((k, l)), count_side_zeros((k, l))) == batched
+
+
+@pytest.fixture
+def fresh_scan():
+    zeros._boundary_scan.cache_clear()
+    yield
+    zeros._boundary_scan.cache_clear()
+
+
+def both_counts(pair):
+    return count_arc_zeros(pair), count_side_zeros(pair)
+
+
+def boundary_scan(pair):
+    wp = WeightPair(*pair)
+    return zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
+
+
+def side_setup(pair):
+    """The dense side grid of pair and the grid indices of the lower ends
+    of its sign-change cells."""
+    wp = WeightPair(*pair)
+    grid = zeros._side_grid(wp, 1.0, side_upper_cutoff(wp))
+    lows = [int(np.argmin(np.abs(grid - lo)))
+            for lo, _, _, _ in boundary_scan(pair).side]
+    return grid, lows
+
+
+def blind_side_at(monkeypatch, grid, i):
+    """Make the side evaluator uncertain at every rung within 0.45 of the
+    smaller gap around grid point i, which covers its nudges and no other
+    grid point."""
+    real = zeros.side_normalized_batch
+    radius = 0.45 * min(grid[i] - grid[i - 1], grid[i + 1] - grid[i])
+
+    def ev(wp, ys, eps):
+        vals, errs = real(wp, ys, eps)
+        near = np.abs(np.asarray(ys) - grid[i]) < radius
+        return vals, np.where(near, np.inf, errs)
+
+    monkeypatch.setattr(zeros, "side_normalized_batch", ev)
+    zeros._boundary_scan.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_scan")
+class TestValenceClosure:
+    # the scan certifies every _STRIDE-th grid point and, once their sign
+    # changes close the valence identity, searches only the cells holding
+    # a change; it must give exactly the cells of the dense (stride 1) scan
+
+    @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
+                                      (32, 24), (100, 14), (98, 96), (70, 40)])
+    def test_closed_scan_matches_dense(self, k, l, monkeypatch):
+        closed = both_counts((k, l))
+        assert zeros._STRIDE > 1
+        assert boundary_scan((k, l)).stride == zeros._STRIDE
+        monkeypatch.setattr(zeros, "_STRIDE", 1)
+        zeros._boundary_scan.cache_clear()
+        assert both_counts((k, l)) == closed
+
+    def test_short_count_falls_back_to_dense(self, monkeypatch):
+        # at stride 16 a sub-grid cell of (100, 98) holds two zeros and no
+        # sign change, so the sub-grid count falls short of the valence total
+        monkeypatch.setattr(zeros, "_STRIDE", 1)
+        dense = both_counts((100, 98))
+        monkeypatch.setattr(zeros, "_STRIDE", 16)
+        zeros._boundary_scan.cache_clear()
+        assert both_counts((100, 98)) == dense
+        assert boundary_scan((100, 98)).stride == 1
+
+    def test_wrong_sign_overshoot_fails_valence(self, monkeypatch):
+        # a flipped sign inside a searched cell adds two changes there: the
+        # scan falls back to the dense grid, which sees them too
+        pair = (100, 58)
+        before = audit(pair)
+        grid, lows = side_setup(pair)
+        stride = zeros._STRIDE
+        i = lows[0]
+        a = i - i % stride
+        j = a + 1 if i >= a + 2 else a + stride - 1
+        real = zeros.side_normalized_batch
+
+        def flipped(wp, ys, eps):
+            vals, errs = real(wp, ys, eps)
+            return np.where(np.asarray(ys) == grid[j], -vals, vals), errs
+
+        monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
+        zeros._boundary_scan.cache_clear()
+        r = audit(pair)
+        assert boundary_scan(pair).stride == 1
+        assert (r.A, r.B) == (before.A, before.B + 2)
+        assert not r.valence_ok
+
+    def test_uncertain_sub_grid_point_raises(self, monkeypatch):
+        grid, _ = side_setup((100, 58))
+        i = 2 * zeros._STRIDE
+        blind_side_at(monkeypatch, grid, i)
+        with pytest.raises(SignUncertainError) as info:
+            count_side_zeros((100, 58))
+        assert info.value.points == (float(grid[i]),)
+
+    def test_uncertain_point_in_searched_cell_raises(self, monkeypatch):
+        grid, lows = side_setup((100, 58))
+        stride = zeros._STRIDE
+        # a point of the first searched cell, off the sub-grid
+        i = lows[0] - lows[0] % stride + stride // 2
+        blind_side_at(monkeypatch, grid, i)
+        with pytest.raises(SignUncertainError) as info:
+            count_side_zeros((100, 58))
+        assert info.value.points == (float(grid[i]),)
+
+    def test_uncertain_point_outside_searched_cells_is_skipped(
+            self, monkeypatch):
+        # the dense scan stops at a point the closed scan never needs
+        pair = (100, 58)
+        closed = both_counts(pair)
+        grid, lows = side_setup(pair)
+        stride = zeros._STRIDE
+        a = next(a for a in range(0, grid.size - stride, stride)
+                 if not any(a <= i < a + stride for i in lows))
+        blind_side_at(monkeypatch, grid, a + stride // 2)
+        assert both_counts(pair) == closed
+        assert boundary_scan(pair).stride == stride
+        monkeypatch.setattr(zeros, "_STRIDE", 1)
+        zeros._boundary_scan.cache_clear()
+        with pytest.raises(SignUncertainError):
+            count_side_zeros(pair)
 
 
 class TestScans:
