@@ -28,7 +28,6 @@ from .eisenstein import eval_ek_lattice, fk_batch, hk_batch
 __all__ = [
     "CornerDerivatives",
     "WeightPair",
-    "arc_real",
     "arc_real_batch",
     "corner_derivatives",
     "eval_delta",
@@ -133,12 +132,6 @@ def arc_real_batch(wp, thetas: np.ndarray,
     vals = fk_v * fl_v - fkl_v
     errs = np.abs(fk_v) * tl + np.abs(fl_v) * tk + tk * tl + tkl
     return vals, errs
-
-
-def arc_real(wp, theta: float, eps: float = 1e-12) -> float:
-    """F_k(theta) F_l(theta) - F_{k+l}(theta), real on the arc."""
-    vals, _ = arc_real_batch(wp, np.array([theta]), eps)
-    return float(vals[0])
 
 
 def side_normalized_batch(wp, ys: np.ndarray,

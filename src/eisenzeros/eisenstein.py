@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "eval_ek_fourier",
     "eval_ek_lattice",
     "ek_minus_one_fourier",
-    "fk",
     "fk_batch",
     "fk_main_terms",
     "gk",
@@ -54,7 +53,7 @@ __all__ = [
 
 # Truncation policy for the lattice evaluator.
 _PAIR_BUDGET = 4_000_000   # max lattice points enumerated per evaluation
-_AXIS_CAP = 10_000         # max |c| and |d|
+_AXIS_CAP = 10_000         # max |c|; |d| follows from t <= _T_HARD
 _T_HARD = 5_000.0          # absolute radius ceiling
 _MIN_EPS = 1e-15
 
@@ -187,30 +186,35 @@ def _truncation_radius(k: int, z: complex, eps: float,
     return t, tail
 
 
-def _disk_pairs(x_lo: float, x_hi: float, y: float,
-                t: float) -> tuple[np.ndarray, np.ndarray]:
+def _disk_pairs(x_lo: float, x_hi: float, y: float, t: float,
+                n_points: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """All (c, d) with c >= 1 and |c(x+iy) + d| <= t for some x in
-    [x_lo, x_hi], as flat arrays in (c, d) order.
+    [x_lo, x_hi], streamed in (c, d) order as runs (c, d) of exactly
+    max(1, _BLOCK_TERMS // n_points) pairs, one kernel block each for a
+    batch of n_points; only the last run may be shorter.
 
     With x_lo = x_hi this is one point's disk; a window gives the union of
-    the per-point d-ranges, a pair superset for a batch of points."""
+    the per-point d-ranges, a pair superset for a batch of points.  Rows
+    are buffered and concatenated once per _BLOCK_TERMS pairs, so the
+    disk is never held whole."""
+    step = max(1, _BLOCK_TERMS // n_points)
     c_hi = min(int(t / y), _AXIS_CAP)
-    cs, ds = [], []
+    cs, ds, held = [], [], 0
     for c in range(1, c_hi + 1):
         s2 = t * t - (c * y) ** 2
-        if s2 <= 0.0:
-            break
-        s = math.sqrt(s2)
-        d_lo = math.ceil(-c * x_hi - s)
-        d_hi = math.floor(-c * x_lo + s)
-        if d_hi < d_lo:
-            continue
-        d = np.arange(d_lo, d_hi + 1, dtype=np.float64)
-        ds.append(d)
-        cs.append(np.full(d.shape, float(c)))
-    if not cs:
-        return (np.empty(0), np.empty(0))
-    return np.concatenate(cs), np.concatenate(ds)
+        if s2 > 0.0:
+            s = math.sqrt(s2)
+            d = np.arange(math.ceil(-c * x_hi - s),
+                          math.floor(-c * x_lo + s) + 1, dtype=np.float64)
+            ds.append(d)
+            cs.append(np.full(d.shape, float(c)))
+            held += d.size
+        if held >= _BLOCK_TERMS or (c == c_hi and held):
+            c_buf, d_buf = np.concatenate(cs), np.concatenate(ds)
+            end = held if c == c_hi else held - held % step
+            for i in range(0, end, step):
+                yield c_buf[i:i + step], d_buf[i:i + step]
+            cs, ds, held = [c_buf[end:]], [d_buf[end:]], held - end
 
 
 # Point-pair terms per kernel block: a block and its temporaries stay
@@ -234,18 +238,19 @@ def _neg_power(u: np.ndarray, k: int) -> np.ndarray:
     return h
 
 
-def _lattice_blocks(zs: np.ndarray, c: np.ndarray, d: np.ndarray, k: int,
+def _lattice_blocks(zs: np.ndarray,
+                    runs: Iterable[tuple[np.ndarray, np.ndarray]], k: int,
                     s: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
     """The one lattice kernel: blocks of the terms (s_i (c z_i + d))^(-k),
-    shape (len(zs), m), over consecutive runs of the pair set (c, d).
+    shape (len(zs), m), one for each run (c, d) of the pair set.
 
-    A block holds about _BLOCK_TERMS point-pair terms.  s (default 1)
-    rescales each point's terms; s_i = 1/|z_i| keeps them <= 1.
+    The runs are _disk_pairs' stream, so a block holds about _BLOCK_TERMS
+    point-pair terms and no more of the disk is held at once.  s (default
+    1) rescales each point's terms; s_i = 1/|z_i| keeps them <= 1.
     """
-    step = max(1, _BLOCK_TERMS // zs.size)
-    for i in range(0, c.size, step):
-        u = np.multiply.outer(zs, c[i:i + step])
-        u += d[i:i + step]
+    for c, d in runs:
+        u = np.multiply.outer(zs, c)
+        u += d
         if s is not None:
             u *= s[:, None]
         yield _neg_power(u, k)
@@ -269,20 +274,24 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12,
     if eps < _MIN_EPS:
         raise ValueError(f"eps below certificate floor {_MIN_EPS}")
     t, tail = _truncation_radius(k, z, eps, 0.0)
-    c, d = _disk_pairs(z.real, z.real, z.imag, t)
     zs = np.array([z])
     d_row = np.arange(1.0, math.floor(t) + 1.0) ** float(-k)
+
+    def blocks() -> Iterator[np.ndarray]:
+        return _lattice_blocks(
+            zs, _disk_pairs(z.real, z.real, z.imag, t, zs.size), k)
+
     if compensated:
         # fsum rounds the exact sum once, so the blocking cannot move it;
-        # each part regenerates the blocks rather than holding the disk
+        # each part streams the disk again rather than holding it, and a
+        # memoryview hands fsum plain floats, not a numpy scalar per term
         def part(attr: str) -> float:
             return math.fsum(chain.from_iterable(
-                getattr(b, attr).ravel()
-                for b in _lattice_blocks(zs, c, d, k)))
+                memoryview(getattr(b, attr).ravel()) for b in blocks()))
         val = complex(part("real") + math.fsum(d_row), part("imag"))
     else:
-        blocks = [complex(b.sum()) for b in _lattice_blocks(zs, c, d, k)]
-        val = sum(blocks[1:], blocks[0]) + float(d_row.sum())
+        sums = [complex(b.sum()) for b in blocks()]
+        val = sum(sums[1:], sums[0]) + float(d_row.sum())
     return val / zeta(k), tail
 
 
@@ -353,11 +362,11 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
     z_hi = complex(x, y_hi)
     log_az_hi = math.log(abs(z_hi))
     t, tail = _truncation_radius(k, z_hi, eps, k * log_az_hi)
-    c, d = _disk_pairs(x, x, y_lo, t)
     zs = x + 1j * ys
     az = np.abs(zs)
     vals = np.zeros(ys.shape, dtype=np.complex128)
-    for block in _lattice_blocks(zs, c, d, k, 1.0 / az):
+    runs = _disk_pairs(x, x, y_lo, t, zs.size)
+    for block in _lattice_blocks(zs, runs, k, 1.0 / az):
         vals += block.sum(axis=1)
     row, rem = _drow_tail(k, np.log(az), math.floor(t))
     vals -= row
@@ -402,11 +411,11 @@ def fk_batch(k: int, thetas: np.ndarray,
         t_i, tail_i = _truncation_radius(k, cmath.exp(1j * th), eps, 0.0)
         t = max(t, t_i)
         tail = max(tail, tail_i)
-    c, d = _disk_pairs(float(np.cos(thetas).min()),
-                       float(np.cos(thetas).max()), y_min, t)
     zs = np.exp(1j * thetas)
     vals = np.zeros(thetas.shape, dtype=np.complex128)
-    for block in _lattice_blocks(zs, c, d, k):
+    runs = _disk_pairs(float(np.cos(thetas).min()),
+                       float(np.cos(thetas).max()), y_min, t, zs.size)
+    for block in _lattice_blocks(zs, runs, k):
         vals += block.sum(axis=1)
     vals += float((np.arange(1.0, math.floor(t) + 1.0) ** float(-k)).sum())
     vals = np.exp(0.5j * k * thetas) * vals / zeta(k)
@@ -414,12 +423,6 @@ def fk_batch(k: int, thetas: np.ndarray,
     if resid >= 1e-9:
         raise ArithmeticError(f"arc rescaling lost reality: residue {resid}")
     return vals.real, tail
-
-
-def fk(k: int, theta: float, eps: float = 1e-12) -> float:
-    """F_k(theta) = e^(ik theta/2) E_k(e^(i theta)), real on the arc."""
-    vals, _ = fk_batch(k, np.array([theta]), eps)
-    return float(vals[0])
 
 
 # --- Fourier evaluator --------------------------------------------------

@@ -9,6 +9,7 @@ or hand-assembled log-space sums; none are copied from the implementation.
 import cmath
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 from eisenzeros.eisenstein import (
     _BLOCK_TERMS,
+    _PAIR_BUDGET,
     Regime,
+    _disk_pairs,
     _drow_tail,
     _lattice_blocks,
     _truncation_radius,
@@ -27,7 +30,6 @@ from eisenzeros.eisenstein import (
     ek_minus_one_fourier,
     eval_ek_fourier,
     eval_ek_lattice,
-    fk,
     fk_batch,
     fk_main_terms,
     gk,
@@ -188,7 +190,8 @@ class TestRescalings:
         thetas = np.linspace(math.pi / 3, math.pi / 2, 7)
         vals, _ = fk_batch(20, thetas)
         for th, v in zip(thetas, vals):
-            assert math.isclose(fk(20, th), v, rel_tol=1e-12, abs_tol=1e-12)
+            single = fk_batch(20, np.array([th]))[0][0]
+            assert math.isclose(single, v, rel_tol=1e-12, abs_tol=1e-12)
 
     @pytest.mark.parametrize("k", [14, 24, 40])
     def test_gk_arc_identity(self, k):
@@ -196,8 +199,8 @@ class TestRescalings:
         # subtracting the constant term costs the full-phase exponential
         for th in np.linspace(math.pi / 3 + 0.01, 2 * math.pi / 3 - 0.01, 25):
             lhs = gk(k, cmath.exp(1j * th))
-            rhs = (cmath.exp(0.5j * k * th) * fk(k, th)
-                   - cmath.exp(1j * k * th))
+            f = fk_batch(k, np.array([th]))[0][0]
+            rhs = cmath.exp(0.5j * k * th) * f - cmath.exp(1j * k * th)
             assert abs(lhs - rhs) < 1e-9
 
     def test_hk_growth_bound(self):
@@ -278,7 +281,64 @@ def ek_minus_one_mp(k: int, z: complex) -> "mpmath.mpc":
             return total
 
 
+def disk_pairs_reference(x_lo: float, x_hi: float, y: float,
+                         t: float) -> tuple[np.ndarray, np.ndarray]:
+    """All (c, d) with c >= 1 and |c(x+iy) + d| <= t for some x in
+    [x_lo, x_hi], enumerated whole, row by row in (c, d) order."""
+    cs, ds = [np.empty(0)], [np.empty(0)]
+    for c in range(1, min(int(t / y), 10_000) + 1):
+        s2 = t * t - (c * y) ** 2
+        if s2 <= 0.0:
+            break
+        s = math.sqrt(s2)
+        d = np.arange(math.ceil(-c * x_hi - s), math.floor(-c * x_lo + s) + 1,
+                      dtype=np.float64)
+        ds.append(d)
+        cs.append(np.full(d.shape, float(c)))
+    return np.concatenate(cs), np.concatenate(ds)
+
+
 class TestLatticeKernel:
+    @pytest.mark.parametrize(
+        "x_lo, x_hi, y, t, n_points, min_pairs, max_pairs", [
+            # eval_ek_lattice(4, 0.3 + 1j): the radius is cut at the budget
+            (0.3, 0.3, 1.0, _truncation_radius(4, 0.3 + 1j, 1e-12, 0.0)[0],
+             1, 0.99 * _PAIR_BUDGET, _PAIR_BUDGET),
+            # fk_batch's window over the whole arc, 97 points a block
+            (-0.5, 0.5, math.sqrt(3.0) / 2.0, 150.0, 97, 50_000, 60_000),
+            # smaller than one run
+            (0.5, 0.5, 1.0, 5.0, 1, 1, _BLOCK_TERMS - 1),
+            # empty: the radius is below the height
+            (0.5, 0.5, 1.0, 0.5, 1, 0, 0),
+        ], ids=["k4_budget", "arc_window", "under_one_run", "empty"])
+    def test_disk_stream_matches_row_loop(self, x_lo, x_hi, y, t, n_points,
+                                          min_pairs, max_pairs):
+        c_ref, d_ref = disk_pairs_reference(x_lo, x_hi, y, t)
+        assert min_pairs <= c_ref.size <= max_pairs
+        step = max(1, _BLOCK_TERMS // n_points)
+        sizes = []
+        for c, d in _disk_pairs(x_lo, x_hi, y, t, n_points):
+            at = sum(sizes)
+            assert np.array_equal(c, c_ref[at:at + step])
+            assert np.array_equal(d, d_ref[at:at + step])
+            sizes.append(c.size)
+        assert sum(sizes) == c_ref.size
+        # every run but the last holds exactly step pairs; none is empty
+        assert all(m == step for m in sizes[:-1])
+        assert all(0 < m <= step for m in sizes)
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_k4_evaluation_holds_about_one_block(self, compensated):
+        # the 4M-pair disk held whole costs about 122 MiB of numpy arrays;
+        # streamed, the evaluation holds about one block of it at a time
+        tracemalloc.start()
+        try:
+            eval_ek_lattice(4, 0.3 + 1j, compensated=compensated)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     @pytest.mark.parametrize(
         "k", [4, 8, 98, 100, 102, 150, 200, 202, 210, 302, 400])
     def test_term_matches_mpmath(self, k):
@@ -290,7 +350,7 @@ class TestLatticeKernel:
         c = np.array([1.0, 1.0, 2.0, 3.0, 5.0, 1.0])
         d = np.array([-1.0, 0.0, 1.0, -2.0, 3.0, 4.0])
         for scale in (None, s):
-            (block,) = _lattice_blocks(zs, c, d, k, scale)
+            (block,) = _lattice_blocks(zs, [(c, d)], k, scale)
             with mpmath.workdps(30):
                 for i, z in enumerate(zs):
                     si = 1 if scale is None else mpmath.mpf(float(scale[i]))
@@ -308,10 +368,10 @@ class TestLatticeKernel:
 
     def test_blocks_cover_the_pair_set_in_order(self):
         zs = np.array([0.5 + 1.0j, 0.5 + 1.5j, 0.5 + 2.0j])
-        n_pairs = 3 * _BLOCK_TERMS // zs.size + 5
-        c = np.ones(n_pairs)
-        d = np.arange(n_pairs, dtype=np.float64)
-        blocks = list(_lattice_blocks(zs, c, d, 12))
+        # 37,589 pairs: three full runs of 10,922 and a short one
+        c, d = disk_pairs_reference(0.5, 0.5, 1.0, 155.0)
+        runs = _disk_pairs(0.5, 0.5, 1.0, 155.0, zs.size)
+        blocks = list(_lattice_blocks(zs, runs, 12))
         assert len(blocks) == 4
         assert all(b.size <= _BLOCK_TERMS for b in blocks)
         whole = (np.multiply.outer(zs, c) + d) ** -12
@@ -348,10 +408,12 @@ class TestArcMainTerms:
 
     def test_two_term_deviation_bound(self):
         for th in np.linspace(math.pi / 3, math.pi / 2, 200):
-            assert abs(fk(14, th) - 2.0 * math.cos(7.0 * th)) <= 1.016
+            value = fk_batch(14, np.array([th]))[0][0]
+            assert abs(value - 2.0 * math.cos(7.0 * th)) <= 1.016
 
     def test_main_terms_sandwich_spot(self):
-        assert abs(fk(24, 1.2) - fk_main_terms(24, 1.2)) <= rk_tail_bound(24)
+        value = fk_batch(24, np.array([1.2]))[0][0]
+        assert abs(value - fk_main_terms(24, 1.2)) <= rk_tail_bound(24)
 
     @pytest.mark.parametrize("k", [14, 20, 30, 40])
     def test_main_terms_sandwich_grid(self, k):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisenzeros import zeros
-from eisenzeros.delta import (WeightPair, arc_real, m_main, p_main,
+from eisenzeros.delta import (WeightPair, arc_real_batch, m_main, p_main,
                               side_normalized_batch)
 from eisenzeros.numerics import LogComplex, lc_sum
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
@@ -136,11 +136,11 @@ class TestPredictedCounts:
         wp = WeightPair(16, 4)
         assert trivial_orders(20) == (0, 2)
         h = 1e-3
-        f1 = arc_real(wp, math.pi / 3 + h)
-        f2 = arc_real(wp, math.pi / 3 + 2 * h)
+        f1 = arc_real_batch(wp, np.array([math.pi / 3 + h]))[0][0]
+        f2 = arc_real_batch(wp, np.array([math.pi / 3 + 2 * h]))[0][0]
         order = math.log2(abs(f2 / f1))
         assert abs(order - 2) < 0.05
-        assert abs(arc_real(wp, math.pi / 2)) > 0.5
+        assert abs(arc_real_batch(wp, np.array([math.pi / 2]))[0][0]) > 0.5
 
 
 def constant_batch(value, bound):
