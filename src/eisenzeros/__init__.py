@@ -1,15 +1,8 @@
 """Numerical study of the zeros of E_k * E_l - E_{k+l} on the boundary of
 the modular fundamental domain."""
 
-from .delta import WeightPair, corner_derivatives, eval_delta
-from .eisenstein import (
-    Regime,
-    RegimeApprox,
-    UpperHalfPoint,
-    eval_ek_fourier,
-    eval_ek_lattice,
-    gk_regime_approx,
-)
+from .delta import WeightPair, corner_derivatives
+from .eisenstein import Regime, eval_ek_fourier, eval_ek_lattice
 from .numerics import LogComplex, bernoulli, gamma_k
 from .zeros import (
     PredictedCounts,
@@ -29,8 +22,6 @@ __all__ = [
     "LogComplex",
     "PredictedCounts",
     "Regime",
-    "RegimeApprox",
-    "UpperHalfPoint",
     "WeightPair",
     "ZeroCountReport",
     "audit",
@@ -38,12 +29,10 @@ __all__ = [
     "corner_derivatives",
     "count_arc_zeros",
     "count_side_zeros",
-    "eval_delta",
     "eval_ek_fourier",
     "eval_ek_lattice",
     "expected_boundary_counts",
     "gamma_k",
-    "gk_regime_approx",
     "interior_zero_hunt",
     "predicted_counts",
     "stabilization_point",

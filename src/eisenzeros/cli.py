@@ -151,6 +151,8 @@ def parse_point(text: str) -> complex:
         z = complex(s)
     except ValueError:
         raise ValueError(f"cannot parse point {text!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"point must be finite, got {text!r}")
     if z.imag <= 0.0:
         raise ValueError(f"point must lie in the upper half plane, got {text!r}")
     return z
@@ -277,7 +279,9 @@ def _pair_report(task: tuple) -> dict:
 
 
 def _run_tasks(tasks, jobs):
-    if jobs == 1 or len(tasks) <= 1:
+    # the pool forks all its workers at the first submit
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
         return [_pair_report(t) for t in tasks]
     chunk = max(1, len(tasks) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -23,15 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .eisenstein import eval_ek_lattice, fk_batch, hk_batch
+from .eisenstein import fk_batch, hk_batch
 
 __all__ = [
     "CornerDerivatives",
     "WeightPair",
     "arc_real_batch",
     "corner_derivatives",
-    "eval_delta",
-    "eval_delta_certified",
     "m_main",
     "p_main",
     "side_normalized_batch",
@@ -56,7 +54,6 @@ class WeightPair:
 
     k: int
     l: int
-    allow_identically_zero: bool = False
 
     def __post_init__(self):
         for w in (self.k, self.l):
@@ -64,10 +61,10 @@ class WeightPair:
                 raise ValueError(f"weights must be even and >= 4, got {w}")
         if self.k < self.l:
             raise ValueError(f"require k >= l, got k={self.k} < l={self.l}")
-        if self.is_identically_zero and not self.allow_identically_zero:
+        if self.is_identically_zero:
             raise ValueError(
                 f"E_{self.k} E_{self.l} - E_{self.k + self.l} vanishes "
-                "identically; pass allow_identically_zero=True to study it")
+                "identically")
 
     @property
     def weight_sum(self) -> int:
@@ -99,24 +96,6 @@ def _as_pair(wp) -> WeightPair:
         return wp
     k, l = wp
     return WeightPair(int(k), int(l))
-
-
-def eval_delta_certified(wp, z: complex,
-                         eps: float = 1e-12) -> tuple[complex, float]:
-    """E_k(z) E_l(z) - E_{k+l}(z) with a certified error bound combining
-    the three factor certificates."""
-    wp = _as_pair(wp)
-    vk, tk = eval_ek_lattice(wp.k, z, eps)
-    vl, tl = eval_ek_lattice(wp.l, z, eps)
-    vkl, tkl = eval_ek_lattice(wp.weight_sum, z, eps)
-    err = abs(vk) * tl + abs(vl) * tk + tk * tl + tkl
-    return vk * vl - vkl, err
-
-
-def eval_delta(wp, z: complex, eps: float = 1e-12) -> complex:
-    """E_k(z) E_l(z) - E_{k+l}(z)."""
-    val, _ = eval_delta_certified(wp, z, eps)
-    return val
 
 
 def arc_real_batch(wp, thetas: np.ndarray,

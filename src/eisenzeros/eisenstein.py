@@ -6,8 +6,8 @@ Three independent evaluation routes:
   with a rigorous truncation certificate),
 * the q-expansion 1 + gamma_k * sum sigma_{k-1}(n) e(nz), assembled in log
   space so huge coefficient/exponential pairs never overflow,
-* asymptotic regime approximations (direct main terms, Jacobi theta
-  midrange, single-Fourier-term large-y) with explicit error envelopes.
+* the Jacobi theta specialization of G_k through the modular
+  transformation, with the phi0/phi1 envelopes of its midrange.
 
 Rescalings used by the zero-counting machinery:
 F_k(theta) = e^(ik theta/2) E_k(e^(i theta))   (real on the unit arc)
@@ -30,24 +30,17 @@ from .numerics import LogComplex, gamma_k, lc_sum, zeta
 
 __all__ = [
     "Regime",
-    "RegimeApprox",
     "ThetaArgs",
-    "UpperHalfPoint",
     "eval_ek_fourier",
     "eval_ek_lattice",
     "ek_minus_one_fourier",
     "fk_batch",
-    "fk_main_terms",
     "gk",
     "gk_fourier",
-    "gk_regime_approx",
-    "hk",
     "hk_batch",
-    "hk_side_regimes",
     "jacobi_theta",
     "phi0",
     "phi1",
-    "rk_tail_bound",
     "theta_eisenstein_transformed",
 ]
 
@@ -71,56 +64,6 @@ class Regime(enum.Enum):
 
 
 @dataclass(frozen=True)
-class UpperHalfPoint:
-    """Point x + iy in the upper half plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"upper half plane requires y > 0, got y={self.y}")
-
-    @staticmethod
-    def from_complex(z: complex) -> "UpperHalfPoint":
-        return UpperHalfPoint(z.real, z.imag)
-
-    @staticmethod
-    def from_polar(radius: float, theta: float) -> "UpperHalfPoint":
-        return UpperHalfPoint(radius * math.cos(theta),
-                              radius * math.sin(theta))
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-    @property
-    def radius(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.y, self.x)
-
-    def in_fundamental_domain(self, tol: float = 1e-9) -> bool:
-        return self.radius >= 1.0 - tol and abs(self.x) <= 0.5 + tol
-
-
-@dataclass(frozen=True)
-class RegimeApprox:
-    """Approximation value with the regime that produced it and an a-priori
-    bound on |value - truth|."""
-
-    value: complex
-    regime: Regime
-    error_envelope: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.error_envelope) or self.error_envelope < 0:
-            raise ValueError("error_envelope must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class ThetaArgs:
     """Arguments (w, tau) of the Jacobi theta function, Im tau > 0."""
 
@@ -131,19 +74,6 @@ class ThetaArgs:
         if not self.tau.imag > 0:
             raise ValueError("theta requires Im(tau) > 0")
 
-    @staticmethod
-    def for_eisenstein(k: int, z: complex) -> "ThetaArgs":
-        # w = k/(2 pi y) + i x / r, tau = i / r, with r = 2 pi y^2 / k.
-        y = z.imag
-        r = 2.0 * math.pi * y * y / k
-        return ThetaArgs(complex(k / (2.0 * math.pi * y), z.real / r),
-                         complex(0.0, 1.0 / r))
-
-
-def _as_complex(z) -> complex:
-    if isinstance(z, UpperHalfPoint):
-        return z.z
-    return complex(z)
 
 
 def _check_weight(k: int) -> None:
@@ -269,7 +199,7 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12,
     but larger than eps.
     """
     _check_weight(k)
-    z = _as_complex(z)
+    z = complex(z)
     _check_domain(z)
     if eps < _MIN_EPS:
         raise ValueError(f"eps below certificate floor {_MIN_EPS}")
@@ -373,18 +303,11 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
     return vals / zeta(k), tail + rem
 
 
-def hk(k: int, z, eps: float = 1e-12) -> complex:
-    """H_k(z) = |z|^k (E_k(z) - 1)."""
-    z = _as_complex(z)
-    _check_domain(z)
-    vals, _ = hk_batch(k, np.array([z.imag]), eps, x=z.real)
-    return complex(vals[0])
-
-
 def gk(k: int, z, eps: float = 1e-12) -> complex:
     """G_k(z) = z^k (E_k(z) - 1) = e^(ik arg z) H_k(z)."""
-    z = _as_complex(z)
-    return cmath.exp(1j * k * cmath.phase(z)) * hk(k, z, eps)
+    z = complex(z)
+    vals, _ = hk_batch(k, np.array([z.imag]), eps, x=z.real)
+    return cmath.exp(1j * k * cmath.phase(z)) * complex(vals[0])
 
 
 def fk_batch(k: int, thetas: np.ndarray,
@@ -440,12 +363,17 @@ def _log_sigma(k_minus_1: int, n: int) -> float:
     return (k_minus_1) * math.log(n) + math.log(acc)
 
 
-def _fourier_terms(k: int, z: complex, window_c: float) -> list[LogComplex]:
+# Half-width of the summed window around the peak term n* = k / (2 pi y),
+# in units of sqrt(k) / (2 pi y).
+_WINDOW_C = 30.0
+
+
+def _fourier_terms(k: int, z: complex) -> list[LogComplex]:
     y = z.imag
     x = z.real
     g = gamma_k(k)
     n_star = k / (2.0 * math.pi * y)
-    half = window_c * math.sqrt(k) / (2.0 * math.pi * y)
+    half = _WINDOW_C * math.sqrt(k) / (2.0 * math.pi * y)
     n_hi = max(1, math.ceil(n_star + half))
     terms = []
     peak = -math.inf
@@ -461,57 +389,29 @@ def _fourier_terms(k: int, z: complex, window_c: float) -> list[LogComplex]:
     return terms
 
 
-def ek_minus_one_fourier(k: int, z, window_c: float = 30.0) -> LogComplex:
+def ek_minus_one_fourier(k: int, z) -> LogComplex:
     """E_k(z) - 1 as a LogComplex via the q-expansion; valid for y >= 1.
 
     Keeping the result in log space matters: at k = 400, y ~ 54 the value
     is ~ e^(-1595), far below the float range, while z^k (E_k - 1) is O(1).
     """
     _check_weight(k)
-    z = _as_complex(z)
+    z = complex(z)
     if z.imag < 1.0:
         raise ValueError("Fourier route requires y >= 1; use the lattice")
-    if window_c <= 0:
-        raise ValueError("window_c must be positive")
-    return lc_sum(_fourier_terms(k, z, window_c))
+    return lc_sum(_fourier_terms(k, z))
 
 
-def eval_ek_fourier(k: int, z, window_c: float = 30.0) -> complex:
+def eval_ek_fourier(k: int, z) -> complex:
     """E_k(z) by the q-expansion, for y >= 1."""
-    z = _as_complex(z)
-    tail = ek_minus_one_fourier(k, z, window_c)
-    return 1.0 + tail.to_complex()
+    return 1.0 + ek_minus_one_fourier(k, z).to_complex()
 
 
-def gk_fourier(k: int, z, window_c: float = 30.0) -> complex:
+def gk_fourier(k: int, z) -> complex:
     """G_k(z) = z^k (E_k - 1) via the q-expansion, assembled in log space."""
-    z = _as_complex(z)
+    z = complex(z)
     zk = LogComplex.from_complex(z) ** k
-    return (zk * ek_minus_one_fourier(k, z, window_c)).to_complex()
-
-
-# --- arc main terms -----------------------------------------------------
-
-def fk_main_terms(k: int, theta: float) -> float:
-    """2cos(k theta/2) + (2cos(theta/2))^(-k) + (2i sin(theta/2))^(-k),
-    for theta in [pi/3, pi/2]; the last term is (-1)^(k/2)(2sin…)^(-k)."""
-    if not (math.pi / 3 - 1e-12 <= theta <= math.pi / 2 + 1e-12):
-        raise ValueError("main-term expansion valid on [pi/3, pi/2]")
-    if k < 14 or k % 2 != 0:
-        raise ValueError("main-term expansion requires even k >= 14")
-    sign = 1.0 if k % 4 == 0 else -1.0
-    return (2.0 * math.cos(0.5 * k * theta)
-            + (2.0 * math.cos(0.5 * theta)) ** (-k)
-            + sign * (2.0 * math.sin(0.5 * theta)) ** (-k))
-
-
-def rk_tail_bound(k: int) -> float:
-    """Bound on the terms dropped from the arc expansion of F_k:
-    4 (5/2)^(-k/2) + (20 sqrt2 / (k-3)) (9/2)^((3-k)/2)."""
-    if k < 14:
-        raise ValueError("tail bound stated for k >= 14")
-    return (4.0 * (2.5) ** (-0.5 * k)
-            + (20.0 * math.sqrt(2.0) / (k - 3.0)) * 4.5 ** (0.5 * (3.0 - k)))
+    return (zk * ek_minus_one_fourier(k, z)).to_complex()
 
 
 # --- Jacobi theta -------------------------------------------------------
@@ -542,7 +442,7 @@ def theta_eisenstein_transformed(k: int, z, eps: float = 1e-14) -> complex:
     """The Eisenstein theta specialization evaluated through the modular
     transformation: r^(1/2) exp(-ikx/y + pi x^2/r) *
     sum_n exp(-pi r (n - k/(2 pi y))^2) e(nx), with r = 2 pi y^2 / k."""
-    z = _as_complex(z)
+    z = complex(z)
     x, y = z.real, z.imag
     r = 2.0 * math.pi * y * y / k
     n0 = k / (2.0 * math.pi * y)
@@ -553,72 +453,6 @@ def theta_eisenstein_transformed(k: int, z, eps: float = 1e-14) -> complex:
                            + 2j * math.pi * n * x)
     return math.sqrt(r) * cmath.exp(-1j * k * x / y
                                     + math.pi * x * x / r) * total
-
-
-# --- regime approximations ---------------------------------------------
-
-_C_ENV = 10.0          # all unspecified O(1) envelope constants
-_FOURIER_ENV = 1e-6    # qualitative envelope of the large-y window, k >= 200
-
-
-def gk_regime_approx(k: int, z) -> RegimeApprox:
-    """Regime-selected approximation to G_k with its error envelope.
-
-    y <= k^(2/5): direct main terms 1 + (z/(z-1))^k + (z/(z+1))^k;
-    k^(2/5) < y <= k^(2/3): Jacobi theta specialization;
-    above: windowed Fourier sum.  Boundaries go to the lower regime.
-    """
-    _check_weight(k)
-    z = _as_complex(z)
-    y = z.imag
-    if y <= k ** 0.4:
-        val = (1.0 + (z / (z - 1.0)) ** k + (z / (z + 1.0)) ** k)
-        return RegimeApprox(val, Regime.SMALL_Y,
-                            _C_ENV * math.exp(-k ** (1.0 / 6.0)))
-    if y <= k ** (2.0 / 3.0):
-        val = jacobi_theta(ThetaArgs.for_eisenstein(k, z))
-        return RegimeApprox(val, Regime.THETA_MID,
-                            _C_ENV * y / k ** (2.0 / 3.0))
-    log_win = math.log(k) ** 2
-    return RegimeApprox(gk_fourier(k, z, window_c=log_win),
-                        Regime.FOURIER_LARGE, _FOURIER_ENV)
-
-
-def hk_side_regimes(k: int, y: float,
-                    N: Optional[int] = None) -> RegimeApprox:
-    """Approximation to H_k(1/2 + iy) on the right side of the domain.
-
-    Four branches by height (boundaries to the lower branch):
-      y <= k^(2/5)           : 2 (-1)^(k/2) cos(k phi), phi = arctan(1/(2y))
-      k^(2/5) < y <= k^(1/2) : same main term, envelope phi0(r) + C k^(-1/6)
-      k^(1/2) < y <= k^(3/5) : (-1)^(N+k/2) r^(1/2) e^(pi/4r), needs y ~ y_N
-      y > k^(3/5)            : (-1)^(N+k/2) r^(1/2), needs y ~ y_N
-    with r = 2 pi y^2 / k.  The two upper branches require N with
-    |2 pi N y / k - 1| <= 10/k.
-    """
-    _check_weight(k)
-    if y <= 0:
-        raise ValueError("y must be positive")
-    r = 2.0 * math.pi * y * y / k
-    phi = math.atan(1.0 / (2.0 * y))
-    parity = 1.0 if k % 4 == 0 else -1.0
-    if y <= k ** 0.4:
-        return RegimeApprox(2.0 * parity * math.cos(k * phi), Regime.SMALL_Y,
-                            _C_ENV * math.exp(-k ** (1.0 / 6.0)))
-    if y <= k ** 0.5:
-        return RegimeApprox(2.0 * parity * math.cos(k * phi), Regime.THETA_MID,
-                            phi0(r) + _C_ENV * k ** (-1.0 / 6.0))
-    if N is None:
-        raise ValueError("branches above y = sqrt(k) require the index N")
-    if abs(2.0 * math.pi * N * y / k - 1.0) > 10.0 / k:
-        raise ValueError(f"y={y} is not within the N={N} resonance window")
-    sign = parity * (1.0 if N % 2 == 0 else -1.0)
-    if y <= k ** 0.6:
-        main = math.sqrt(r) * math.exp(math.pi / (4.0 * r))
-        return RegimeApprox(sign * main, Regime.THETA_MID,
-                            main * phi1(r) + _C_ENV * k ** (-1.0 / 15.0))
-    return RegimeApprox(sign * math.sqrt(r), Regime.FOURIER_LARGE,
-                        _C_ENV * math.sqrt(r) * k ** (-0.2))
 
 
 def phi0(r: float) -> float:

@@ -17,7 +17,6 @@ __all__ = [
     "LogComplex",
     "bernoulli",
     "gamma_k",
-    "gamma_k_from_zeta",
     "lc_sum",
     "zeta",
 ]
@@ -226,11 +225,3 @@ def gamma_k(k: int) -> LogComplex:
     return LogComplex(_log_abs_fraction(val),
                       0.0 if val > 0 else math.pi)
 
-
-def gamma_k_from_zeta(k: int) -> LogComplex:
-    """Cross-check route: (-1)^(k/2) * (2*pi)^k / ((k-1)! * zeta(k)),
-    evaluated entirely in log space."""
-    if k % 2 != 0 or k < 4:
-        raise ValueError(f"gamma_k_from_zeta requires even k >= 4, got {k}")
-    log_mag = k * math.log(_TWO_PI) - math.lgamma(k) - math.log(zeta(k))
-    return LogComplex(log_mag, 0.0 if k % 4 == 0 else math.pi)

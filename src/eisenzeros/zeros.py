@@ -63,7 +63,6 @@ _CERTAINTY = 10.0
 _EPS_LADDER = (1e-12, 1e-14, 1e-15)
 _BRACKET_WIDTH = 1e-12
 _PROBE_LEVELS = 3      # levels probed while an end value is unknown
-_ENDPOINT_TOL = 1e-9
 _COEFF_COUNT = 50
 _Y_CEILING = 64.0
 
@@ -478,20 +477,6 @@ def _refine_brackets(batch_eval: _BatchEval, kind: str,
 _Cell = tuple[float, float, int, int]
 
 
-def _refined_zeros(batch_eval: _BatchEval, kind: str,
-                   cells: Sequence[_Cell], corners: Sequence[float],
-                   ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    """(count, brackets) of a scan's sign-change cells.
-
-    Every cell is bisected to a 1e-12 bracket; one whose midpoint lands
-    within _ENDPOINT_TOL of a corner with a forced order is that corner's
-    own zero and is not counted.
-    """
-    out = tuple(br for br in _refine_brackets(batch_eval, kind, cells)
-                if all(abs(br.location - c) >= _ENDPOINT_TOL for c in corners))
-    return len(out), out
-
-
 def _arc_grid(wp: WeightPair, oversample: float) -> np.ndarray:
     """16 (k + l) equispaced interior angles of the arc, half-offset so
     neither corner is sampled."""
@@ -616,19 +601,16 @@ def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
     and when those signs close the valence identity
     12 (A + B) + 6 v_i + 4 v_rho + 12 = k + l, only the grid points inside
     the sub-grid cells with a sign change are certified too; otherwise
-    every grid point is.  Each change is bisected to a 1e-12 bracket.  A
-    bracket whose midpoint lands within 1e-9 of pi/3 or pi/2 is attributed
-    to the forced corner order there when one exists.
+    every grid point is.  Each change is bisected to a 1e-12 bracket.
+    Returns the count and the brackets.
     """
     wp = _as_pair(wp)
     if wp.l < 14:
         raise ValueError("arc census needs k >= l >= 14")
     # the closure needs the side's count, so the arc scan needs its cutoff
     scan = _boundary_scan(wp, eps, oversample, _side_upper_cutoff(wp))
-    v_i, v_rho = trivial_orders(wp.weight_sum)
-    corners = (((math.pi / 3.0,) if v_rho > 0 else ())
-               + ((math.pi / 2.0,) if v_i > 0 else ()))
-    return _refined_zeros(_arc_eval(wp), "arc", scan.arc, corners)
+    brackets = tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc))
+    return len(brackets), brackets
 
 
 def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
@@ -642,15 +624,14 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
     same joint scan as count_arc_zeros: the every-8th-point sub-grid when
     it closes the valence identity, with only its sign-change cells
     searched point by point, else the whole grid.  Each change is bisected
-    to a 1e-12 bracket.
+    to a 1e-12 bracket.  Returns the count and the brackets.
     """
     wp = _as_pair(wp)
     if wp.l < 14:
         raise ValueError("side census needs k >= l >= 14")
     scan = _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp))
-    _, v_rho = trivial_orders(wp.weight_sum)
-    return _refined_zeros(_side_eval(wp), "side", scan.side,
-                          (_SQRT3 / 2.0,) if v_rho > 0 else ())
+    brackets = tuple(_refine_brackets(_side_eval(wp), "side", scan.side))
+    return len(brackets), brackets
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +649,8 @@ def _logsumexp(vals: np.ndarray) -> float:
 # and the cutoff in its side scan and again in its interior hunt, and
 # never comes back to a pair after that.
 @lru_cache(maxsize=1)
-def _delta_log_coeffs(wp: WeightPair, count: int = _COEFF_COUNT,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """First Fourier coefficients a_1..a_count of delta as arrays of
+def _delta_log_coeffs(wp: WeightPair) -> tuple[np.ndarray, np.ndarray]:
+    """First Fourier coefficients a_1.._COEFF_COUNT of delta as arrays of
     log|a_m| (-inf where a_m vanishes) and arg a_m (0 or pi).
 
     a_m combines the three single-series coefficients with the divisor-sum
@@ -678,6 +658,7 @@ def _delta_log_coeffs(wp: WeightPair, count: int = _COEFF_COUNT,
     because the gamma factors underflow floats near total weight 400.
     """
     k, l, w = wp.k, wp.l, wp.weight_sum
+    count = _COEFF_COUNT
     ls_k, ls_l, ls_w = (
         np.array([_log_sigma(j - 1, n) for n in range(1, count + 1)])
         for j in (k, l, w))
@@ -778,6 +759,8 @@ def _side_upper_cutoff(wp: WeightPair) -> float:
 
 
 _HUNT_MARGIN = 1.02
+_HUNT_NX = 13          # columns of the hunt grid, |x| <= 0.48
+_HUNT_NY = 11          # rows, geometric in y
 
 
 def _hunt_field(wp: WeightPair,
@@ -816,7 +799,7 @@ def _hunt_field(wp: WeightPair,
     return norm_abs, y_hi
 
 
-def interior_zero_hunt(wp, nx: int = 13, ny: int = 11) -> tuple[str, ...]:
+def interior_zero_hunt(wp) -> tuple[str, ...]:
     """Falsification sweep for zeros strictly inside the fundamental domain.
 
     |delta| is evaluated through the signed-log Fourier series (the
@@ -830,8 +813,8 @@ def interior_zero_hunt(wp, nx: int = 13, ny: int = 11) -> tuple[str, ...]:
     """
     wp = _as_pair(wp)
     norm_abs, y_hi = _hunt_field(wp)
-    xs = np.linspace(-0.48, 0.48, nx)
-    rows = np.geomspace(0.9 * _HUNT_MARGIN, y_hi, ny)
+    xs = np.linspace(-0.48, 0.48, _HUNT_NX)
+    rows = np.geomspace(0.9 * _HUNT_MARGIN, y_hi, _HUNT_NY)
     grid_x, grid_y = np.meshgrid(xs, rows)
     vals = norm_abs(grid_x.ravel(), grid_y.ravel()).reshape(grid_x.shape)
     findings = []
@@ -846,7 +829,8 @@ def interior_zero_hunt(wp, nx: int = 13, ny: int = 11) -> tuple[str, ...]:
             x, y = float(xs[ix]), float(rows[iy])
             fx = float(v)
             sx = float(xs[1] - xs[0])
-            sy = float(rows[min(iy + 1, ny - 1)] - rows[max(iy - 1, 0)]) / 2.0
+            sy = float(rows[min(iy + 1, _HUNT_NY - 1)]
+                       - rows[max(iy - 1, 0)]) / 2.0
             for _ in range(60):
                 # the 3 x 3 stencil in (dx, dy) order; argmin keeps the
                 # first of equal minima
@@ -878,12 +862,11 @@ def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
 
     Measured counts come from the certified scans; the valence identity is
     checked in cleared-denominator integer form.  A scan whose sub-grid
-    closed the count satisfies it by construction, unless a bracket is
-    attributed to a corner; it fails only on the dense fallback, when the
-    certified changes do not add up.  Once k has passed the
-    stabilization point (and the pair is not in the n = 0 family) the
-    measured counts must equal the stabilized predictions; mismatches are
-    reported as findings, as is a valence failure.
+    closed the count satisfies it by construction; it fails only on the
+    dense fallback, when the certified changes do not add up.  Once k has
+    passed the stabilization point (and the pair is not in the n = 0
+    family) the measured counts must equal the stabilized predictions;
+    mismatches are reported as findings, as is a valence failure.
     """
     wp = _as_pair(wp)
     a_count, _ = count_arc_zeros(wp, eps=eps, oversample=oversample)

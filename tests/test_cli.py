@@ -2,9 +2,11 @@
 
 import csv
 import importlib
+import importlib.util
 import io
 import json
 import math
+import os
 
 import pytest
 
@@ -121,6 +123,16 @@ class TestEval:
         lattice, fourier = (complex(r["value_re"], r["value_im"])
                             for r in rows[:2])
         assert abs(lattice - fourier) <= 1e-8 * abs(lattice)
+
+    @pytest.mark.parametrize("z, method", [
+        ("nan+2i", "fourier"), ("nan+2i", "theta"),
+        ("1e400+2i", "fourier"), ("0.5+1e400i", "lattice")])
+    def test_rejects_non_finite_point(self, capsys, z, method):
+        rc, out, err = run_cli(
+            capsys, ["eval", "--k", "20", f"--z={z}", "--method", method])
+        assert rc == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_rejects_bad_eps(self, capsys):
         rc, _, err = run_cli(
@@ -280,6 +292,33 @@ class TestDeterminism:
         assert main(argv + ["--jobs", "3", "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_pool_never_larger_than_the_task_list(self, capsys, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, tasks)
+
+        argv = ["scan", "--k-min", "28", "--k-max", "32", "--l-min", "28",
+                "--l-max", "28", "--no-hunt"]
+        rc, serial, _ = run_cli(capsys, argv)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        rc2, pooled, _ = run_cli(capsys, argv + ["--jobs", "500"])
+        assert rc == rc2 == 0
+        assert sizes == [3]
+        assert pooled == serial
+
     def test_json_rows_are_canonical(self, capsys):
         rc, out, _ = run_cli(capsys, ["audit", "--k", "56", "--l", "20"])
         assert rc == 0
@@ -307,3 +346,19 @@ class TestDeterminism:
 def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_perfbench_hooks_resolve():
+    # the benchmark's tracer installs its timers at these module
+    # attributes; a rename or a dropped import must not break it silently
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [site for _, hook_sites, _ in tracing.HOOKS for site in hook_sites]
+    assert sites
+    missing = [site for site in sites
+               if not hasattr(importlib.import_module(site.split(":")[0]),
+                              site.split(":")[1])]
+    assert missing == []

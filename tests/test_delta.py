@@ -16,8 +16,6 @@ from eisenzeros.delta import (
     WeightPair,
     arc_real_batch,
     corner_derivatives,
-    eval_delta,
-    eval_delta_certified,
     m_main,
     p_main,
     side_normalized_batch,
@@ -49,6 +47,16 @@ def side_scaled(wp, ys, eps=1e-12):
     return vals * scale, errs * scale
 
 
+def delta_certified(k, l, z, eps=1e-12):
+    """E_k(z) E_l(z) - E_{k+l}(z) from three lattice evaluations, with
+    the error bound |E_k| t_l + |E_l| t_k + t_k t_l + t_{k+l} built from
+    their truncation bounds t."""
+    vk, tk = eval_ek_lattice(k, z, eps)
+    vl, tl = eval_ek_lattice(l, z, eps)
+    vkl, tkl = eval_ek_lattice(k + l, z, eps)
+    return vk * vl - vkl, abs(vk) * tl + abs(vl) * tk + tk * tl + tkl
+
+
 def side_sample_angles(l):
     """(d, theta_d) for the side sample comb on (pi/3, pi/2)."""
     q, a = divmod(l, 6)
@@ -75,12 +83,11 @@ class TestWeightPair:
         with pytest.raises(ValueError):
             WeightPair(12, 14)
 
-    def test_degenerate_sum_needs_flag(self):
+    def test_degenerate_sums_rejected(self):
+        # E_k E_l - E_{k+l} vanishes identically at k + l = 8, 10, 14
         for k, l in [(4, 4), (6, 4), (10, 4), (8, 6)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="identically"):
                 WeightPair(k, l)
-            wp = WeightPair(k, l, allow_identically_zero=True)
-            assert wp.is_identically_zero
         assert not WeightPair(16, 4).is_identically_zero
 
 
@@ -96,16 +103,15 @@ class TestEvalDelta:
                      complex(-0.05, 2.8)]
         for (k, l), pts in [((4, 4), pts_44), ((6, 4), pts_small),
                             ((10, 4), pts_small), ((8, 6), pts_small)]:
-            wp = WeightPair(k, l, allow_identically_zero=True)
             for z in pts:
-                val, err = eval_delta_certified(wp, z)
+                val, err = delta_certified(k, l, z)
                 assert err < 1e-4
                 assert abs(val) <= err + 1e-12, (k, l, z, abs(val), err)
 
     def test_corner_zero_forced_by_weight(self):
         # weight sum 20 carries a double zero at the hexagonal corner,
         # and both weight-4 and weight-16 factors vanish there too
-        assert abs(eval_delta(WeightPair(16, 4), RHO)) < 1e-10
+        assert abs(delta_certified(16, 4, RHO)[0]) < 1e-10
 
     def test_side_product_identity(self):
         # |z|^(k+l) (E_k E_l - E_{k+l}) computed from the E-product route
@@ -113,7 +119,7 @@ class TestEvalDelta:
         for (k, l), y in [((16, 12), 1.5), ((20, 14), 1.2)]:
             wp = WeightPair(k, l)
             z = complex(0.5, y)
-            lhs = abs(z) ** (k + l) * eval_delta(wp, z, eps=1e-14)
+            lhs = abs(z) ** (k + l) * delta_certified(k, l, z, eps=1e-14)[0]
             rhs, err = side_scaled(wp, np.array([y]), eps=1e-14)
             scale = max(1.0, abs(lhs))
             assert abs(lhs.imag) <= 1e-10 * scale

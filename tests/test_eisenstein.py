@@ -1,7 +1,8 @@
 """Tests for the Eisenstein evaluators, rescalings, theta, and regimes.
 
 The lattice evaluator is the ground truth in the fundamental domain; the
-Fourier route and the asymptotic regimes are checked against it.  Expected
+Fourier route and the asymptotic regimes, restated here from the paper,
+are checked against it.  Expected
 values are either structural zeros (CM points), cross-evaluator agreements,
 or hand-assembled log-space sums; none are copied from the implementation.
 """
@@ -20,28 +21,21 @@ from hypothesis import strategies as st
 from eisenzeros.eisenstein import (
     _BLOCK_TERMS,
     _PAIR_BUDGET,
-    Regime,
     _disk_pairs,
     _drow_tail,
     _lattice_blocks,
     _truncation_radius,
     ThetaArgs,
-    UpperHalfPoint,
     ek_minus_one_fourier,
     eval_ek_fourier,
     eval_ek_lattice,
     fk_batch,
-    fk_main_terms,
     gk,
     gk_fourier,
-    gk_regime_approx,
-    hk,
     hk_batch,
-    hk_side_regimes,
     jacobi_theta,
     phi0,
     phi1,
-    rk_tail_bound,
     theta_eisenstein_transformed,
 )
 from eisenzeros.numerics import LogComplex, bernoulli, gamma_k, lc_sum
@@ -69,22 +63,40 @@ def sigma_log(k1: int, n: int) -> float:
         math.fsum((d / top) ** k1 for d in divisors))
 
 
-class TestUpperHalfPoint:
-    def test_rejects_lower_half(self):
-        with pytest.raises(ValueError):
-            UpperHalfPoint(0.0, -1.0)
+def hk(k: int, z: complex) -> complex:
+    """H_k(z) = |z|^k (E_k(z) - 1) at one point, from hk_batch."""
+    vals, _ = hk_batch(k, np.array([z.imag]), x=z.real)
+    return complex(vals[0])
 
-    def test_fundamental_domain_flag(self):
-        assert UpperHalfPoint(0.5, 2.0).in_fundamental_domain()
-        assert not UpperHalfPoint(0.51, 2.0).in_fundamental_domain()
-        assert not UpperHalfPoint(0.0, 0.9).in_fundamental_domain()
 
-    @given(st.floats(0.1, 3.0), st.floats(0.05, math.pi - 0.05))
-    @settings(max_examples=60, deadline=None)
-    def test_polar_cartesian_round_trip(self, radius, theta):
-        p = UpperHalfPoint.from_polar(radius, theta)
-        assert math.isclose(p.radius, radius, rel_tol=1e-15)
-        assert math.isclose(p.theta, theta, rel_tol=2e-15, abs_tol=1e-15)
+def fk_main_terms(k: int, theta: float) -> float:
+    """The paper's arc main terms of F_k, for theta in [pi/3, pi/2]:
+    2cos(k theta/2) + (2cos(theta/2))^(-k) + (2i sin(theta/2))^(-k), the
+    last as (-1)^(k/2) (2sin(theta/2))^(-k)."""
+    sign = 1.0 if k % 4 == 0 else -1.0
+    return (2.0 * math.cos(0.5 * k * theta)
+            + (2.0 * math.cos(0.5 * theta)) ** (-k)
+            + sign * (2.0 * math.sin(0.5 * theta)) ** (-k))
+
+
+def rk_tail_bound(k: int) -> float:
+    """The paper's bound on what the arc main terms leave out, k >= 14:
+    4 (5/2)^(-k/2) + (20 sqrt2 / (k-3)) (9/2)^((3-k)/2)."""
+    return (4.0 * 2.5 ** (-0.5 * k)
+            + (20.0 * math.sqrt(2.0) / (k - 3.0)) * 4.5 ** (0.5 * (3.0 - k)))
+
+
+def theta_args(k: int, z: complex) -> ThetaArgs:
+    """(w, tau) of the Eisenstein theta specialization: w = k/(2 pi y) +
+    i x / r and tau = i / r, with r = 2 pi y^2 / k."""
+    y = z.imag
+    r = 2.0 * math.pi * y * y / k
+    return ThetaArgs(complex(k / (2.0 * math.pi * y), z.real / r),
+                     complex(0.0, 1.0 / r))
+
+
+# the O(1) constant of the regime envelopes, which the paper leaves open
+C_ENV = 10.0
 
 
 class TestLatticeEvaluator:
@@ -117,12 +129,6 @@ class TestLatticeEvaluator:
         plain, _ = eval_ek_lattice(12, z, 1e-12)
         comp, _ = eval_ek_lattice(12, z, 1e-12, compensated=True)
         assert abs(plain - comp) < 1e-13 * abs(comp)
-
-    def test_accepts_domain_point_type(self):
-        p = UpperHalfPoint(0.5, 3.0)
-        v1, _ = eval_ek_lattice(20, p, 1e-12)
-        v2, _ = eval_ek_lattice(20, 0.5 + 3j, 1e-12)
-        assert v1 == v2
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -404,6 +410,7 @@ class TestLatticeKernel:
 
 class TestArcMainTerms:
     def test_tail_bound_weight_14(self):
+        # the restated bound reproduces the paper's figure at k = 14
         assert rk_tail_bound(14) <= 7.3e-3
 
     def test_two_term_deviation_bound(self):
@@ -422,12 +429,6 @@ class TestArcMainTerms:
         bound = rk_tail_bound(k)
         for th, v in zip(thetas, vals):
             assert abs(v - fk_main_terms(k, th)) <= bound
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            fk_main_terms(12, 1.2)
-        with pytest.raises(ValueError):
-            fk_main_terms(20, 1.7)
 
 
 class TestJacobiTheta:
@@ -464,53 +465,43 @@ class TestJacobiTheta:
 
 
 class TestRegimeApprox:
+    # G_k against the paper's approximation for each height, within its
+    # envelope: the direct main terms up to y = k^(2/5), the Jacobi theta
+    # specialization up to k^(2/3), the q-expansion above
     def test_small_y_example(self):
         k, z = 200, 0.5 + 2j
-        approx = gk_regime_approx(k, z)
-        assert approx.regime is Regime.SMALL_Y
-        truth = gk(k, z)
-        assert abs(approx.value - truth) <= approx.error_envelope
-        assert approx.error_envelope == pytest.approx(
-            10.0 * math.exp(-200 ** (1 / 6)))
+        assert z.imag <= k ** 0.4
+        approx = 1.0 + (z / (z - 1.0)) ** k + (z / (z + 1.0)) ** k
+        assert abs(approx - gk(k, z)) <= C_ENV * math.exp(-k ** (1.0 / 6.0))
 
     def test_theta_mid_example(self):
         k = 200
         z = complex(0.5, math.sqrt(200.0))
-        approx = gk_regime_approx(k, z)
-        assert approx.regime is Regime.THETA_MID
-        truth = gk(k, z)
-        assert abs(approx.value - truth) <= approx.error_envelope
-        assert approx.error_envelope == pytest.approx(
-            10.0 * 200 ** 0.5 / 200 ** (2 / 3))
+        assert k ** 0.4 < z.imag <= k ** (2.0 / 3.0)
+        approx = jacobi_theta(theta_args(k, z))
+        assert abs(approx - gk(k, z)) <= C_ENV * z.imag / k ** (2.0 / 3.0)
 
     def test_theta_mid_modularity_form(self):
         for k, y in ((200, math.sqrt(200.0)), (300, 25.0)):
             z = complex(0.5, y)
-            direct = jacobi_theta(ThetaArgs.for_eisenstein(k, z))
+            direct = jacobi_theta(theta_args(k, z))
             transformed = theta_eisenstein_transformed(k, z)
             assert abs(direct - transformed) < 1e-10
 
     def test_fourier_large_branch(self):
         k, z = 200, 0.5 + 40j
-        approx = gk_regime_approx(k, z)
-        assert approx.regime is Regime.FOURIER_LARGE
-        truth = gk(k, z)
-        assert abs(approx.value - truth) <= approx.error_envelope
-
-    def test_boundary_goes_low(self):
-        k = 200
-        approx = gk_regime_approx(k, complex(0.5, k ** 0.4))
-        assert approx.regime is Regime.SMALL_Y
+        assert z.imag > k ** (2.0 / 3.0)
+        assert abs(gk_fourier(k, z) - gk(k, z)) <= 1e-6
 
 
 class TestSideRegimes:
+    # H_k on the side x = 1/2 against the paper's main terms; r = 2 pi y^2 / k
     def test_small_y_example_weight_300(self):
-        approx = hk_side_regimes(300, 2.0)
-        expect = 2.0 * (-1) ** 150 * math.cos(300 * math.atan(0.25))
-        assert approx.value == pytest.approx(expect)
-        assert approx.error_envelope <= 10.0 * math.exp(-300 ** (1 / 6))
-        truth = hk(300, 0.5 + 2j)
-        assert abs(approx.value - truth.real) <= approx.error_envelope
+        k, y = 300, 2.0
+        assert y <= k ** 0.4
+        main = 2.0 * (-1) ** (k // 2) * math.cos(k * math.atan(0.5 / y))
+        truth = hk(k, complex(0.5, y))
+        assert abs(main - truth.real) <= C_ENV * math.exp(-k ** (1.0 / 6.0))
 
     def test_cos_form_consistency(self):
         # 2(-1)^(k/2) cos(k phi) = 2cos(k theta) when theta + phi = pi/2
@@ -523,26 +514,25 @@ class TestSideRegimes:
                                     rel_tol=0, abs_tol=1e-9)
 
     def test_resonance_sign_weight_400(self):
+        # at the resonance height y_N = k / (2 pi N) the sign of H_k is
+        # (-1)^(N + k/2)
         k, n_idx = 400, 3
         y = k / (2.0 * math.pi * n_idx)
-        approx = hk_side_regimes(k, y, N=n_idx)
-        sign = (-1) ** (n_idx + k // 2)
-        assert math.copysign(1.0, approx.value) == sign
         truth = hk(k, complex(0.5, y))
-        assert math.copysign(1.0, truth.real) == sign
+        assert math.copysign(1.0, truth.real) == (-1) ** (n_idx + k // 2)
 
     def test_resonance_value_within_envelope(self):
+        # sqrt(k) < y_N <= k^(3/5): main term r^(1/2) e^(pi/4r) with the
+        # resonance sign, envelope main * phi1(r) + C k^(-1/15)
         k, n_idx = 400, 3
         y = k / (2.0 * math.pi * n_idx)
-        approx = hk_side_regimes(k, y, N=n_idx)
+        assert k ** 0.5 < y <= k ** 0.6
+        r = 2.0 * math.pi * y * y / k
+        main = math.sqrt(r) * math.exp(math.pi / (4.0 * r))
+        approx = (-1) ** (n_idx + k // 2) * main
         truth = hk(k, complex(0.5, y))
-        assert abs(approx.value - truth.real) <= approx.error_envelope
-
-    def test_requires_index_above_sqrt_k(self):
-        with pytest.raises(ValueError):
-            hk_side_regimes(400, 21.0)
-        with pytest.raises(ValueError):
-            hk_side_regimes(400, 21.0, N=5)  # wrong resonance window
+        envelope = main * phi1(r) + C_ENV * k ** (-1.0 / 15.0)
+        assert abs(approx - truth.real) <= envelope
 
 
 class TestPhiEnvelopes:

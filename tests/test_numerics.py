@@ -1,8 +1,8 @@
 """Tests for the scalar foundations.
 
 Derived expected values are frozen from independent oracles:
-Akiyama-Tanigawa and the binomial recurrence for Bernoulli numbers and
-50-digit mpmath products for LogComplex.
+Akiyama-Tanigawa and the binomial recurrence for Bernoulli numbers, the
+zeta route for gamma_k, and 50-digit mpmath products for LogComplex.
 """
 
 import cmath
@@ -19,7 +19,6 @@ from eisenzeros.numerics import (
     LogComplex,
     bernoulli,
     gamma_k,
-    gamma_k_from_zeta,
     lc_sum,
     zeta,
 )
@@ -49,6 +48,13 @@ def bernoulli_recurrence(n: int) -> list[Fraction]:
             acc += math.comb(m + 1, j) * b[j]
         b.append(-acc / (m + 1))
     return b
+
+
+def gamma_k_from_zeta(k: int) -> LogComplex:
+    """Reference gamma_k by the zeta route, (-1)^(k/2) (2 pi)^k /
+    ((k-1)! zeta(k)), in log space."""
+    log_mag = k * math.log(2.0 * math.pi) - math.lgamma(k) - math.log(zeta(k))
+    return LogComplex(log_mag, 0.0 if k % 4 == 0 else math.pi)
 
 
 class TestBernoulli:
