@@ -61,7 +61,7 @@ class WeightPair:
                 raise ValueError(f"weights must be even and >= 4, got {w}")
         if self.k < self.l:
             raise ValueError(f"require k >= l, got k={self.k} < l={self.l}")
-        if self.is_identically_zero:
+        if self.k + self.l in _DEGENERATE_SUMS:
             raise ValueError(
                 f"E_{self.k} E_{self.l} - E_{self.k + self.l} vanishes "
                 "identically")
@@ -69,10 +69,6 @@ class WeightPair:
     @property
     def weight_sum(self) -> int:
         return self.k + self.l
-
-    @property
-    def is_identically_zero(self) -> bool:
-        return self.weight_sum in _DEGENERATE_SUMS
 
     @property
     def n(self) -> int:

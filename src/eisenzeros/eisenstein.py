@@ -84,7 +84,7 @@ def _check_weight(k: int) -> None:
 def _check_domain(z: complex) -> None:
     if not z.imag >= _Y_MIN:
         raise ValueError(f"point {z} below the supported strip y >= 2^-0.5")
-    if abs(z.real) > _X_MAX:
+    if not abs(z.real) <= _X_MAX:
         raise ValueError(f"point {z} outside the supported strip |x| <= 3/5")
 
 
@@ -397,8 +397,10 @@ def ek_minus_one_fourier(k: int, z) -> LogComplex:
     """
     _check_weight(k)
     z = complex(z)
-    if z.imag < 1.0:
+    if not z.imag >= 1.0:
         raise ValueError("Fourier route requires y >= 1; use the lattice")
+    if not math.isfinite(z.real):
+        raise ValueError(f"point {z} has a non-finite real part")
     return lc_sum(_fourier_terms(k, z))
 
 

@@ -71,12 +71,6 @@ class LogComplex:
         return LogComplex(math.log(abs(w)), math.atan2(w.imag, w.real))
 
     @staticmethod
-    def from_real(x: float) -> "LogComplex":
-        if x == 0:
-            return LogComplex.zero()
-        return LogComplex(math.log(abs(x)), 0.0 if x > 0 else math.pi)
-
-    @staticmethod
     def from_polar(log_mag: float, phase: float) -> "LogComplex":
         return LogComplex(log_mag, _wrap_phase(phase))
 
@@ -97,14 +91,6 @@ class LogComplex:
         return LogComplex(self.log_mag + other.log_mag,
                           _wrap_phase(self.phase + other.phase))
 
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero():
-            raise ZeroDivisionError("LogComplex division by zero")
-        if self.is_zero():
-            return LogComplex.zero()
-        return LogComplex(self.log_mag - other.log_mag,
-                          _wrap_phase(self.phase - other.phase))
-
     def __pow__(self, n: float) -> "LogComplex":
         if self.is_zero():
             if n <= 0:
@@ -116,12 +102,6 @@ class LogComplex:
         if self.is_zero():
             return self
         return LogComplex(self.log_mag, _wrap_phase(self.phase + math.pi))
-
-    def scaled(self, log_shift: float) -> "LogComplex":
-        """Multiply by exp(log_shift) without touching the phase."""
-        if self.is_zero():
-            return self
-        return LogComplex(self.log_mag + log_shift, self.phase)
 
     def real_sign(self) -> int:
         """Sign of the real part, +1/-1/0, robust for real-signed values."""

@@ -62,7 +62,6 @@ _SQRT3 = math.sqrt(3.0)
 _CERTAINTY = 10.0
 _EPS_LADDER = (1e-12, 1e-14, 1e-15)
 _BRACKET_WIDTH = 1e-12
-_PROBE_LEVELS = 3      # levels probed while an end value is unknown
 _COEFF_COUNT = 50
 _Y_CEILING = 64.0
 
@@ -290,21 +289,33 @@ def trivial_orders(w: int) -> tuple[int, int]:
 # honest for accuracy target eps
 _BatchEval = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 
+# (lo, hi, v_lo, v_hi): one dense grid cell whose ends have certified
+# values of opposite sign
+_Cell = tuple[float, float, float, float]
 
-def _certified_sign(batch_eval: _BatchEval, x: float,
-                    ladder: Sequence[float] = _EPS_LADDER) -> int:
-    """Sign of the restriction at x, evaluated as a batch of one, or 0 if
-    every escalation pass stays ambiguous.
 
-    A sign counts only when |value| clears the evaluator's own error bound
-    by the _CERTAINTY factor.
+def _certify(batch_eval: _BatchEval, xs: np.ndarray,
+             ladder: Sequence[float] = _EPS_LADDER,
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the restriction at xs and whether each is certified.
+
+    A value counts only when |value| clears the evaluator's own error
+    bound by the _CERTAINTY factor.  Each rung of the ladder re-evaluates,
+    as one batch, only the points still ambiguous after the rungs before.
     """
+    xs = np.asarray(xs, dtype=float)
+    vals = np.zeros(xs.size)
+    certified = np.zeros(xs.size, dtype=bool)
+    todo = np.arange(xs.size)
     for eps in ladder:
-        vals, errs = batch_eval(np.array([x]), eps)
-        val, err = float(vals[0]), float(errs[0])
-        if abs(val) > _CERTAINTY * err:
-            return 1 if val > 0.0 else -1
-    return 0
+        if not todo.size:
+            break
+        v, err = batch_eval(xs[todo], eps)
+        ok = np.abs(v) > _CERTAINTY * err
+        vals[todo] = v
+        certified[todo[ok]] = True
+        todo = todo[~ok]
+    return vals, certified
 
 
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.40, 0.60)
@@ -314,24 +325,24 @@ def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
                     sign_lo: int, sign_hi: int) -> ZeroBracket:
     """Narrow a certified sign change to width <= 1e-12 by bisection.
 
-    A probe whose sign cannot be certified is sidestepped by moving the
-    split fraction; zeros of the restrictions are isolated, so some probe
-    certifies unless the bracket has already collapsed onto the zero.
+    Every probe is certified alone, as a batch of one.  A probe whose sign
+    cannot be certified is sidestepped by moving the split fraction; zeros
+    of the restrictions are isolated, so some probe certifies unless the
+    bracket has already collapsed onto the zero.
     """
     if sign_lo * sign_hi >= 0:
         raise ValueError("bracket endpoints need opposite certified signs")
     for _ in range(200):
         if hi - lo <= _BRACKET_WIDTH:
             break
-        s = 0
         for frac in _SPLIT_FRACTIONS:
             mid = lo + frac * (hi - lo)
-            s = _certified_sign(batch_eval, mid)
-            if s:
+            vals, certified = _certify(batch_eval, np.array([mid]))
+            if certified[0]:
                 break
-        if s == 0:
+        else:
             break
-        if s == sign_lo:
+        if (vals[0] > 0.0) == (sign_lo > 0):
             lo = mid
         else:
             hi = mid
@@ -341,140 +352,105 @@ def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
 def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
                   at: Optional[np.ndarray] = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Certified signs at the points grid[at] of a scan grid, every point
+    """Certified values at the points grid[at] of a scan grid, every point
     when at is None.
 
-    Ambiguous points are re-run one at a time on the escalation ladder,
-    then nudged within their own cell of the whole grid (a zero sitting
-    exactly on a grid point is isolated, so a nudged neighbour certifies),
-    so a point moves by the same nudge whichever of its neighbours are
-    certified with it.  Returns the possibly nudged points and their
-    signs.  Every ambiguous point is tried; if any stays uncertain, one
-    SignUncertainError carries all of them.
+    The points are certified at eps as one batch.  Each point ambiguous
+    there climbs the finer rungs of the escalation ladder alone, since a
+    batch reports its largest bound, and is then nudged within its own
+    cell of the whole grid (a zero sitting exactly on a grid point is
+    isolated, so a nudged neighbour certifies), so a point moves by the
+    same nudge whichever of its neighbours are certified with it.  Returns
+    the possibly nudged points and their values.  Every ambiguous point is
+    tried; if any stays uncertain, one SignUncertainError carries all of
+    them.
     """
     idx = np.arange(grid.size) if at is None else at
     xs = np.asarray(grid, dtype=float)[idx]
-    vals, errs = batch_eval(xs, eps)
-    signs = np.where(vals > 0.0, 1, -1).astype(np.int64)
-    ok = np.abs(vals) > _CERTAINTY * errs
-    if bool(ok.all()):
-        return xs, signs
+    vals, ok = _certify(batch_eval, xs, (eps,))
     gaps = np.diff(grid)
-    uncertain = []
     for j in np.nonzero(~ok)[0]:
         i = idx[j]
-        s = _certified_sign(batch_eval, float(xs[j]), _EPS_LADDER[1:])
-        if s == 0:
-            left = gaps[i - 1] if i > 0 else gaps[0]
-            right = gaps[i] if i < gaps.size else gaps[-1]
-            half = 0.5 * min(left, right)
+        v, c = _certify(batch_eval, xs[j:j + 1], _EPS_LADDER[1:])
+        if not c[0]:
+            half = 0.5 * min(gaps[max(i - 1, 0)], gaps[min(i, gaps.size - 1)])
             for frac in (0.61, -0.53, 0.87):
                 x2 = float(grid[i] + frac * half)
-                s = _certified_sign(batch_eval, x2)
-                if s:
+                v, c = _certify(batch_eval, np.array([x2]))
+                if c[0]:
                     xs[j] = x2
                     break
-        if s:
-            signs[j] = s
-        else:
-            uncertain.append(float(xs[j]))
-    if uncertain:
+        vals[j], ok[j] = v[0], c[0]
+    if not ok.all():
+        uncertain = xs[~ok].tolist()
         raise SignUncertainError(
             f"{len(uncertain)} scan point(s) stayed sign-uncertain, first at "
             f"{uncertain[0]:.12g}", points=uncertain, uncertain=len(uncertain))
-    return xs, signs
+    return xs, vals
 
 
 # ---------------------------------------------------------------------------
 # boundary scans
 
 
-def _probes(lo: float, hi: float, seen: dict[float, float]) -> list[float]:
-    """Points one round of _refine_brackets evaluates for the bracket
-    (lo, hi), given the certified values seen so far.
-
-    With values at both ends these are the midpoints bisection visits if
-    the zero lies where the chord crosses zero, down to a 1e-12 bracket.
-    Otherwise they are the ends without a value and the midpoints the
-    next _PROBE_LEVELS steps can visit.  Every midpoint is computed as
-    _refine_bracket computes its first split, lo + 0.5 (hi - lo).
-    """
-    if lo in seen and hi in seen:
-        guess = lo - seen[lo] * (hi - lo) / (seen[hi] - seen[lo])
-        path = []
-        while hi - lo > _BRACKET_WIDTH:
-            m = lo + 0.5 * (hi - lo)
-            path.append(m)
-            lo, hi = (m, hi) if guess > m else (lo, m)
-        return path
-    nodes = [x for x in (lo, hi) if x not in seen]
-    spans = [(lo, hi)]
-    for _ in range(_PROBE_LEVELS):
-        halves = []
-        for a, b in spans:
-            m = a + 0.5 * (b - a)
-            nodes.append(m)
-            halves += [(a, m), (m, b)]
-        spans = halves
-    return nodes
+def _chord_path(lo: float, hi: float, v_lo: float, v_hi: float,
+                ) -> list[float]:
+    """The midpoints bisection of (lo, hi) visits, down to a 1e-12
+    bracket, if the zero lies where the chord through the certified end
+    values crosses zero.  Every midpoint is computed as _refine_bracket
+    computes its first split, lo + 0.5 (hi - lo)."""
+    guess = lo - v_lo * (hi - lo) / (v_hi - v_lo)
+    path = []
+    while hi - lo > _BRACKET_WIDTH:
+        m = lo + 0.5 * (hi - lo)
+        path.append(m)
+        lo, hi = (m, hi) if guess > m else (lo, m)
+    return path
 
 
 def _refine_brackets(batch_eval: _BatchEval, kind: str,
-                     cells: Sequence[tuple[float, float, int, int]],
-                     ) -> list[ZeroBracket]:
-    """_refine_bracket for every cell (lo, hi, sign_lo, sign_hi) at once,
-    with the same brackets.
+                     cells: Sequence[_Cell]) -> list[ZeroBracket]:
+    """_refine_bracket for every cell (lo, hi, v_lo, v_hi) at once, with
+    the same brackets.
 
-    Each round evaluates the _probes of every open cell in one batch per
-    escalation rung, then bisects each cell as far as certified signs at
-    its midpoints are known.  A certified sign is the true sign, so the
-    path is the one sequential bisection takes.  A cell whose next
-    midpoint is uncertain moves up the escalation ladder and, once the
-    ladder is spent, finishes on _refine_bracket, which sidesteps.
+    Each round certifies the _chord_path of every open cell in one
+    _certify call, then bisects each cell along its path for as long as
+    the path's points are the midpoints its certified signs lead to.  A
+    certified sign is the true sign, so the walk is the one sequential
+    bisection takes, and a cell's ends are never evaluated again.  A cell
+    whose next midpoint stays uncertain finishes on _refine_bracket, one
+    point at a time: a batch reports its largest bound, so a point left
+    ambiguous in a batch may certify alone.
     """
     out: list[Optional[ZeroBracket]] = [None] * len(cells)
-    # open cell -> (lo, hi, escalation rung, certified values seen)
-    state = {i: (lo, hi, 0, {}) for i, (lo, hi, _, _) in enumerate(cells)}
-    while state:
-        for rung, eps in enumerate(_EPS_LADDER):
-            group = [i for i, st in state.items() if st[2] == rung]
-            if not group:
-                continue
-            probes = [_probes(state[i][0], state[i][1], state[i][3])
-                      for i in group]
-            vals, errs = batch_eval(np.array([x for p in probes for x in p]),
-                                    eps)
-            certified = np.abs(vals) > _CERTAINTY * errs
-            at = 0
-            for i, xs in zip(group, probes):
-                lo, hi, _, seen = state.pop(i)
-                seen.update((x, float(v)) for x, v, c in
-                            zip(xs, vals[at:], certified[at:]) if c)
-                at += len(xs)
-                _, _, sign_lo, sign_hi = cells[i]
-                while hi - lo > _BRACKET_WIDTH:
-                    m = lo + 0.5 * (hi - lo)
-                    if m not in seen:
-                        break
-                    if (seen[m] > 0.0) == (sign_lo > 0):
-                        lo = m
-                    else:
-                        hi = m
-                if hi - lo <= _BRACKET_WIDTH:
-                    out[i] = ZeroBracket(kind, lo, hi, sign_lo, sign_hi)
-                elif m not in xs:
-                    state[i] = (lo, hi, rung, seen)
-                elif rung + 1 < len(_EPS_LADDER):
-                    state[i] = (lo, hi, rung + 1, seen)
-                else:
+    open_cells = dict(enumerate(cells))
+    while open_cells:
+        paths = {i: _chord_path(*cell) for i, cell in open_cells.items()}
+        vals, certified = _certify(
+            batch_eval, np.array([x for p in paths.values() for x in p]))
+        vals, certified, at = vals.tolist(), certified.tolist(), 0
+        for i, path in paths.items():
+            lo, hi, v_lo, v_hi = open_cells.pop(i)
+            sign = 1 if v_lo > 0.0 else -1
+            for m, v, ok in zip(path, vals[at:at + len(path)],
+                                certified[at:at + len(path)]):
+                if m != lo + 0.5 * (hi - lo):
+                    break
+                if not ok:
                     out[i] = _refine_bracket(batch_eval, kind, lo, hi,
-                                             sign_lo, sign_hi)
+                                             sign, -sign)
+                    break
+                if (v > 0.0) == (v_lo > 0.0):
+                    lo, v_lo = m, v
+                else:
+                    hi, v_hi = m, v
+            at += len(path)
+            if out[i] is None:
+                if hi - lo <= _BRACKET_WIDTH:
+                    out[i] = ZeroBracket(kind, lo, hi, sign, -sign)
+                else:
+                    open_cells[i] = (lo, hi, v_lo, v_hi)
     return out
-
-
-# (lo, hi, sign_lo, sign_hi): one dense grid cell whose ends have opposite
-# certified signs
-_Cell = tuple[float, float, int, int]
 
 
 def _arc_grid(wp: WeightPair, oversample: float) -> np.ndarray:
@@ -540,39 +516,42 @@ def _joint_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
     Certifies every stride-th grid point and both ends of each piece, one
     _certify_grid call per piece.  When the sub-grid sign changes close the
     valence identity, the grid points inside every sub-grid cell with a
-    change are certified in one more call per piece (at stride 8 these 7
-    points are all the probes of three bisection levels), and each such
-    cell must hold exactly one change of the dense grid.  Returns None
-    when the count does not close or a cell breaks that rule.  At stride 1
-    this is the dense scan, and it returns its cells whatever they count.
+    change are certified in one more call per piece, and each such cell
+    must hold exactly one change of the dense grid.  A cell carries the
+    certified values at its ends, from which refinement starts.  Returns
+    None when the count does not close or a cell breaks that rule.  At
+    stride 1 this is the dense scan, and it returns its cells whatever
+    they count.
     """
     pieces = []
     changes = 0
     for ev, grid in ((_arc_eval(wp), _arc_grid(wp, oversample)),
                      (_side_eval(wp), _side_grid(wp, oversample, y_max))):
-        pts, signs = grid.copy(), np.zeros(grid.size, dtype=np.int64)
+        pts, vals = grid.copy(), np.zeros(grid.size)
         spans = []      # sub-grid cells (a, b) with a sign change
         if grid.size >= 2:
             sub = np.unique(np.append(np.arange(0, grid.size, stride),
                                       grid.size - 1))
-            pts[sub], signs[sub] = _certify_grid(ev, grid, eps, sub)
-            lows = np.nonzero(signs[sub[:-1]] * signs[sub[1:]] < 0)[0]
+            pts[sub], vals[sub] = _certify_grid(ev, grid, eps, sub)
+            pos = vals[sub] > 0.0
+            lows = np.nonzero(pos[:-1] != pos[1:])[0]
             spans = list(zip(sub[lows].tolist(), sub[lows + 1].tolist()))
-        pieces.append((ev, grid, pts, signs, spans))
+        pieces.append((ev, grid, pts, vals, spans))
         changes += len(spans)
     v_i, v_rho = trivial_orders(wp.weight_sum)
     if stride > 1 and 12 * changes + 6 * v_i + 4 * v_rho + 12 != wp.weight_sum:
         return None
     cells = []
-    for ev, grid, pts, signs, spans in pieces:
+    for ev, grid, pts, vals, spans in pieces:
         inner = np.array([i for a, b in spans for i in range(a + 1, b)],
                          dtype=np.int64)
         if inner.size:
-            pts[inner], signs[inner] = _certify_grid(ev, grid, eps, inner)
+            pts[inner], vals[inner] = _certify_grid(ev, grid, eps, inner)
+        pts, vals = pts.tolist(), vals.tolist()
         cells.append(tuple(
-            (float(pts[i]), float(pts[i + 1]), int(signs[i]), int(signs[i + 1]))
+            (pts[i], pts[i + 1], vals[i], vals[i + 1])
             for a, b in spans for i in range(a, b)
-            if signs[i] * signs[i + 1] < 0))
+            if (vals[i] > 0.0) != (vals[i + 1] > 0.0)))
     if stride > 1 and len(cells[0]) + len(cells[1]) != changes:
         return None
     return _BoundaryScan(cells[0], cells[1], stride)
@@ -608,7 +587,7 @@ def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
     if wp.l < 14:
         raise ValueError("arc census needs k >= l >= 14")
     # the closure needs the side's count, so the arc scan needs its cutoff
-    scan = _boundary_scan(wp, eps, oversample, _side_upper_cutoff(wp))
+    scan = _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp))
     brackets = tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc))
     return len(brackets), brackets
 
@@ -774,7 +753,7 @@ def _hunt_field(wp: WeightPair,
     """
     all_logs, all_phases = _delta_log_coeffs(wp)
     la1 = all_logs[0]
-    y_hi = max(1.8, side_upper_cutoff(wp))
+    y_hi = max(1.8, _side_upper_cutoff(wp))
     live = np.isfinite(all_logs)
     two_pi_m = 2.0 * math.pi * np.arange(1.0, all_logs.size + 1.0)[live]
     log_mag = all_logs[live]

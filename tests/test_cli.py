@@ -283,7 +283,67 @@ class TestPlotdata:
             assert float(r["err_theta_mid"]) < float(r["bound_theta_mid"])
 
 
+# plotdata --kind zeros brackets (kind, lo, hi), exact to the last bit:
+# (98, 72) holds a side midpoint that a batch's shared bound can leave
+# ambiguous while it certifies alone, (98, 94) the pair where a change of
+# summation order once moved brackets at the rounding level, (56, 20) the
+# README example.
+# Honest rounding bounds and batch-invariant evaluators (ROADMAP items 1
+# and 2) may move these; update the pins once, listing every move.
+PINNED_BRACKETS = {
+    (98, 72): [
+        ("arc", 1.329135367408511, 1.3291353674092279),
+        ("side", 0.8776363460684276, 0.8776363460691599),
+        ("side", 1.0148142027500455, 1.0148142027509643),
+        ("side", 1.136486787752995, 1.1364867877535478),
+        ("side", 1.2857505290120885, 1.2857505290127709),
+        ("side", 1.4729519549433037, 1.4729519549441727),
+        ("side", 1.7154222647136825, 1.7154222647142556),
+        ("side", 2.0433313412530394, 2.043331341253833),
+        ("side", 2.5136632737642137, 2.513663273764802),
+        ("side", 3.2491917700012554, 3.2491917700022266),
+        ("side", 4.581718945206278, 4.581718945207233),
+        ("side", 7.8325638052046065, 7.832563805205165),
+    ],
+    (98, 94): [
+        ("side", 0.8983846208996142, 0.8983846209001952),
+        ("side", 0.9676014527792207, 0.9676014527798729),
+        ("side", 1.0474421476754365, 1.047442147676177),
+        ("side", 1.1396540662224144, 1.1396540662232655),
+        ("side", 1.2474050450129714, 1.2474050450139638),
+        ("side", 1.3750819634927676, 1.3750819634933555),
+        ("side", 1.5289426518890696, 1.5289426518897808),
+        ("side", 1.7182093084406647, 1.7182093084415455),
+        ("side", 1.9570292349471945, 1.9570292349477558),
+        ("side", 2.2682438700636665, 2.2682438700644076),
+        ("side", 2.691273020924176, 2.691273020924691),
+        ("side", 3.3006131923720314, 3.3006131923727984),
+        ("side", 4.258226824046448, 4.258226824047079),
+        ("side", 6.001646112977253, 6.001646112977874),
+        ("side", 10.259600144138798, 10.259600144139775),
+    ],
+    (56, 20): [
+        ("arc", 1.144043909274239, 1.144043909275041),
+        ("arc", 1.3084617538022836, 1.3084617538030856),
+        ("arc", 1.4834079124714576, 1.4834079124722597),
+        ("side", 1.207077288528952, 1.2070772885296983),
+        ("side", 2.095361555574518, 2.0953615555750265),
+    ],
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("pair", sorted(PINNED_BRACKETS))
+    def test_bracket_bytes_pinned(self, capsys, pair):
+        rc, out, _ = run_cli(capsys, ["plotdata", "--kind", "zeros",
+                                      "--k", str(pair[0]), "--l", str(pair[1]),
+                                      "--format", "json"])
+        assert rc == 0
+        rows = json_rows(out)
+        assert [(r["kind"], r["lo"], r["hi"]) for r in rows] \
+            == PINNED_BRACKETS[pair]
+        assert all(r["location"] == 0.5 * (r["lo"] + r["hi"]) for r in rows)
+
     def test_parallel_scan_is_byte_identical(self, tmp_path):
         argv = ["scan", "--l-min", "20", "--l-max", "22",
                 "--k-min", "56", "--k-max", "62", "--no-hunt"]

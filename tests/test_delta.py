@@ -88,7 +88,6 @@ class TestWeightPair:
         for k, l in [(4, 4), (6, 4), (10, 4), (8, 6)]:
             with pytest.raises(ValueError, match="identically"):
                 WeightPair(k, l)
-        assert not WeightPair(16, 4).is_identically_zero
 
 
 class TestEvalDelta:

@@ -182,6 +182,16 @@ class TestFourierEvaluator:
     def test_rejects_low_y(self):
         with pytest.raises(ValueError):
             eval_ek_fourier(12, 0.2 + 0.9j)
+        with pytest.raises(ValueError, match="y >= 1"):
+            eval_ek_fourier(12, complex(0.2, math.nan))
+
+
+@pytest.mark.parametrize("evaluator", [eval_ek_lattice, gk, eval_ek_fourier])
+def test_rejects_nan_real_part(evaluator):
+    # NaN fails every comparison, so the domain checks must be written to
+    # reject what does not pass them
+    with pytest.raises(ValueError, match="supported strip|non-finite"):
+        evaluator(12, complex(math.nan, 2.0))
 
 
 class TestRescalings:

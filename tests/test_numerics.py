@@ -146,11 +146,6 @@ class TestLogComplex:
         prod = (LogComplex.from_complex(u) * LogComplex.from_complex(v))
         assert cmath.isclose(prod.to_complex(), u * v, rel_tol=1e-12)
 
-    @given(finite_complex, finite_complex)
-    def test_division_matches_complex(self, u, v):
-        quot = (LogComplex.from_complex(u) / LogComplex.from_complex(v))
-        assert cmath.isclose(quot.to_complex(), u / v, rel_tol=1e-12)
-
     @given(finite_complex, st.integers(min_value=-6, max_value=6))
     def test_integer_powers(self, w, n):
         lc = LogComplex.from_complex(w) ** n
@@ -160,7 +155,7 @@ class TestLogComplex:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_phase_always_wrapped(self, seed):
         rng = random.Random(seed)
-        acc = LogComplex.from_real(1.0)
+        acc = LogComplex.from_complex(1.0)
         for _ in range(20):
             acc = acc * LogComplex.from_polar(rng.uniform(-2, 2),
                                               rng.uniform(-10, 10))
@@ -172,7 +167,7 @@ class TestLogComplex:
         rng = random.Random(20240815)
         factors = [complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
                    for _ in range(1000)]
-        acc = LogComplex.from_real(1.0)
+        acc = LogComplex.from_complex(1.0)
         for w in factors:
             acc = acc * LogComplex.from_complex(w)
         with mpmath.workdps(50):
@@ -188,19 +183,22 @@ class TestLogComplex:
         z = LogComplex.zero()
         assert z.is_zero()
         assert z.to_complex() == 0j
-        assert (z * LogComplex.from_real(5.0)).is_zero()
+        assert (z * LogComplex.from_complex(5.0)).is_zero()
+        assert LogComplex.from_complex(0.0).is_zero()
+        assert z.real_sign() == 0
         with pytest.raises(ZeroDivisionError):
-            LogComplex.from_real(1.0) / z
+            z ** 0
 
     def test_negation_and_sign(self):
-        assert LogComplex.from_real(3.0).real_sign() == 1
-        assert (-LogComplex.from_real(3.0)).real_sign() == -1
-        assert LogComplex.from_real(-2.5).real_sign() == -1
+        assert LogComplex.from_complex(3.0).real_sign() == 1
+        assert (-LogComplex.from_complex(3.0)).real_sign() == -1
+        assert LogComplex.from_complex(-2.5).real_sign() == -1
+        assert LogComplex.from_polar(0.0, 0.5 * math.pi).real_sign() == 0
 
     def test_lc_sum_cancellation(self):
         # 1e300 + 1 - 1e300 survives in log space.
         big = LogComplex.from_polar(math.log(10) * 300, 0.0)
-        one = LogComplex.from_real(1.0)
+        one = LogComplex.from_complex(1.0)
         total = lc_sum([big, one, -big])
         assert math.isclose(total.log_mag, 0.0, abs_tol=1e-9)
 

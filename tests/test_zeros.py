@@ -164,11 +164,32 @@ class TestCountSignChanges:
         assert info.value.points == (0.0, 1.0, 2.0)
 
     def test_escalation_resolves(self):
-        # uncertain at 1e-12 and 1e-14, certified positive at 1e-15
-        ev = constant_batch(5e-14, lambda eps: eps)
-        grid, signs = _certify_grid(ev, np.array([0.0, 1.0]), 1e-12)
-        assert grid.tolist() == [0.0, 1.0]
-        assert signs.tolist() == [1, 1]
+        # uncertain at 1e-12 and 1e-14, certified positive at 1e-15, where
+        # only the still-ambiguous points are evaluated again
+        batches = []
+
+        def ev(xs, eps):
+            batches.append((len(xs), eps))
+            vals = np.where(np.asarray(xs) == 0.0, 5e-14, 1.0)
+            return vals, np.full(len(xs), eps)
+
+        grid, vals = _certify_grid(ev, np.array([0.0, 1.0, 2.0]), 1e-12)
+        assert grid.tolist() == [0.0, 1.0, 2.0]
+        assert vals.tolist() == [5e-14, 1.0, 1.0]
+        assert batches == [(3, 1e-12), (1, 1e-14), (1, 1e-15)]
+
+    def test_escalation_certifies_each_point_alone(self):
+        # a batch reports its largest bound, as hk_batch does: 0.0 is
+        # ambiguous on every rung, 1.0 and 2.0 certify at 1e-14 alone but
+        # not beside 0.0, so only 0.0 is nudged
+        def ev(xs, eps):
+            xs = np.asarray(xs)
+            own = np.where(xs == 0.0, 1.0, eps)
+            return np.full(xs.shape, 1e-12), np.full(xs.shape, own.max())
+
+        grid, vals = _certify_grid(ev, np.array([0.0, 1.0, 2.0]), 1e-12)
+        assert grid.tolist() == [0.305, 1.0, 2.0]
+        assert vals.tolist() == [1e-12] * 3
 
 
     def test_sub_grid_nudge_uses_dense_gaps(self):
@@ -182,14 +203,18 @@ class TestCountSignChanges:
         grid = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
         at = np.array([0, 2, 4])
         dense, _ = _certify_grid(ev, grid, 1e-12)
-        sub, signs = _certify_grid(ev, grid, 1e-12, at)
+        sub, vals = _certify_grid(ev, grid, 1e-12, at)
         assert dense.tolist() == [0.0, 1.0, 3.61, 6.0, 10.0]
         assert sub.tolist() == dense[at].tolist()
-        assert signs.tolist() == [1, 1, 1]
+        assert vals.tolist() == [1.0, 1.0, 1.0]
 
 
 def sequential_brackets(ev, kind, cells):
-    return [_refine_bracket(ev, kind, *cell) for cell in cells]
+    """One-at-a-time bisection of cells (lo, hi, v_lo, v_hi), which
+    needs only the signs of the end values."""
+    return [_refine_bracket(ev, kind, lo, hi, int(np.sign(v_lo)),
+                            int(np.sign(v_hi)))
+            for lo, hi, v_lo, v_hi in cells]
 
 
 class TestRefinement:
@@ -210,8 +235,10 @@ class TestRefinement:
                                 for x in xs])
             return xs - nearest, np.full(xs.shape, 10.0 * eps)
 
-        cells = [(0.0, 0.25, -1, 1), (0.4, 0.6, -1, 1), (0.7, 0.8, -1, 1),
-                 (0.85, 1.0, -1, 1)]
+        ends = [(0.0, 0.25), (0.4, 0.6), (0.7, 0.8), (0.85, 1.0)]
+        cells = [(lo, hi, *ev(np.array([lo, hi]), 1e-12)[0])
+                 for lo, hi in ends]
+        calls.clear()
         batched = _refine_brackets(ev, "arc", cells)
         n_batched = len(calls)
         calls.clear()
@@ -222,9 +249,30 @@ class TestRefinement:
 
     @pytest.mark.parametrize("k, l", [(100, 58), (98, 96), (100, 14)])
     def test_counters_match_sequential_bisection(self, k, l, monkeypatch):
+        # the scan cells carry certified end values; sequential bisection
+        # reads only their signs
         batched = (count_arc_zeros((k, l)), count_side_zeros((k, l)))
         monkeypatch.setattr(zeros, "_refine_brackets", sequential_brackets)
         assert (count_arc_zeros((k, l)), count_side_zeros((k, l))) == batched
+
+    @pytest.mark.parametrize("k, l", [(98, 72), (56, 20)])
+    def test_refinement_never_evaluates_cell_ends(self, k, l):
+        # refinement starts from the end values the scan certified
+        wp = WeightPair(k, l)
+        scan = zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
+        for ev, kind, cells in ((zeros._arc_eval(wp), "arc", scan.arc),
+                                (zeros._side_eval(wp), "side", scan.side)):
+            seen = []
+
+            def recording(xs, eps, ev=ev, seen=seen):
+                seen.extend(np.asarray(xs).tolist())
+                return ev(xs, eps)
+
+            brackets = _refine_brackets(recording, kind, cells)
+            assert len(brackets) == len(cells) > 0
+            assert seen
+            ends = {x for lo, hi, _, _ in cells for x in (lo, hi)}
+            assert ends.isdisjoint(seen)
 
 
 @pytest.fixture
@@ -380,6 +428,23 @@ class TestScans:
             assert br.width <= 1e-12
             assert br.sign_lo * br.sign_hi == -1
             assert math.sqrt(3) / 2 < br.location < y_max
+
+    def test_arc_count_reads_cutoff_through_public_name(self, monkeypatch):
+        # the arc scan needs the side cutoff for the valence closure, and
+        # must reach it where a wrapper of the module attribute sees it
+        calls = []
+        real = zeros.side_upper_cutoff
+
+        def wrapped(wp):
+            calls.append(wp)
+            return real(wp)
+
+        monkeypatch.setattr(zeros, "side_upper_cutoff", wrapped)
+        for cached in (zeros._boundary_scan, zeros._side_upper_cutoff,
+                       zeros._delta_log_coeffs):
+            cached.cache_clear()
+        count_arc_zeros((56, 22))
+        assert calls == [WeightPair(56, 22)]
 
     def test_cutoff_certificate_is_sound(self):
         # above y_max the side restriction is certifiably nonzero
