@@ -21,8 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -116,37 +115,6 @@ def _truncation_radius(k: int, z: complex, eps: float,
     return t, tail
 
 
-def _disk_pairs(x_lo: float, x_hi: float, y: float, t: float,
-                n_points: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """All (c, d) with c >= 1 and |c(x+iy) + d| <= t for some x in
-    [x_lo, x_hi], streamed in (c, d) order as runs (c, d) of exactly
-    max(1, _BLOCK_TERMS // n_points) pairs, one kernel block each for a
-    batch of n_points; only the last run may be shorter.
-
-    With x_lo = x_hi this is one point's disk; a window gives the union of
-    the per-point d-ranges, a pair superset for a batch of points.  Rows
-    are buffered and concatenated once per _BLOCK_TERMS pairs, so the
-    disk is never held whole."""
-    step = max(1, _BLOCK_TERMS // n_points)
-    c_hi = min(int(t / y), _AXIS_CAP)
-    cs, ds, held = [], [], 0
-    for c in range(1, c_hi + 1):
-        s2 = t * t - (c * y) ** 2
-        if s2 > 0.0:
-            s = math.sqrt(s2)
-            d = np.arange(math.ceil(-c * x_hi - s),
-                          math.floor(-c * x_lo + s) + 1, dtype=np.float64)
-            ds.append(d)
-            cs.append(np.full(d.shape, float(c)))
-            held += d.size
-        if held >= _BLOCK_TERMS or (c == c_hi and held):
-            c_buf, d_buf = np.concatenate(cs), np.concatenate(ds)
-            end = held if c == c_hi else held - held % step
-            for i in range(0, end, step):
-                yield c_buf[i:i + step], d_buf[i:i + step]
-            cs, ds, held = [c_buf[end:]], [d_buf[end:]], held - end
-
-
 # Point-pair terms per kernel block: a block and its temporaries stay
 # inside a 2 MB L2 cache.
 _BLOCK_TERMS = 1 << 15
@@ -168,26 +136,55 @@ def _neg_power(u: np.ndarray, k: int) -> np.ndarray:
     return h
 
 
-def _lattice_blocks(zs: np.ndarray,
-                    runs: Iterable[tuple[np.ndarray, np.ndarray]], k: int,
-                    s: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
-    """The one lattice kernel: blocks of the terms (s_i (c z_i + d))^(-k),
-    shape (len(zs), m), one for each run (c, d) of the pair set.
+def _lattice_sum(zs: np.ndarray, x_lo: float, x_hi: float, y: float,
+                 t: float, k: int, s: Optional[np.ndarray] = None,
+                 ) -> np.ndarray:
+    """The one lattice sum: per point z_i, the sum of (s_i (c z_i + d))^(-k)
+    over all (c, d) with c >= 1 and |c(x+iy) + d| <= t for some x in
+    [x_lo, x_hi].  s (default 1) rescales each point's terms; s_i = 1/|z_i|
+    keeps them <= 1.
 
-    The runs are _disk_pairs' stream, so a block holds about _BLOCK_TERMS
-    point-pair terms and no more of the disk is held at once.  s (default
-    1) rescales each point's terms; s_i = 1/|z_i| keeps them <= 1.
+    With x_lo = x_hi this is one point's disk; a window gives the union of
+    the per-point d-ranges, a pair superset for a batch of points.  The
+    pairs stream in (c, d) order as runs of max(1, _BLOCK_TERMS // len(zs))
+    pairs, one kernel block of about _BLOCK_TERMS terms each, so no more
+    of the disk is held at once; rows are buffered and concatenated once
+    per _BLOCK_TERMS pairs.  The blocks' sums are added in run order,
+    starting from the first block's; an empty disk sums to zeros.
     """
-    for c, d in runs:
-        u = np.multiply.outer(zs, c)
-        u += d
-        if s is not None:
-            u *= s[:, None]
-        yield _neg_power(u, k)
+    step = max(1, _BLOCK_TERMS // zs.size)
+    c_hi = min(int(t / y), _AXIS_CAP)
+    total = None
+    cs, ds, held = [], [], 0
+    for c in range(1, c_hi + 1):
+        s2 = t * t - (c * y) ** 2
+        if s2 > 0.0:
+            r = math.sqrt(s2)
+            d = np.arange(math.ceil(-c * x_hi - r),
+                          math.floor(-c * x_lo + r) + 1, dtype=np.float64)
+            ds.append(d)
+            cs.append(np.full(d.shape, float(c)))
+            held += d.size
+        if held >= _BLOCK_TERMS or (c == c_hi and held):
+            c_buf, d_buf = np.concatenate(cs), np.concatenate(ds)
+            end = held if c == c_hi else held - held % step
+            for i in range(0, end, step):
+                u = np.multiply.outer(zs, c_buf[i:i + step])
+                u += d_buf[i:i + step]
+                if s is not None:
+                    u *= s[:, None]
+                # the block stays referenced into the next run: freed at
+                # once, it costs about 60% more page faults at k = 6
+                block = _neg_power(u, k)
+                part = block.sum(axis=1)
+                total = part if total is None else total + part
+            cs, ds, held = [c_buf[end:]], [d_buf[end:]], held - end
+    if total is None:
+        return np.zeros(zs.size, dtype=np.complex128)
+    return total
 
 
-def eval_ek_lattice(k: int, z, eps: float = 1e-12,
-                    compensated: bool = False) -> tuple[complex, float]:
+def eval_ek_lattice(k: int, z, eps: float = 1e-12) -> tuple[complex, float]:
     """E_k(z) by truncated lattice sum; returns (value, tail_bound).
 
     Sums (cz+d)^(-k) over all nonzero lattice pairs inside the disk
@@ -204,24 +201,8 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12,
     if eps < _MIN_EPS:
         raise ValueError(f"eps below certificate floor {_MIN_EPS}")
     t, tail = _truncation_radius(k, z, eps, 0.0)
-    zs = np.array([z])
-    d_row = np.arange(1.0, math.floor(t) + 1.0) ** float(-k)
-
-    def blocks() -> Iterator[np.ndarray]:
-        return _lattice_blocks(
-            zs, _disk_pairs(z.real, z.real, z.imag, t, zs.size), k)
-
-    if compensated:
-        # fsum rounds the exact sum once, so the blocking cannot move it;
-        # each part streams the disk again rather than holding it, and a
-        # memoryview hands fsum plain floats, not a numpy scalar per term
-        def part(attr: str) -> float:
-            return math.fsum(chain.from_iterable(
-                memoryview(getattr(b, attr).ravel()) for b in blocks()))
-        val = complex(part("real") + math.fsum(d_row), part("imag"))
-    else:
-        sums = [complex(b.sum()) for b in blocks()]
-        val = sum(sums[1:], sums[0]) + float(d_row.sum())
+    val = complex(_lattice_sum(np.array([z]), z.real, z.real, z.imag, t, k)[0])
+    val += float((np.arange(1.0, math.floor(t) + 1.0) ** float(-k)).sum())
     return val / zeta(k), tail
 
 
@@ -294,10 +275,7 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
     t, tail = _truncation_radius(k, z_hi, eps, k * log_az_hi)
     zs = x + 1j * ys
     az = np.abs(zs)
-    vals = np.zeros(ys.shape, dtype=np.complex128)
-    runs = _disk_pairs(x, x, y_lo, t, zs.size)
-    for block in _lattice_blocks(zs, runs, k, 1.0 / az):
-        vals += block.sum(axis=1)
+    vals = _lattice_sum(zs, x, x, y_lo, t, k, 1.0 / az)
     row, rem = _drow_tail(k, np.log(az), math.floor(t))
     vals -= row
     return vals / zeta(k), tail + rem
@@ -335,11 +313,8 @@ def fk_batch(k: int, thetas: np.ndarray,
         t = max(t, t_i)
         tail = max(tail, tail_i)
     zs = np.exp(1j * thetas)
-    vals = np.zeros(thetas.shape, dtype=np.complex128)
-    runs = _disk_pairs(float(np.cos(thetas).min()),
-                       float(np.cos(thetas).max()), y_min, t, zs.size)
-    for block in _lattice_blocks(zs, runs, k):
-        vals += block.sum(axis=1)
+    vals = _lattice_sum(zs, float(np.cos(thetas).min()),
+                        float(np.cos(thetas).max()), y_min, t, k)
     vals += float((np.arange(1.0, math.floor(t) + 1.0) ** float(-k)).sum())
     vals = np.exp(0.5j * k * thetas) * vals / zeta(k)
     resid = float(np.abs(vals.imag).max())

@@ -294,8 +294,13 @@ _BatchEval = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 _Cell = tuple[float, float, float, float]
 
 
-def _certify(batch_eval: _BatchEval, xs: np.ndarray,
-             ladder: Sequence[float] = _EPS_LADDER,
+def _ladder(eps: float) -> tuple[float, ...]:
+    """The escalation ladder from eps: eps, then every finer rung of
+    _EPS_LADDER."""
+    return (eps,) + tuple(r for r in _EPS_LADDER if r < eps)
+
+
+def _certify(batch_eval: _BatchEval, xs: np.ndarray, ladder: Sequence[float],
              ) -> tuple[np.ndarray, np.ndarray]:
     """Values of the restriction at xs and whether each is certified.
 
@@ -322,13 +327,14 @@ _SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.40, 0.60)
 
 
 def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
-                    sign_lo: int, sign_hi: int) -> ZeroBracket:
+                    sign_lo: int, sign_hi: int, eps: float) -> ZeroBracket:
     """Narrow a certified sign change to width <= 1e-12 by bisection.
 
-    Every probe is certified alone, as a batch of one.  A probe whose sign
-    cannot be certified is sidestepped by moving the split fraction; zeros
-    of the restrictions are isolated, so some probe certifies unless the
-    bracket has already collapsed onto the zero.
+    Every probe is certified alone, as a batch of one, on the ladder from
+    eps.  A probe whose sign cannot be certified is sidestepped by moving
+    the split fraction; zeros of the restrictions are isolated, so some
+    probe certifies unless the bracket has already collapsed onto the
+    zero.
     """
     if sign_lo * sign_hi >= 0:
         raise ValueError("bracket endpoints need opposite certified signs")
@@ -337,7 +343,8 @@ def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
             break
         for frac in _SPLIT_FRACTIONS:
             mid = lo + frac * (hi - lo)
-            vals, certified = _certify(batch_eval, np.array([mid]))
+            vals, certified = _certify(batch_eval, np.array([mid]),
+                                       _ladder(eps))
             if certified[0]:
                 break
         else:
@@ -356,8 +363,8 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
     when at is None.
 
     The points are certified at eps as one batch.  Each point ambiguous
-    there climbs the finer rungs of the escalation ladder alone, since a
-    batch reports its largest bound, and is then nudged within its own
+    there climbs the rungs of _EPS_LADDER[1:] that are <= eps alone, since
+    a batch reports its largest bound, and is then nudged within its own
     cell of the whole grid (a zero sitting exactly on a grid point is
     isolated, so a nudged neighbour certifies), so a point moves by the
     same nudge whichever of its neighbours are certified with it.  Returns
@@ -371,12 +378,13 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
     gaps = np.diff(grid)
     for j in np.nonzero(~ok)[0]:
         i = idx[j]
-        v, c = _certify(batch_eval, xs[j:j + 1], _EPS_LADDER[1:])
+        v, c = _certify(batch_eval, xs[j:j + 1],
+                        [r for r in _EPS_LADDER[1:] if r <= eps])
         if not c[0]:
             half = 0.5 * min(gaps[max(i - 1, 0)], gaps[min(i, gaps.size - 1)])
             for frac in (0.61, -0.53, 0.87):
                 x2 = float(grid[i] + frac * half)
-                v, c = _certify(batch_eval, np.array([x2]))
+                v, c = _certify(batch_eval, np.array([x2]), _ladder(eps))
                 if c[0]:
                     xs[j] = x2
                     break
@@ -409,9 +417,9 @@ def _chord_path(lo: float, hi: float, v_lo: float, v_hi: float,
 
 
 def _refine_brackets(batch_eval: _BatchEval, kind: str,
-                     cells: Sequence[_Cell]) -> list[ZeroBracket]:
+                     cells: Sequence[_Cell], eps: float) -> list[ZeroBracket]:
     """_refine_bracket for every cell (lo, hi, v_lo, v_hi) at once, with
-    the same brackets.
+    the same brackets, on the ladder from eps.
 
     Each round certifies the _chord_path of every open cell in one
     _certify call, then bisects each cell along its path for as long as
@@ -427,7 +435,8 @@ def _refine_brackets(batch_eval: _BatchEval, kind: str,
     while open_cells:
         paths = {i: _chord_path(*cell) for i, cell in open_cells.items()}
         vals, certified = _certify(
-            batch_eval, np.array([x for p in paths.values() for x in p]))
+            batch_eval, np.array([x for p in paths.values() for x in p]),
+            _ladder(eps))
         vals, certified, at = vals.tolist(), certified.tolist(), 0
         for i, path in paths.items():
             lo, hi, v_lo, v_hi = open_cells.pop(i)
@@ -438,7 +447,7 @@ def _refine_brackets(batch_eval: _BatchEval, kind: str,
                     break
                 if not ok:
                     out[i] = _refine_bracket(batch_eval, kind, lo, hi,
-                                             sign, -sign)
+                                             sign, -sign, eps)
                     break
                 if (v > 0.0) == (v_lo > 0.0):
                     lo, v_lo = m, v
@@ -581,14 +590,15 @@ def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
     12 (A + B) + 6 v_i + 4 v_rho + 12 = k + l, only the grid points inside
     the sub-grid cells with a sign change are certified too; otherwise
     every grid point is.  Each change is bisected to a 1e-12 bracket.
-    Returns the count and the brackets.
+    No point is evaluated at a tolerance coarser than eps.  Returns the
+    count and the brackets.
     """
     wp = _as_pair(wp)
     if wp.l < 14:
         raise ValueError("arc census needs k >= l >= 14")
     # the closure needs the side's count, so the arc scan needs its cutoff
     scan = _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp))
-    brackets = tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc))
+    brackets = tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc, eps))
     return len(brackets), brackets
 
 
@@ -603,13 +613,15 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
     same joint scan as count_arc_zeros: the every-8th-point sub-grid when
     it closes the valence identity, with only its sign-change cells
     searched point by point, else the whole grid.  Each change is bisected
-    to a 1e-12 bracket.  Returns the count and the brackets.
+    to a 1e-12 bracket.  No point is evaluated at a tolerance coarser than
+    eps.  Returns the count and the brackets.
     """
     wp = _as_pair(wp)
     if wp.l < 14:
         raise ValueError("side census needs k >= l >= 14")
     scan = _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp))
-    brackets = tuple(_refine_brackets(_side_eval(wp), "side", scan.side))
+    brackets = tuple(_refine_brackets(_side_eval(wp), "side", scan.side,
+                                      eps))
     return len(brackets), brackets
 
 

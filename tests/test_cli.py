@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import concurrent.futures
 import csv
 import importlib
 import importlib.util
@@ -7,6 +8,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -332,7 +335,87 @@ PINNED_BRACKETS = {
 }
 
 
+# eval --method lattice at parameters that cover the multi-block disks
+# (k = 4, 6), numpy's squaring and the squared powers above it (k = 100,
+# 150, 200), and the exactly real and exactly zero values at i:
+# (value_re, value_im, g_re, g_im, envelope)
+PINNED_EVAL = {
+    (4, "i"): (
+        1.455762892268214, 3.2643025270678983e-19,
+        0.455762892268214, 3.2643025270678983e-19,
+        2.564692460946673e-06),
+    (4, "0.5+3i"): (
+        0.9999984370215832, 1.961381240429463e-18,
+        -0.00010559872928511793, 8.205636688226532e-05,
+        2.849658289940751e-07),
+    (4, "-0.3+2i"): (
+        0.9997413432154323, -0.0007959828811422228,
+        0.0038875983382664807, -0.01345008580272903,
+        6.411731152366682e-07),
+    (6, "i"): (
+        0.0, 1.3564317964391915e-18,
+        1.0, -1.3564317964391915e-18,
+        8.036112315069184e-13),
+    (6, "0.5+3i"): (
+        1.000003282255011, -4.575194000694036e-20,
+        -0.0014234216848027894, 0.002173057958150446,
+        7.999999999999987e-13),
+    (6, "-0.3+2i"): (
+        1.0005432982553153, 0.0016714775799191056,
+        0.0658055728312968, -0.1006445426055789,
+        7.999999999999987e-13),
+    (100, "i"): (
+        1.9999999999999982, 0.0,
+        0.9999999999999982, 9.821933618642342e-16,
+        1.126888303703204e-29),
+    (100, "0.5+3i"): (
+        1.0, -2.74405481490874e-70,
+        0.9570570091026696, -0.9991339457860166,
+        4.3229125916582683e-60),
+    (100, "-0.3+2i"): (
+        1.0, -1.875201572622143e-31,
+        0.9987028356129712, -0.0093257590145841,
+        1.5054091489027549e-47),
+    (150, "i"): (
+        0.0, 0.0,
+        1.0, -1.273756467240565e-14,
+        9.891572615377863e-45),
+    (150, "0.5+3i"): (
+        1.0, 2.163570664226414e-96,
+        1.75122640115471, 0.6600456990706325,
+        2.01451041619784e-90),
+    (150, "-0.3+2i"): (
+        1.0, -4.43581581942457e-47,
+        0.999234820891891, -0.0004992284792418311,
+        1.429297161665382e-71),
+    (200, "i"): (
+        2.0, 0.0,
+        1.0, 1.964386723728472e-15,
+        8.712232530183418e-60),
+    (200, "0.5+3i"): (
+        1.0, -9.930542206301687e-123,
+        0.0036978896695328083, 0.08591917668699815,
+        9.419811727152508e-121),
+    (200, "-0.3+2i"): (
+        1.0, 6.708908095674772e-62,
+        0.9999147117207878, 2.4194668172328182e-05,
+        1.3616646215703581e-95),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("k, z", sorted(PINNED_EVAL))
+    def test_eval_bytes_pinned(self, capsys, k, z):
+        rc, out, _ = run_cli(capsys, ["eval", "--k", str(k), f"--z={z}",
+                                      "--method", "lattice",
+                                      "--format", "json"])
+        assert rc == 0
+        (row,) = json_rows(out)
+        got = tuple(row[f] for f in
+                    ("value_re", "value_im", "g_re", "g_im", "envelope"))
+        # repr tells -0.0 from 0.0
+        assert repr(got) == repr(PINNED_EVAL[k, z])
+
     @pytest.mark.parametrize("pair", sorted(PINNED_BRACKETS))
     def test_bracket_bytes_pinned(self, capsys, pair):
         rc, out, _ = run_cli(capsys, ["plotdata", "--kind", "zeros",
@@ -373,7 +456,8 @@ class TestDeterminism:
         argv = ["scan", "--k-min", "28", "--k-max", "32", "--l-min", "28",
                 "--l-max", "28", "--no-hunt"]
         rc, serial, _ = run_cli(capsys, argv)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         rc2, pooled, _ = run_cli(capsys, argv + ["--jobs", "500"])
         assert rc == rc2 == 0
         assert sizes == [3]
@@ -397,6 +481,18 @@ class TestDeterminism:
             assert float(c["location"]) == j["location"]
             assert float(c["lo"]) == j["lo"]
             assert float(c["hi"]) == j["hi"]
+
+
+def test_cli_import_leaves_the_pool_out():
+    # --jobs 1 never needs a process pool, so starting the CLI must not
+    # pay for importing one
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, eisenzeros.cli; print(sorted(m for m in "
+             "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", [

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from eisenzeros.eisenstein import (
     _BLOCK_TERMS,
     _PAIR_BUDGET,
-    _disk_pairs,
     _drow_tail,
-    _lattice_blocks,
+    _lattice_sum,
+    _neg_power,
     _truncation_radius,
     ThetaArgs,
     ek_minus_one_fourier,
@@ -123,12 +123,6 @@ class TestLatticeEvaluator:
             lat, _ = eval_ek_lattice(k, z, 1e-12)
             fou = eval_ek_fourier(k, z)
             assert abs(lat - fou) / abs(fou) < 1e-8, (k, z)
-
-    def test_compensated_pass_consistent(self):
-        z = 0.5 + 1.2j
-        plain, _ = eval_ek_lattice(12, z, 1e-12)
-        comp, _ = eval_ek_lattice(12, z, 1e-12, compensated=True)
-        assert abs(plain - comp) < 1e-13 * abs(comp)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -314,42 +308,60 @@ def disk_pairs_reference(x_lo: float, x_hi: float, y: float,
     return np.concatenate(cs), np.concatenate(ds)
 
 
+def block_sums_reference(zs: np.ndarray, c: np.ndarray, d: np.ndarray,
+                         k: int, s=None) -> list[np.ndarray]:
+    """The per-point sums of the kernel blocks over the pairs (c, d) of
+    disk_pairs_reference, split into runs of max(1, _BLOCK_TERMS //
+    len(zs)) pairs, in order."""
+    step = max(1, _BLOCK_TERMS // zs.size)
+    parts = []
+    for i in range(0, c.size, step):
+        u = np.multiply.outer(zs, c[i:i + step]) + d[i:i + step]
+        if s is not None:
+            u *= s[:, None]
+        parts.append(_neg_power(u, k).sum(axis=1))
+    return parts
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestLatticeKernel:
     @pytest.mark.parametrize(
-        "x_lo, x_hi, y, t, n_points, min_pairs, max_pairs", [
+        "x_lo, x_hi, y, t, zs, k, min_pairs, max_pairs", [
             # eval_ek_lattice(4, 0.3 + 1j): the radius is cut at the budget
             (0.3, 0.3, 1.0, _truncation_radius(4, 0.3 + 1j, 1e-12, 0.0)[0],
-             1, 0.99 * _PAIR_BUDGET, _PAIR_BUDGET),
+             np.array([0.3 + 1j]), 4, 0.99 * _PAIR_BUDGET, _PAIR_BUDGET),
             # fk_batch's window over the whole arc, 97 points a block
-            (-0.5, 0.5, math.sqrt(3.0) / 2.0, 150.0, 97, 50_000, 60_000),
+            (-0.5, 0.5, math.sqrt(3.0) / 2.0, 150.0,
+             np.exp(1j * np.linspace(math.pi / 3, 2 * math.pi / 3, 97)), 14,
+             50_000, 60_000),
             # smaller than one run
-            (0.5, 0.5, 1.0, 5.0, 1, 1, _BLOCK_TERMS - 1),
+            (0.5, 0.5, 1.0, 5.0, np.array([0.5 + 1j]), 12,
+             1, _BLOCK_TERMS - 1),
             # empty: the radius is below the height
-            (0.5, 0.5, 1.0, 0.5, 1, 0, 0),
+            (0.5, 0.5, 1.0, 0.5, np.array([0.5 + 1j]), 12, 0, 0),
         ], ids=["k4_budget", "arc_window", "under_one_run", "empty"])
-    def test_disk_stream_matches_row_loop(self, x_lo, x_hi, y, t, n_points,
+    def test_disk_stream_matches_row_loop(self, x_lo, x_hi, y, t, zs, k,
                                           min_pairs, max_pairs):
-        c_ref, d_ref = disk_pairs_reference(x_lo, x_hi, y, t)
-        assert min_pairs <= c_ref.size <= max_pairs
-        step = max(1, _BLOCK_TERMS // n_points)
-        sizes = []
-        for c, d in _disk_pairs(x_lo, x_hi, y, t, n_points):
-            at = sum(sizes)
-            assert np.array_equal(c, c_ref[at:at + step])
-            assert np.array_equal(d, d_ref[at:at + step])
-            sizes.append(c.size)
-        assert sum(sizes) == c_ref.size
-        # every run but the last holds exactly step pairs; none is empty
-        assert all(m == step for m in sizes[:-1])
-        assert all(0 < m <= step for m in sizes)
+        # the streamed sum adds the same blocks in the same order as the
+        # whole disk cut into runs, bit for bit
+        c, d = disk_pairs_reference(x_lo, x_hi, y, t)
+        assert min_pairs <= c.size <= max_pairs
+        parts = block_sums_reference(zs, c, d, k)
+        got = _lattice_sum(zs, x_lo, x_hi, y, t, k)
+        if parts:
+            assert same_bits(got, sum(parts[1:], parts[0]))
+        else:
+            assert got.shape == zs.shape and not got.any()
 
-    @pytest.mark.parametrize("compensated", [False, True])
-    def test_k4_evaluation_holds_about_one_block(self, compensated):
+    def test_k4_evaluation_holds_about_one_block(self):
         # the 4M-pair disk held whole costs about 122 MiB of numpy arrays;
         # streamed, the evaluation holds about one block of it at a time
         tracemalloc.start()
         try:
-            eval_ek_lattice(4, 0.3 + 1j, compensated=compensated)
+            eval_ek_lattice(4, 0.3 + 1j)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -366,7 +378,10 @@ class TestLatticeKernel:
         c = np.array([1.0, 1.0, 2.0, 3.0, 5.0, 1.0])
         d = np.array([-1.0, 0.0, 1.0, -2.0, 3.0, 4.0])
         for scale in (None, s):
-            (block,) = _lattice_blocks(zs, [(c, d)], k, scale)
+            u = np.multiply.outer(zs, c) + d
+            if scale is not None:
+                u *= scale[:, None]
+            block = _neg_power(u, k)
             with mpmath.workdps(30):
                 for i, z in enumerate(zs):
                     si = 1 if scale is None else mpmath.mpf(float(scale[i]))
@@ -386,12 +401,12 @@ class TestLatticeKernel:
         zs = np.array([0.5 + 1.0j, 0.5 + 1.5j, 0.5 + 2.0j])
         # 37,589 pairs: three full runs of 10,922 and a short one
         c, d = disk_pairs_reference(0.5, 0.5, 1.0, 155.0)
-        runs = _disk_pairs(0.5, 0.5, 1.0, 155.0, zs.size)
-        blocks = list(_lattice_blocks(zs, runs, 12))
-        assert len(blocks) == 4
-        assert all(b.size <= _BLOCK_TERMS for b in blocks)
-        whole = (np.multiply.outer(zs, c) + d) ** -12
-        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+        # unscaled, and rescaled by s_i = 1/|z_i| as hk_batch does
+        for s in (None, 1.0 / np.abs(zs)):
+            parts = block_sums_reference(zs, c, d, 12, s)
+            assert len(parts) == 4
+            assert same_bits(_lattice_sum(zs, 0.5, 0.5, 1.0, 155.0, 12, s),
+                             sum(parts[1:], parts[0]))
 
     @pytest.mark.parametrize("k", [14, 58, 100, 158])
     def test_hk_batch_oracle_fence(self, k):

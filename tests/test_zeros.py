@@ -209,11 +209,11 @@ class TestCountSignChanges:
         assert vals.tolist() == [1.0, 1.0, 1.0]
 
 
-def sequential_brackets(ev, kind, cells):
+def sequential_brackets(ev, kind, cells, eps):
     """One-at-a-time bisection of cells (lo, hi, v_lo, v_hi), which
     needs only the signs of the end values."""
     return [_refine_bracket(ev, kind, lo, hi, int(np.sign(v_lo)),
-                            int(np.sign(v_hi)))
+                            int(np.sign(v_hi)), eps)
             for lo, hi, v_lo, v_hi in cells]
 
 
@@ -239,10 +239,10 @@ class TestRefinement:
         cells = [(lo, hi, *ev(np.array([lo, hi]), 1e-12)[0])
                  for lo, hi in ends]
         calls.clear()
-        batched = _refine_brackets(ev, "arc", cells)
+        batched = _refine_brackets(ev, "arc", cells, 1e-12)
         n_batched = len(calls)
         calls.clear()
-        assert batched == sequential_brackets(ev, "arc", cells)
+        assert batched == sequential_brackets(ev, "arc", cells, 1e-12)
         assert n_batched < len(calls) / 2
         assert all(lo <= br.lo < br.hi <= hi
                    for br, (lo, hi, _, _) in zip(batched, cells))
@@ -268,7 +268,7 @@ class TestRefinement:
                 seen.extend(np.asarray(xs).tolist())
                 return ev(xs, eps)
 
-            brackets = _refine_brackets(recording, kind, cells)
+            brackets = _refine_brackets(recording, kind, cells, 1e-12)
             assert len(brackets) == len(cells) > 0
             assert seen
             ends = {x for lo, hi, _, _ in cells for x in (lo, hi)}
@@ -474,6 +474,19 @@ class TestScans:
     def test_no_arc_zero_other_n0_classes(self):
         for kp in (0, 2, 4, 6, 10):
             assert count_arc_zeros((40 + kp, 40))[0] == 0
+
+    def test_fine_eps_reaches_every_rung(self, monkeypatch, fresh_scan):
+        # at eps = 1e-15 every evaluation the counters make, in the scan,
+        # its one-point escalation and the refinement, is at 1e-15
+        seen = []
+        for name in ("arc_real_batch", "side_normalized_batch"):
+            def recording(wp, xs, eps, real=getattr(zeros, name)):
+                seen.append(eps)
+                return real(wp, xs, eps)
+            monkeypatch.setattr(zeros, name, recording)
+        count_arc_zeros((98, 72), eps=1e-15)
+        count_side_zeros((98, 72), eps=1e-15)
+        assert set(seen) == {1e-15}
 
 
 class TestAudit:
