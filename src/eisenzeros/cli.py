@@ -33,6 +33,7 @@ import numpy as np
 from .delta import WeightPair
 from .eisenstein import (
     Regime,
+    _check_weight,
     eval_ek_fourier,
     eval_ek_lattice,
     gk,
@@ -65,6 +66,7 @@ SCHEMA_VERSION = 1
 
 _EPS_MIN = 1e-15
 _EPS_MAX = 1e-6
+_OVERSAMPLE_MAX = 64.0
 _PAIR_SUM_CAP = 400
 _FOURIER_ENVELOPE = 1e-6
 
@@ -127,8 +129,9 @@ class RunConfig:
         if not (_EPS_MIN <= self.eps <= _EPS_MAX):
             raise ValueError(
                 f"eps must lie in [{_EPS_MIN:g}, {_EPS_MAX:g}], got {self.eps:g}")
-        if not self.oversample > 0.0:
-            raise ValueError("oversample must be positive")
+        if not 0.0 < self.oversample <= _OVERSAMPLE_MAX:
+            raise ValueError(f"oversample must lie in (0, {_OVERSAMPLE_MAX:g}], "
+                             f"got {self.oversample:g}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.jobs < 1:
@@ -449,7 +452,9 @@ def cmd_plotdata(cfg: RunConfig, kind: str, *, k=None, l=None, x=0.5,
         rows = _plot_zeros(k, l, cfg.eps, cfg.oversample)
         fields = _ZEROS_FIELDS
     elif kind == "regimes":
-        rows = _plot_regimes(k or 300, x, points or 24, cfg.eps)
+        k = 300 if k is None else k
+        _check_weight(k)
+        rows = _plot_regimes(k, x, points or 24, cfg.eps)
         fields = _REGIMES_FIELDS
     else:
         raise ValueError(f"unknown plotdata kind {kind!r}")
@@ -471,7 +476,7 @@ def _add_common(sub, fmt_default: str, jobs: bool = False):
     sub.add_argument("--eps", type=float, default=1e-12,
                      help="certification tolerance, in [1e-15, 1e-6]")
     sub.add_argument("--oversample", type=float, default=1.0,
-                     help="scan grid density multiplier")
+                     help="scan grid density multiplier, in (0, 64]")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"),
                      default=fmt_default, help="output format")
     sub.add_argument("--out", default=None, help="output file (default stdout)")

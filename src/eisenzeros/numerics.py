@@ -98,22 +98,6 @@ class LogComplex:
             return LogComplex.zero()
         return LogComplex(n * self.log_mag, _wrap_phase(n * self.phase))
 
-    def __neg__(self) -> "LogComplex":
-        if self.is_zero():
-            return self
-        return LogComplex(self.log_mag, _wrap_phase(self.phase + math.pi))
-
-    def real_sign(self) -> int:
-        """Sign of the real part, +1/-1/0, robust for real-signed values."""
-        if self.is_zero():
-            return 0
-        c, _ = _cos_sin(self.phase)
-        if c > 0:
-            return 1
-        if c < 0:
-            return -1
-        return 0
-
 
 def lc_sum(terms: Iterable[LogComplex]) -> LogComplex:
     """Sum LogComplex terms by factoring out the largest magnitude.

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -34,10 +35,9 @@ import numpy as np
 
 from .delta import (WeightPair, _as_pair, arc_real_batch, corner_derivatives,
                     side_normalized_batch)
-from .eisenstein import _log_sigma
 # lc_sum is no longer called here but stays importable: perfbench's
 # tracer installs its numerics.lc_sum span at eisenzeros.zeros:lc_sum.
-from .numerics import gamma_k, lc_sum, zeta  # noqa: F401
+from .numerics import bernoulli, gamma_k, lc_sum, zeta  # noqa: F401
 
 __all__ = [
     "ZeroBracket",
@@ -636,50 +636,53 @@ def _logsumexp(vals: np.ndarray) -> float:
     return top + math.log(float(np.exp(vals - top).sum()))
 
 
+@lru_cache(maxsize=None)
+def _sigma_table(j: int) -> tuple[int, ...]:
+    """sigma_{j-1}(n) for n = 1.._COEFF_COUNT, exactly.  One entry per
+    even weight: bernoulli caps the weights at 400."""
+    sig = [0] * (_COEFF_COUNT + 1)
+    for d in range(1, _COEFF_COUNT + 1):
+        p = d ** (j - 1)
+        for n in range(d, _COEFF_COUNT + 1, d):
+            sig[n] += p
+    return tuple(sig[1:])
+
+
 # Both caches below hold one pair: a census item reads the coefficients
 # and the cutoff in its side scan and again in its interior hunt, and
 # never comes back to a pair after that.
 @lru_cache(maxsize=1)
 def _delta_log_coeffs(wp: WeightPair) -> tuple[np.ndarray, np.ndarray]:
     """First Fourier coefficients a_1.._COEFF_COUNT of delta as arrays of
-    log|a_m| (-inf where a_m vanishes) and arg a_m (0 or pi).
+    log|a_m| (-inf where a_m vanishes) and sign a_m (-1, 0 or 1).
 
-    a_m combines the three single-series coefficients with the divisor-sum
-    convolution from the product term; everything stays in log scale
-    because the gamma factors underflow floats near total weight 400.
+    With g_j = -2j/B_j and S_j = sum sigma_{j-1}(n) q^n, delta is
+    g_k S_k + g_l S_l - g_{k+l} S_{k+l} + g_k g_l S_k S_l.  Its four terms
+    are about m^(k+l-1) while a_m of a cusp form is about m^((k+l-1)/2),
+    so a_m is summed exactly in integers over the common denominator of
+    the three g_j; only its log rounds, and math.log takes big ints.
     """
     k, l, w = wp.k, wp.l, wp.weight_sum
-    count = _COEFF_COUNT
-    ls_k, ls_l, ls_w = (
-        np.array([_log_sigma(j - 1, n) for n in range(1, count + 1)])
-        for j in (k, l, w))
-    # log sum_{r+s=m} sigma_{k-1}(r) sigma_{l-1}(s): one log-sum-exp per
-    # anti-diagonal of the (r, s) table, row m - 2 for m = 2..count
-    m = np.arange(2, count + 1)[:, None]
-    r = np.arange(1, count)[None, :]
-    anti = np.where(r < m, ls_k[r - 1] + ls_l[np.maximum(m - r, 1) - 1],
-                    -np.inf)
-    top = anti.max(axis=1)
-    conv = np.concatenate((
-        [-np.inf], top + np.log(np.exp(anti - top[:, None]).sum(axis=1))))
-    gk, gl, gw = gamma_k(k), gamma_k(l), gamma_k(w)
-    factors = (gk, gl, -gw, gk * gl)
-    logs = (np.column_stack((ls_k, ls_l, ls_w, conv))
-            + [g.log_mag for g in factors])
-    signs = [g.real_sign() for g in factors]
-    top = logs.max(axis=1)
-    log_mag = np.full(count, -np.inf)
-    phase = np.zeros(count)
-    # the signed four-term sums cancel deeply near total weight 400
-    for i, row in enumerate(np.exp(logs - top[:, None]).tolist()):
-        re = math.fsum(sg * v for sg, v in zip(signs, row))
-        if re != 0.0:
-            log_mag[i] = top[i] + math.log(abs(re))
-            phase[i] = 0.0 if re > 0.0 else math.pi
+    gk, gl, gw = (Fraction(-2 * j) / bernoulli(j) for j in (k, l, w))
+    sk, sl, sw = _sigma_table(k), _sigma_table(l), _sigma_table(w)
+    ck = gk.numerator * gl.denominator * gw.denominator
+    cl = gl.numerator * gk.denominator * gw.denominator
+    cw = gw.numerator * gk.denominator * gl.denominator
+    ckl = gk.numerator * gl.numerator * gw.denominator
+    log_den = math.log(gk.denominator * gl.denominator * gw.denominator)
+    log_mag = np.full(_COEFF_COUNT, -np.inf)
+    sign = np.zeros(_COEFF_COUNT, dtype=np.int64)
+    for i in range(_COEFF_COUNT):
+        # the product term's coefficient sum_{r+s=m} sigma(r) sigma(s)
+        conv = sum(sk[r] * sl[i - 1 - r] for r in range(i))
+        num = ck * sk[i] + cl * sl[i] - cw * sw[i] + ckl * conv
+        if num:
+            log_mag[i] = math.log(abs(num)) - log_den
+            sign[i] = 1 if num > 0 else -1
     # the cache hands these arrays to every caller
     log_mag.flags.writeable = False
-    phase.flags.writeable = False
-    return log_mag, phase
+    sign.flags.writeable = False
+    return log_mag, sign
 
 
 def side_upper_cutoff(wp) -> float:
@@ -763,23 +766,20 @@ def _hunt_field(wp: WeightPair,
     log-sum-exp over the coefficients per point, divided by the leading
     envelope |a_1| e^(-2 pi y).  Points off the hunt region read inf.
     """
-    all_logs, all_phases = _delta_log_coeffs(wp)
-    la1 = all_logs[0]
+    log_mag, sign = _delta_log_coeffs(wp)
+    la1 = log_mag[0]
     y_hi = max(1.8, _side_upper_cutoff(wp))
-    live = np.isfinite(all_logs)
-    two_pi_m = 2.0 * math.pi * np.arange(1.0, all_logs.size + 1.0)[live]
-    log_mag = all_logs[live]
-    phase = all_phases[live]
+    two_pi_m = 2.0 * math.pi * np.arange(1.0, log_mag.size + 1.0)
 
     def norm_abs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         logs = log_mag - np.outer(ys, two_pi_m)
         top = logs.max(axis=1)
-        w = np.exp(logs - top[:, None])
-        phases = phase + np.outer(xs, two_pi_m)
-        re = (w * np.cos(phases)).sum(axis=1)
-        im = (w * np.sin(phases)).sum(axis=1)
+        w = sign * np.exp(logs - top[:, None])
+        angles = np.outer(xs, two_pi_m)
+        re = (w * np.cos(angles)).sum(axis=1)
+        im = (w * np.sin(angles)).sum(axis=1)
         with np.errstate(divide="ignore"):
             vals = np.exp(top + np.log(np.hypot(re, im))
                           + 2.0 * math.pi * ys - la1)

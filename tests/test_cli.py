@@ -58,6 +58,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="oversample"):
             RunConfig("scan", k_values=(56,), l_values=(20,), oversample=0.0)
 
+    def test_oversample_bounded(self):
+        # no grid is built here: an unbounded factor would ask the arc
+        # scan for ~1e15 angles, and inf failed deep in the scan
+        for bad in (math.inf, 1e6):
+            with pytest.raises(ValueError, match="oversample"):
+                RunConfig("audit", k_values=(40,), l_values=(16,),
+                          oversample=bad)
+        RunConfig("audit", k_values=(40,), l_values=(16,), oversample=64.0)
+
 
 class TestParsePoint:
     def test_plain_imaginary_unit(self):
@@ -272,6 +281,14 @@ class TestPlotdata:
         rc, _, err = run_cli(capsys, ["plotdata", "--kind", "zeros"])
         assert rc == 2
         assert "--k" in err
+
+    def test_regimes_rejects_zero_weight(self, capsys):
+        # --k 0 is a weight, not "use the default"
+        rc, out, err = run_cli(capsys, ["plotdata", "--kind", "regimes",
+                                        "--k", "0", "--points", "2"])
+        assert rc == 2
+        assert out == ""
+        assert "weight must be even" in err
 
     def test_regime_errors_ordered_below_boundary(self, capsys):
         rc, out, _ = run_cli(capsys, ["plotdata", "--kind", "regimes", "--k", "300"])

@@ -2,6 +2,7 @@
 the audit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from eisenzeros import zeros
 from eisenzeros.delta import (WeightPair, arc_real_batch, m_main, p_main,
                               side_normalized_batch)
-from eisenzeros.numerics import LogComplex, lc_sum
+from eisenzeros.numerics import LogComplex, bernoulli, lc_sum
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               SignUncertainError, ZeroBracket, _certify_grid,
                               _delta_log_coeffs, _hunt_field, _refine_bracket,
@@ -541,16 +542,82 @@ class TestAudit:
         assert predicted_counts((32, 24)).N_prime == r.A == 1
 
 
+def ramanujan_tau(count):
+    """tau(1..count) from q prod (1 - q^n)^24, in integers."""
+    poly = [1] + [0] * (count - 1)
+    for n in range(1, count):
+        for _ in range(24):
+            for i in range(count - 1, n - 1, -1):
+                poly[i] -= poly[i - n]
+    return poly
+
+
+def fraction_coeffs(k, l, count=50):
+    """a_1..a_count of E_k E_l - E_{k+l} as exact Fractions."""
+    def g(j):
+        return Fraction(-2 * j) / bernoulli(j)
+
+    def sigma(j, n):
+        return sum(d ** (j - 1) for d in range(1, n + 1) if n % d == 0)
+
+    sk = [sigma(k, n) for n in range(count + 1)]
+    sl = [sigma(l, n) for n in range(count + 1)]
+    gk, gl, gw = g(k), g(l), g(k + l)
+    return [gk * sk[m] + gl * sl[m] - gw * sigma(k + l, m)
+            + gk * gl * sum(sk[r] * sl[m - r] for r in range(1, m))
+            for m in range(1, count + 1)]
+
+
+# repr(side_upper_cutoff(pair)): the cutoff sets the side grid, and so
+# every side bracket and scan byte
+PINNED_CUTOFFS = {
+    (14, 14): 1.5463557127583099,
+    (26, 18): 1.9887556643486088,
+    (56, 20): 2.206692484807043,
+    (100, 66): 7.280975662008647,
+    (100, 98): 10.809181714931947,
+    (250, 150): 16.547670407163622,
+}
+
+
+class TestFourierCoefficients:
+    @pytest.mark.parametrize("k, l", [(8, 4), (6, 6)])
+    def test_weight_12_is_ramanujan_tau(self, k, l):
+        # E_k E_l - E_12 is a multiple of the discriminant, so a_m / a_1
+        # is tau(m); the four terms cancel by about m^5.5 against it
+        log_mag, sign = _delta_log_coeffs(WeightPair(k, l))
+        taus = ramanujan_tau(50)
+        want = np.array([math.log(abs(t)) for t in taus])
+        assert np.abs(log_mag - log_mag[0] - want).max() <= 1e-12
+        assert list(sign * sign[0]) == [1 if t > 0 else -1 for t in taus]
+
+    @pytest.mark.parametrize("k, l", [(56, 20), (82, 22), (100, 98)])
+    def test_matches_fraction_reference(self, k, l):
+        log_mag, sign = _delta_log_coeffs(WeightPair(k, l))
+        coeffs = fraction_coeffs(k, l)
+        want = np.array([math.log(abs(a.numerator)) - math.log(a.denominator)
+                         if a else -math.inf for a in coeffs])
+        live = np.isfinite(want)
+        assert np.array_equal(np.isfinite(log_mag), live)
+        assert np.all(np.abs(log_mag[live] - want[live])
+                      <= 1e-12 * np.maximum(1.0, np.abs(want[live])))
+        assert list(sign) == [(a > 0) - (a < 0) for a in coeffs]
+
+    @pytest.mark.parametrize("k, l", sorted(PINNED_CUTOFFS))
+    def test_cutoff_pinned(self, k, l):
+        assert repr(side_upper_cutoff((k, l))) == repr(PINNED_CUTOFFS[k, l])
+
+
 def hunt_reference(wp, x, y, y_hi):
     """The hunt's normalized |delta| at one point, summed term by term with
     lc_sum, independently of the vectorized evaluator."""
     if math.hypot(x, y) < 1.02 or abs(x) > 0.49 or y > y_hi + 0.5:
         return math.inf
-    log_mag, phase = _delta_log_coeffs(wp)
+    log_mag, sign = _delta_log_coeffs(wp)
     two_pi = 2.0 * math.pi
-    total = lc_sum([LogComplex(float(lm), float(ph))
+    total = lc_sum([LogComplex(float(lm), 0.0 if sg >= 0 else math.pi)
                     * LogComplex.from_polar(-two_pi * m * y, two_pi * m * x)
-                    for m, (lm, ph) in enumerate(zip(log_mag, phase), start=1)])
+                    for m, (lm, sg) in enumerate(zip(log_mag, sign), start=1)])
     return math.exp(total.log_mag + two_pi * y - log_mag[0])
 
 
