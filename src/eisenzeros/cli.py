@@ -142,6 +142,16 @@ class RunConfig:
             for v in self.k_values + self.l_values:
                 if v % 2 or v < 4:
                     raise ValueError(f"weights must be even and >= 4, got {v}")
+            _check_pair_sums(self.k_values, self.l_values)
+
+
+def _check_pair_sums(k_values, l_values) -> None:
+    over = [(k, l) for l in l_values for k in k_values
+            if k >= l and k + l > _PAIR_SUM_CAP]
+    if over:
+        raise ValueError(
+            f"{len(over)} pairs exceed the k + l <= {_PAIR_SUM_CAP} cap, "
+            f"largest {max(over, key=sum)}")
 
 
 def parse_point(text: str) -> complex:
@@ -262,18 +272,18 @@ def cmd_eval(cfg: RunConfig, z: complex, method: str) -> int:
 
 
 def _pair_report(task: tuple) -> dict:
-    k, l, eps, oversample, hunt = task
+    k, l, eps, oversample = task
     row = {"schema_version": SCHEMA_VERSION, "k": k, "l": l}
     try:
         wp = WeightPair(k, l)
         report = audit(wp, eps=eps, oversample=oversample)
-        interior = interior_zero_hunt(wp) if hunt else ()
         row.update(
             A=report.A, B=report.B, v_i=report.v_i, v_rho=report.v_rho,
             predicted_A=report.predicted_A, predicted_B=report.predicted_B,
             n_prime=predicted_counts(wp).N_prime,
             valence_ok=report.valence_ok,
-            findings=list(report.findings), interior=list(interior),
+            findings=list(report.findings),
+            interior=list(interior_zero_hunt(report)),
         )
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -304,18 +314,13 @@ def _triangle_pairs(cfg: RunConfig) -> list[tuple[int, int]]:
     pairs = [(k, l) for l in cfg.l_values for k in cfg.k_values if k >= l]
     if not pairs:
         raise ValueError("weight ranges produce no pairs with k >= l")
-    over = [p for p in pairs if p[0] + p[1] > _PAIR_SUM_CAP]
-    if over:
-        raise ValueError(
-            f"{len(over)} pairs exceed the k + l <= {_PAIR_SUM_CAP} cap, "
-            f"largest {max(over, key=sum)}")
     pairs.sort(key=lambda p: (p[1], p[0]))
     return pairs
 
 
-def cmd_scan(cfg: RunConfig, hunt: bool = True) -> int:
+def cmd_scan(cfg: RunConfig) -> int:
     pairs = _triangle_pairs(cfg)
-    tasks = [(k, l, cfg.eps, cfg.oversample, hunt) for (k, l) in pairs]
+    tasks = [(k, l, cfg.eps, cfg.oversample) for (k, l) in pairs]
     rows = _run_tasks(tasks, cfg.jobs)
 
     valence_failures = sum(
@@ -345,7 +350,7 @@ def cmd_scan(cfg: RunConfig, hunt: bool = True) -> int:
 
 def cmd_audit(cfg: RunConfig) -> int:
     k, l = cfg.k_values[0], cfg.l_values[0]
-    row = _pair_report((k, l, cfg.eps, cfg.oversample, True))
+    row = _pair_report((k, l, cfg.eps, cfg.oversample))
     with _out_stream(cfg.out) as fh:
         _write_rows(fh, cfg.fmt, _REPORT_FIELDS, [row])
     return 1 if _row_failed(row) else 0
@@ -365,7 +370,7 @@ def _table_cell(which: int, row: dict):
 
 
 def cmd_table(cfg: RunConfig, which: int) -> int:
-    tasks = [(k, l, cfg.eps, cfg.oversample, False)
+    tasks = [(k, l, cfg.eps, cfg.oversample)
              for l in cfg.l_values for k in cfg.k_values]
     rows = _run_tasks(tasks, cfg.jobs)
     cells = {(r["l"], r["k"]): _table_cell(which, r) for r in rows}
@@ -449,6 +454,7 @@ def cmd_plotdata(cfg: RunConfig, kind: str, *, k=None, l=None, x=0.5,
     elif kind == "zeros":
         if k is None or l is None:
             raise ValueError("plotdata --kind zeros requires --k and --l")
+        _check_pair_sums((k,), (l,))
         rows = _plot_zeros(k, l, cfg.eps, cfg.oversample)
         fields = _ZEROS_FIELDS
     elif kind == "regimes":
@@ -513,7 +519,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, default=14)
     p.add_argument("--k-max", type=int, default=100)
     p.add_argument("--no-hunt", action="store_true",
-                   help="skip the interior zero hunt")
+                   help="no effect: the valence closure of the boundary "
+                        "count excludes interior zeros; kept for compatibility")
     _add_common(p, "json", jobs=True)
 
     p = commands.add_parser("audit", help="audit one weight pair")
@@ -549,7 +556,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "scan":
         cfg = RunConfig("scan", k_values=_even_range(args.k_min, args.k_max),
                         l_values=_even_range(args.l_min, args.l_max), **common)
-        return cmd_scan(cfg, hunt=not args.no_hunt)
+        return cmd_scan(cfg)
     if args.command == "audit":
         cfg = RunConfig("audit", k_values=(args.k,), l_values=(args.l,), **common)
         return cmd_audit(cfg)

@@ -20,8 +20,8 @@ than one change) falls back to certifying every grid point, so a wrong
 sign still shows as a valence failure in audit().
 
 Closed-form predictions for the counts and the stabilization threshold
-in k past which they stop moving live alongside, as does a falsification
-sweep for interior zeros; audit() ties the counts to the valence identity.
+in k past which they stop moving live alongside; audit() ties the counts
+to the valence identity, whose closure also excludes interior zeros.
 """
 from __future__ import annotations
 
@@ -648,13 +648,9 @@ def _sigma_table(j: int) -> tuple[int, ...]:
     return tuple(sig[1:])
 
 
-# Both caches below hold one pair: a census item reads the coefficients
-# and the cutoff in its side scan and again in its interior hunt, and
-# never comes back to a pair after that.
-@lru_cache(maxsize=1)
-def _delta_log_coeffs(wp: WeightPair) -> tuple[np.ndarray, np.ndarray]:
-    """First Fourier coefficients a_1.._COEFF_COUNT of delta as arrays of
-    log|a_m| (-inf where a_m vanishes) and sign a_m (-1, 0 or 1).
+def _delta_log_coeffs(wp: WeightPair) -> np.ndarray:
+    """log|a_m| of the first Fourier coefficients a_1.._COEFF_COUNT of
+    delta, -inf where a_m vanishes.
 
     With g_j = -2j/B_j and S_j = sum sigma_{j-1}(n) q^n, delta is
     g_k S_k + g_l S_l - g_{k+l} S_{k+l} + g_k g_l S_k S_l.  Its four terms
@@ -671,18 +667,13 @@ def _delta_log_coeffs(wp: WeightPair) -> tuple[np.ndarray, np.ndarray]:
     ckl = gk.numerator * gl.numerator * gw.denominator
     log_den = math.log(gk.denominator * gl.denominator * gw.denominator)
     log_mag = np.full(_COEFF_COUNT, -np.inf)
-    sign = np.zeros(_COEFF_COUNT, dtype=np.int64)
     for i in range(_COEFF_COUNT):
         # the product term's coefficient sum_{r+s=m} sigma(r) sigma(s)
         conv = sum(sk[r] * sl[i - 1 - r] for r in range(i))
         num = ck * sk[i] + cl * sl[i] - cw * sw[i] + ckl * conv
         if num:
             log_mag[i] = math.log(abs(num)) - log_den
-            sign[i] = 1 if num > 0 else -1
-    # the cache hands these arrays to every caller
-    log_mag.flags.writeable = False
-    sign.flags.writeable = False
-    return log_mag, sign
+    return log_mag
 
 
 def side_upper_cutoff(wp) -> float:
@@ -697,9 +688,10 @@ def side_upper_cutoff(wp) -> float:
     return _side_upper_cutoff(_as_pair(wp))
 
 
+# One pair, read by count_arc_zeros and then by count_side_zeros.
 @lru_cache(maxsize=1)
 def _side_upper_cutoff(wp: WeightPair) -> float:
-    log_mag, _ = _delta_log_coeffs(wp)
+    log_mag = _delta_log_coeffs(wp)
     la1 = float(log_mag[0])
     if not math.isfinite(la1):
         raise DominanceCertificateError("leading Fourier coefficient vanishes")
@@ -749,102 +741,6 @@ def _side_upper_cutoff(wp: WeightPair) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interior falsification sweep
-
-
-_HUNT_MARGIN = 1.02
-_HUNT_NX = 13          # columns of the hunt grid, |x| <= 0.48
-_HUNT_NY = 11          # rows, geometric in y
-
-
-def _hunt_field(wp: WeightPair,
-                ) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], float]:
-    """The interior hunt's normalized |delta| as a function of point arrays
-    (xs, ys), and the top height y_hi of the hunt.
-
-    |delta| comes from the signed-log Fourier series as one max-shifted
-    log-sum-exp over the coefficients per point, divided by the leading
-    envelope |a_1| e^(-2 pi y).  Points off the hunt region read inf.
-    """
-    log_mag, sign = _delta_log_coeffs(wp)
-    la1 = log_mag[0]
-    y_hi = max(1.8, _side_upper_cutoff(wp))
-    two_pi_m = 2.0 * math.pi * np.arange(1.0, log_mag.size + 1.0)
-
-    def norm_abs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        logs = log_mag - np.outer(ys, two_pi_m)
-        top = logs.max(axis=1)
-        w = sign * np.exp(logs - top[:, None])
-        angles = np.outer(xs, two_pi_m)
-        re = (w * np.cos(angles)).sum(axis=1)
-        im = (w * np.sin(angles)).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            vals = np.exp(top + np.log(np.hypot(re, im))
-                          + 2.0 * math.pi * ys - la1)
-        outside = ((np.hypot(xs, ys) < _HUNT_MARGIN) | (np.abs(xs) > 0.49)
-                   | (ys > y_hi + 0.5))
-        return np.where(outside, math.inf, vals)
-
-    return norm_abs, y_hi
-
-
-def interior_zero_hunt(wp) -> tuple[str, ...]:
-    """Falsification sweep for zeros strictly inside the fundamental domain.
-
-    |delta| is evaluated through the signed-log Fourier series (the
-    direct product of lattice values cancels catastrophically once y is
-    moderate) and normalized by the leading envelope |a_1| e^(-2 pi y) so
-    a genuine zero shows as a dip many orders below the generic O(1)
-    level.  Strict local minima of the normalized grid below 1e-4 are
-    polished by pattern search, nine points a step; anything ending below
-    1e-8 is reported.  An empty result means the sweep saw nothing
-    suspicious.
-    """
-    wp = _as_pair(wp)
-    norm_abs, y_hi = _hunt_field(wp)
-    xs = np.linspace(-0.48, 0.48, _HUNT_NX)
-    rows = np.geomspace(0.9 * _HUNT_MARGIN, y_hi, _HUNT_NY)
-    grid_x, grid_y = np.meshgrid(xs, rows)
-    vals = norm_abs(grid_x.ravel(), grid_y.ravel()).reshape(grid_x.shape)
-    findings = []
-    for iy in range(vals.shape[0]):
-        for ix in range(vals.shape[1]):
-            v = vals[iy, ix]
-            if not math.isfinite(v) or v > 1e-4:
-                continue
-            neigh = vals[max(0, iy - 1):iy + 2, max(0, ix - 1):ix + 2]
-            if v > np.min(neigh[np.isfinite(neigh)]):
-                continue
-            x, y = float(xs[ix]), float(rows[iy])
-            fx = float(v)
-            sx = float(xs[1] - xs[0])
-            sy = float(rows[min(iy + 1, _HUNT_NY - 1)]
-                       - rows[max(iy - 1, 0)]) / 2.0
-            for _ in range(60):
-                # the 3 x 3 stencil in (dx, dy) order; argmin keeps the
-                # first of equal minima
-                dxs = np.repeat([-sx, 0.0, sx], 3)
-                dys = np.tile([-sy, 0.0, sy], 3)
-                f = norm_abs(x + dxs, y + dys)
-                best = int(np.argmin(f))
-                if f[best] < fx:
-                    fx = float(f[best])
-                    x, y = float(x + dxs[best]), float(y + dys[best])
-                else:
-                    sx *= 0.5
-                    sy *= 0.5
-                    if max(sx, sy) < 1e-10:
-                        break
-            if fx < 1e-8:
-                findings.append(
-                    f"interior zero candidate: normalized |delta| = {fx:.3e} "
-                    f"near x = {x:.9f}, y = {y:.9f}")
-    return tuple(findings)
-
-
-# ---------------------------------------------------------------------------
 # the audit
 
 
@@ -883,3 +779,23 @@ def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
                 f"at k={wp.k}, l={wp.l}")
     return ZeroCountReport(wp, a_count, b_count, v_i, v_rho, pa, pb,
                            valence_ok, tuple(findings))
+
+
+def interior_zero_hunt(report: ZeroCountReport) -> tuple[str, ...]:
+    """() when the audited boundary count excludes zeros inside the
+    fundamental domain, else one finding.
+
+    delta has weight w = k + l and vanishes at the cusp, so in the valence
+    formula v_inf + v_i / 2 + v_rho / 3 + (other orders) = w / 12 every
+    term is at least its lower bound: v_inf >= 1, the trivial orders at i
+    and rho forced by w mod 12, and one per certified sign change on the
+    arc or the side.  When those bounds already add up to w / 12
+    (report.valence_ok), every term equals its bound and no zero lies
+    anywhere else, the interior included (the argument of Rankin and
+    Swinnerton-Dyer).  perfbench's tracer installs its span at
+    eisenzeros.cli:interior_zero_hunt, hence the name.
+    """
+    if report.valence_ok:
+        return ()
+    return ("interior not excluded: boundary count does not close the "
+            "valence identity",)

@@ -68,10 +68,10 @@ GRID_PAIRS = [(k, l) for l in range(14, 101, 2) for k in range(l, 101, 2)]
 @pytest.fixture(scope="module")
 def grid(request):
     """Certified audit of every pair on the full triangle, with the
-    interior hunt; shared by criteria 2, 3, and 10."""
+    interior check; shared by criteria 2, 3, and 10."""
     assert len(GRID_PAIRS) == 990
     jobs = min(4, os.cpu_count() or 1)
-    tasks = [(k, l, 1e-12, 1.0, True) for (k, l) in GRID_PAIRS]
+    tasks = [(k, l, 1e-12, 1.0) for (k, l) in GRID_PAIRS]
     start = time.monotonic()
     rows = _run_tasks(tasks, jobs)
     elapsed = time.monotonic() - start

