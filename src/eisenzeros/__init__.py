@@ -14,6 +14,7 @@ from .zeros import (
     interior_zero_hunt,
     predicted_counts,
     stabilization_point,
+    zero_brackets,
 )
 
 __version__ = "0.1.0"
@@ -36,5 +37,6 @@ __all__ = [
     "interior_zero_hunt",
     "predicted_counts",
     "stabilization_point",
+    "zero_brackets",
     "__version__",
 ]

@@ -44,10 +44,9 @@ from .eisenstein import (
 )
 from .zeros import (
     audit,
-    count_arc_zeros,
-    count_side_zeros,
     interior_zero_hunt,
     predicted_counts,
+    zero_brackets,
 )
 
 __all__ = [
@@ -415,10 +414,8 @@ def _plot_phi(r_min: float, r_max: float, points: int) -> list[dict]:
 
 def _plot_zeros(k: int, l: int, eps: float, oversample: float) -> list[dict]:
     wp = WeightPair(k, l)
-    _, arc = count_arc_zeros(wp, eps=eps, oversample=oversample)
-    _, side = count_side_zeros(wp, eps=eps, oversample=oversample)
     rows = []
-    for bracket in tuple(arc) + tuple(side):
+    for bracket in zero_brackets(wp, eps=eps, oversample=oversample):
         rows.append({
             "schema_version": SCHEMA_VERSION, "kind": bracket.kind,
             "location": bracket.location, "lo": bracket.lo, "hi": bracket.hi,

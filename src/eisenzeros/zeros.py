@@ -3,21 +3,18 @@
 Counts zeros of delta(k, l) on the two non-trivial pieces of the
 fundamental-domain boundary: the unit-circle arc theta in (pi/3, pi/2)
 and the vertical side x = 1/2, y > sqrt(3)/2.  Counting is by certified
-sign changes of the real-valued restrictions from the delta module:
-every zero is returned as a bracket whose endpoint signs clear the
-evaluator's own error bound by a safety factor, then narrowed by
-bisection.
+sign changes of the real-valued restrictions from the delta module,
+each sign clearing the evaluator's own error bound by a safety factor.
 
 Both pieces are scanned together.  Certified sign changes are lower
 bounds on the arc and side counts A and B, and the valence identity
 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l fixes their sum, so once the
-changes on a sub-grid of every 8th scan point reach that sum they are the
-counts: each sub-grid cell with a change holds one simple zero and every
-other cell holds none.  Only the points inside the cells with a change
-are then certified, which finds the same sign-change cells as certifying
-the whole grid.  A sub-grid count that falls short (or a cell with more
-than one change) falls back to certifying every grid point, so a wrong
-sign still shows as a valence failure in audit().
+changes reach that sum they are the counts: each cell with a change holds
+exactly one simple zero and every other cell holds none.  The counters
+certify the paper's sample combs plus both scan-grid ends, then every 8th
+grid point, then every grid point, stopping at the first level that
+closes, so a wrong sign still shows as a valence failure in audit().
+zero_brackets() skips the combs and bisects dense-grid cells to 1e-12.
 
 Closed-form predictions for the counts and the stabilization threshold
 in k past which they stop moving live alongside; audit() ties the counts
@@ -53,6 +50,7 @@ __all__ = [
     "trivial_orders",
     "count_arc_zeros",
     "count_side_zeros",
+    "zero_brackets",
     "side_upper_cutoff",
     "interior_zero_hunt",
     "audit",
@@ -510,12 +508,46 @@ _STRIDE = 8    # sub-grid stride of the valence-closed scan
 
 @dataclass(frozen=True)
 class _BoundaryScan:
-    """The sign-change cells of the dense arc and side grids, and the
-    stride of the sub-grid that found them (1 after the dense fallback)."""
+    """The sign-change cells of the arc and side, and the level of the scan
+    that found them: "comb", "stride" or "dense"."""
 
     arc: tuple[_Cell, ...]
     side: tuple[_Cell, ...]
-    stride: int
+    level: str
+
+
+def _valence_closes(wp: WeightPair, changes: int) -> bool:
+    v_i, v_rho = trivial_orders(wp.weight_sum)
+    return 12 * changes + 6 * v_i + 4 * v_rho + 12 == wp.weight_sum
+
+
+def _comb_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
+               ) -> Optional[_BoundaryScan]:
+    """Sign-change cells between the points of the paper's sample combs.
+
+    Each piece certifies its scan grid's two ends and the comb points
+    between them (side angles mapped to y = tan(theta) / 2) as one grid
+    in one _certify_grid call, so a nudge stays between neighbours.  None
+    unless the changes close the count and no nudged end left the span."""
+    cells = []
+    for ev, grid, comb in (
+            (_arc_eval(wp), _arc_grid(wp, oversample), arc_sample_points(wp)),
+            (_side_eval(wp), _side_grid(wp, oversample, y_max),
+             [0.5 * math.tan(t) for t in side_sample_points(wp.l)])):
+        if grid.size < 2:
+            return None
+        mid = [x for x in comb if grid[0] < x < grid[-1]]
+        pts, vals = _certify_grid(ev, np.hstack((grid[0], mid, grid[-1])), eps)
+        if pts[0] < grid[0] or pts[-1] > grid[-1]:
+            return None
+        pts, vals = pts.tolist(), vals.tolist()
+        cells.append(tuple(
+            (pts[i], pts[i + 1], vals[i], vals[i + 1])
+            for i in range(len(pts) - 1)
+            if (vals[i] > 0.0) != (vals[i + 1] > 0.0)))
+    if not _valence_closes(wp, len(cells[0]) + len(cells[1])):
+        return None
+    return _BoundaryScan(cells[0], cells[1], "comb")
 
 
 def _joint_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
@@ -547,8 +579,7 @@ def _joint_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
             spans = list(zip(sub[lows].tolist(), sub[lows + 1].tolist()))
         pieces.append((ev, grid, pts, vals, spans))
         changes += len(spans)
-    v_i, v_rho = trivial_orders(wp.weight_sum)
-    if stride > 1 and 12 * changes + 6 * v_i + 4 * v_rho + 12 != wp.weight_sum:
+    if stride > 1 and not _valence_closes(wp, changes):
         return None
     cells = []
     for ev, grid, pts, vals, spans in pieces:
@@ -563,43 +594,52 @@ def _joint_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
             if (vals[i] > 0.0) != (vals[i + 1] > 0.0)))
     if stride > 1 and len(cells[0]) + len(cells[1]) != changes:
         return None
-    return _BoundaryScan(cells[0], cells[1], stride)
+    return _BoundaryScan(cells[0], cells[1],
+                         "stride" if stride > 1 else "dense")
 
 
-# One pair: audit reads the scan through count_arc_zeros and then
-# count_side_zeros, and never comes back to a pair after that.
+# One pair: count_arc_zeros and then count_side_zeros read the scan of an
+# audit, which clears it first so that every audit certifies its points.
 @lru_cache(maxsize=1)
 def _boundary_scan(wp: WeightPair, eps: float, oversample: float,
-                   y_max: float) -> _BoundaryScan:
-    """The valence-closed scan of both boundary pieces, falling back to
-    the dense scan when the sub-grid does not close the count."""
-    scan = _joint_scan(wp, eps, oversample, y_max, _STRIDE)
-    if scan is None:
-        scan = _joint_scan(wp, eps, oversample, y_max, 1)
-    return scan
+                   y_max: float, comb: bool = True) -> _BoundaryScan:
+    """The scan of both boundary pieces at the first level that closes the
+    count: the combs (when comb is set), the stride sub-grid, else the
+    dense grid."""
+    return ((comb and _comb_scan(wp, eps, oversample, y_max))
+            or _joint_scan(wp, eps, oversample, y_max, _STRIDE)
+            or _joint_scan(wp, eps, oversample, y_max, 1))
+
+
+def _census_scan(kind: str, wp, eps: float, oversample: float,
+                 comb: bool = True) -> tuple[WeightPair, _BoundaryScan]:
+    wp = _as_pair(wp)
+    if wp.l < 14:
+        raise ValueError(f"{kind} census needs k >= l >= 14")
+    # the closure needs the side's count, so the arc scan needs its cutoff
+    return wp, _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp),
+                              comb)
+
+
+def _counted(kind: str, wp, eps: float, oversample: float,
+             ) -> tuple[int, tuple[ZeroBracket, ...]]:
+    cells = getattr(_census_scan(kind, wp, eps, oversample)[1], kind)
+    return len(cells), tuple(
+        ZeroBracket(kind, lo, hi, int(np.sign(v_lo)), int(np.sign(v_hi)))
+        for lo, hi, v_lo, v_hi in cells)
 
 
 def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
     """Zeros of the arc restriction on the open arc, endpoints excluded.
 
-    The scan grid is 16 (k + l) equispaced interior angles (half-offset so
-    neither corner is sampled).  Its sign-change cells come from the joint
-    scan of arc and side (see _joint_scan): every 8th point is certified,
-    and when those signs close the valence identity
-    12 (A + B) + 6 v_i + 4 v_rho + 12 = k + l, only the grid points inside
-    the sub-grid cells with a sign change are certified too; otherwise
-    every grid point is.  Each change is bisected to a 1e-12 bracket.
-    No point is evaluated at a tolerance coarser than eps.  Returns the
-    count and the brackets.
+    Scans 16 (k + l) equispaced interior angles jointly with the side, first
+    at the arc comb theta_m = 2 m pi / (k - l) (see the module docstring),
+    never at a tolerance coarser than eps.  Returns the count and its
+    certified cells, unrefined; when the valence identity closes, each
+    cell provably holds exactly one zero.
     """
-    wp = _as_pair(wp)
-    if wp.l < 14:
-        raise ValueError("arc census needs k >= l >= 14")
-    # the closure needs the side's count, so the arc scan needs its cutoff
-    scan = _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp))
-    brackets = tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc, eps))
-    return len(brackets), brackets
+    return _counted("arc", wp, eps, oversample)
 
 
 def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
@@ -609,20 +649,20 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
     The scan grid is the union of 16 l points uniform in theta up to
     height k^(2/5) and 8 points between consecutive resonance heights
     y_N = k / (2 pi N), truncated at the certified dominance cutoff y_max
-    above which no zero can exist.  Its sign-change cells come from the
-    same joint scan as count_arc_zeros: the every-8th-point sub-grid when
-    it closes the valence identity, with only its sign-change cells
-    searched point by point, else the whole grid.  Each change is bisected
-    to a 1e-12 bracket.  No point is evaluated at a tolerance coarser than
-    eps.  Returns the count and the brackets.
+    above which no zero can exist.  It is scanned with the arc, first at
+    the side comb y = tan(pi m / l) / 2, and returns like count_arc_zeros.
     """
-    wp = _as_pair(wp)
-    if wp.l < 14:
-        raise ValueError("side census needs k >= l >= 14")
-    scan = _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp))
-    brackets = tuple(_refine_brackets(_side_eval(wp), "side", scan.side,
-                                      eps))
-    return len(brackets), brackets
+    return _counted("side", wp, eps, oversample)
+
+
+def zero_brackets(wp, eps: float = 1e-12, oversample: float = 1.0,
+                  ) -> tuple[ZeroBracket, ...]:
+    """Every boundary zero bisected to a 1e-12 bracket, arc then side,
+    from the sign-change cells of the dense grids (_boundary_scan without
+    the combs).  No point is evaluated at a tolerance coarser than eps."""
+    wp, scan = _census_scan("arc", wp, eps, oversample, comb=False)
+    return tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc, eps)
+                 + _refine_brackets(_side_eval(wp), "side", scan.side, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -747,22 +787,23 @@ def _side_upper_cutoff(wp: WeightPair) -> float:
 def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
     """Full boundary census for one pair with the exact valence cross-check.
 
-    Measured counts come from the certified scans; the valence identity is
-    checked in cleared-denominator integer form.  A scan whose sub-grid
-    closed the count satisfies it by construction; it fails only on the
-    dense fallback, when the certified changes do not add up.  Once k has
+    Measured counts come from the counters' certified sign changes, and no
+    zero is refined; the valence identity is checked in cleared-denominator
+    integer form.  A scan whose combs or sub-grid closed the count
+    satisfies it by construction; it fails only on the dense fallback, when
+    the certified changes do not add up.  Once k has
     passed the stabilization point (and the pair is not in the n = 0
     family) the measured counts must equal the stabilized predictions;
     mismatches are reported as findings, as is a valence failure.
     """
     wp = _as_pair(wp)
+    _boundary_scan.cache_clear()
     a_count, _ = count_arc_zeros(wp, eps=eps, oversample=oversample)
     b_count, _ = count_side_zeros(wp, eps=eps, oversample=oversample)
     v_i, v_rho = trivial_orders(wp.weight_sum)
     pc = predicted_counts(wp)
     pa, pb = expected_boundary_counts(wp, pc)
-    valence_ok = (12 * (a_count + b_count) + 6 * v_i + 4 * v_rho + 12
-                  == wp.weight_sum)
+    valence_ok = _valence_closes(wp, a_count + b_count)
     findings = []
     if not valence_ok:
         findings.append(

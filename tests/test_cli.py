@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -325,9 +326,11 @@ class TestPlotdata:
 # (98, 72) holds a side midpoint that a batch's shared bound can leave
 # ambiguous while it certifies alone, (98, 94) the pair where a change of
 # summation order once moved brackets at the rounding level, (56, 20) the
-# README example.
-# Honest rounding bounds and batch-invariant evaluators (ROADMAP items 1
-# and 2) may move these; update the pins once, listing every move.
+# README example, (100, 66) an arc bracket whose zero a 120-digit q-series
+# puts just outside it.
+# Honest rounding bounds and batch-invariant evaluators may move these
+# (the (100, 66) bracket must move); update the pins once, listing every
+# move.
 PINNED_BRACKETS = {
     (98, 72): [
         ("arc", 1.329135367408511, 1.3291353674092279),
@@ -367,6 +370,31 @@ PINNED_BRACKETS = {
         ("side", 1.207077288528952, 1.2070772885296983),
         ("side", 2.095361555574518, 2.0953615555750265),
     ],
+    (100, 66): [
+        ("arc", 1.2012140165936582, 1.2012140165943928),
+        ("arc", 1.385996764405423, 1.3859967644061575),
+        ("side", 0.9214825071515826, 0.9214825071524446),
+        ("side", 1.0291624613649286, 1.0291624613654413),
+        ("side", 1.1675971970372587, 1.1675971970378916),
+        ("side", 1.340552011083207, 1.34055201108401),
+        ("side", 1.5641361434267589, 1.5641361434272878),
+        ("side", 1.8660254647478411, 1.866025464748573),
+        ("side", 2.298457231275277, 2.2984572312758194),
+        ("side", 2.973714960748304, 2.973714960749195),
+        ("side", 4.194490082373185, 4.19449008237406),
+        ("side", 7.170657003756246, 7.1706570037568),
+    ],
+}
+
+# sha256 of the whole stdout of plotdata --kind zeros --format json, so
+# that a change of any byte (field order, float format, row order) shows
+PINNED_PLOTDATA_SHA256 = {
+    (56, 20): "e59126d223479be7e910ab648002e2a7"
+              "a2733ffc6f5ca749f645ac68aba8869d",
+    (98, 72): "fce52e68e3ffe7f68824ab118181b262"
+              "79ee4d2e02887567167f5b995df7dc6f",
+    (100, 66): "dcc36e474115257b8866c91a10f07abf"
+               "c22ae5bae395d716b99f78648784f0a3",
 }
 
 
@@ -461,6 +489,16 @@ class TestDeterminism:
         assert [(r["kind"], r["lo"], r["hi"]) for r in rows] \
             == PINNED_BRACKETS[pair]
         assert all(r["location"] == 0.5 * (r["lo"] + r["hi"]) for r in rows)
+
+    @pytest.mark.parametrize("pair", sorted(PINNED_PLOTDATA_SHA256))
+    def test_plotdata_zeros_bytes_pinned(self, capsys, pair):
+        rc, out, err = run_cli(capsys, ["plotdata", "--kind", "zeros",
+                                        "--k", str(pair[0]),
+                                        "--l", str(pair[1]),
+                                        "--format", "json"])
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == PINNED_PLOTDATA_SHA256[pair]
 
     def test_parallel_scan_is_byte_identical(self, tmp_path):
         argv = ["scan", "--l-min", "20", "--l-max", "22",

@@ -22,7 +22,8 @@ from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               count_side_zeros, expected_boundary_counts,
                               interior_zero_hunt, predicted_counts,
                               side_sample_points, side_upper_cutoff,
-                              stabilization_point, trivial_orders)
+                              stabilization_point, trivial_orders,
+                              zero_brackets)
 
 even_l = st.integers(min_value=7, max_value=50).map(lambda t: 2 * t)
 small_n = st.integers(min_value=0, max_value=6)
@@ -251,17 +252,17 @@ class TestRefinement:
 
     @pytest.mark.parametrize("k, l", [(100, 58), (98, 96), (100, 14)])
     def test_counters_match_sequential_bisection(self, k, l, monkeypatch):
-        # the scan cells carry certified end values; sequential bisection
-        # reads only their signs
-        batched = (count_arc_zeros((k, l)), count_side_zeros((k, l)))
+        # zero_brackets refines the dense scan cells, which carry certified
+        # end values; sequential bisection reads only their signs
+        batched = zero_brackets((k, l))
         monkeypatch.setattr(zeros, "_refine_brackets", sequential_brackets)
-        assert (count_arc_zeros((k, l)), count_side_zeros((k, l))) == batched
+        assert zero_brackets((k, l)) == batched
 
     @pytest.mark.parametrize("k, l", [(98, 72), (56, 20)])
     def test_refinement_never_evaluates_cell_ends(self, k, l):
         # refinement starts from the end values the scan certified
+        scan = boundary_scan((k, l), comb=False)
         wp = WeightPair(k, l)
-        scan = zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
         for ev, kind, cells in ((zeros._arc_eval(wp), "arc", scan.arc),
                                 (zeros._side_eval(wp), "side", scan.side)):
             seen = []
@@ -288,35 +289,40 @@ def both_counts(pair):
     return count_arc_zeros(pair), count_side_zeros(pair)
 
 
-def boundary_scan(pair):
+def boundary_scan(pair, comb=True):
+    """The counting scan of pair (comb=True), or the scan zero_brackets
+    refines (comb=False)."""
     wp = WeightPair(*pair)
-    return zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
+    return zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp), comb)
 
 
 def side_setup(pair):
     """The dense side grid of pair and the grid indices of the lower ends
-    of its sign-change cells."""
+    of its dense sign-change cells."""
     wp = WeightPair(*pair)
     grid = zeros._side_grid(wp, 1.0, side_upper_cutoff(wp))
     lows = [int(np.argmin(np.abs(grid - lo)))
-            for lo, _, _, _ in boundary_scan(pair).side]
+            for lo, _, _, _ in boundary_scan(pair, comb=False).side]
     return grid, lows
 
 
 def flip_side_sign(monkeypatch, pair):
-    """Negate the side restriction at one dense grid point of the first
-    searched cell, off the sub-grid and off the cell's true change, so the
-    certified changes overshoot the valence total by two."""
-    grid, lows = side_setup(pair)
-    stride = zeros._STRIDE
-    i = lows[0]
-    a = i - i % stride
-    j = a + 1 if i >= a + 2 else a + stride - 1
+    """Negate the side restriction on the 32 dense grid steps centred on
+    the second side comb point, which for (100, 58) holds no zero and
+    ends in cells without one.  The comb loses the two changes at that
+    point and both the sub-grid and the dense grid gain two at the
+    stretch's ends, so every level of the scan misses the total."""
+    wp = WeightPair(*pair)
+    grid = zeros._side_grid(wp, 1.0, side_upper_cutoff(wp))
+    c = int(np.searchsorted(grid, 0.5 * math.tan(
+        side_sample_points(pair[1])[1])))
+    lo, hi = grid[c - 2 * zeros._STRIDE], grid[c + 2 * zeros._STRIDE]
     real = zeros.side_normalized_batch
 
     def flipped(wp, ys, eps):
         vals, errs = real(wp, ys, eps)
-        return np.where(np.asarray(ys) == grid[j], -vals, vals), errs
+        ys = np.asarray(ys)
+        return np.where((ys >= lo) & (ys < hi), -vals, vals), errs
 
     monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
     zeros._boundary_scan.cache_clear()
@@ -339,49 +345,117 @@ def blind_side_at(monkeypatch, grid, i):
 
 
 @pytest.mark.usefixtures("fresh_scan")
+class TestCombRung:
+    # the counting scan certifies the paper's sample combs and both grid
+    # ends; when their changes close the valence identity each comb cell
+    # holds exactly one zero, so its counts are the dense scan's
+
+    @pytest.mark.parametrize("k, l", [(40, 16), (56, 20), (98, 72),
+                                      (100, 14), (98, 96), (26, 18)])
+    def test_comb_closes_with_dense_counts(self, k, l, monkeypatch):
+        certified = []
+        real = zeros._certify_grid
+
+        def recording(ev, grid, eps, at=None):
+            pts, vals = real(ev, grid, eps, at)
+            certified.append((grid, pts, vals))
+            return pts, vals
+
+        monkeypatch.setattr(zeros, "_certify_grid", recording)
+        scan = boundary_scan((k, l))
+        assert scan.level == "comb"
+        wp = WeightPair(k, l)
+        y_max = side_upper_cutoff(wp)
+        combs = (arc_sample_points(wp),
+                 [0.5 * math.tan(t) for t in side_sample_points(l)])
+        assert len(certified) == 2
+        for (grid, pts, vals), dense, comb in zip(
+                certified, (zeros._arc_grid(wp, 1.0),
+                            zeros._side_grid(wp, 1.0, y_max)), combs):
+            # no point was nudged, and every comb value is far from zero
+            assert grid.tolist() == pts.tolist() == (
+                [dense[0]] + [x for x in comb if dense[0] < x < dense[-1]]
+                + [dense[-1]])
+            assert np.all(np.abs(vals[1:-1]) > 0.5)
+        located = boundary_scan((k, l), comb=False)
+        assert located.level in ("stride", "dense")
+        for cells, fine in ((scan.arc, located.arc),
+                            (scan.side, located.side)):
+            # each comb cell holds exactly one dense sign-change cell
+            assert len(cells) == len(fine)
+            for (lo, hi, _, _), (a, b, _, _) in zip(cells, fine):
+                assert lo <= a < b <= hi
+
+    def test_short_comb_falls_back_to_stride(self, monkeypatch):
+        # without its arc comb, (56, 20) keeps one of its three arc changes
+        counts = [c for c, _ in both_counts((56, 20))]
+        monkeypatch.setattr(zeros, "arc_sample_points", lambda wp: [])
+        zeros._boundary_scan.cache_clear()
+        assert boundary_scan((56, 20)).level == "stride"
+        assert [c for c, _ in both_counts((56, 20))] == counts == [3, 2]
+
+    @pytest.mark.parametrize("k, l", [(40, 16), (56, 20), (98, 72),
+                                      (100, 14), (98, 96), (26, 18)])
+    def test_audit_refines_nothing(self, k, l, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("audit refined a bracket")
+
+        monkeypatch.setattr(zeros, "_refine_brackets", refuse)
+        monkeypatch.setattr(zeros, "_refine_bracket", refuse)
+        r = audit((k, l))
+        assert r.valence_ok and r.findings == ()
+
+
+@pytest.mark.usefixtures("fresh_scan")
 class TestValenceClosure:
-    # the scan certifies every _STRIDE-th grid point and, once their sign
-    # changes close the valence identity, searches only the cells holding
-    # a change; it must give exactly the cells of the dense (stride 1) scan
+    # zero_brackets' scan certifies every _STRIDE-th grid point and, once
+    # their sign changes close the valence identity, searches only the
+    # cells holding a change; it must give exactly the cells of the dense
+    # (stride 1) scan
 
     @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
                                       (32, 24), (100, 14), (98, 96), (70, 40)])
     def test_closed_scan_matches_dense(self, k, l, monkeypatch):
-        closed = both_counts((k, l))
+        closed = zero_brackets((k, l))
         assert zeros._STRIDE > 1
-        assert boundary_scan((k, l)).stride == zeros._STRIDE
+        assert boundary_scan((k, l), comb=False).level == "stride"
         monkeypatch.setattr(zeros, "_STRIDE", 1)
         zeros._boundary_scan.cache_clear()
-        assert both_counts((k, l)) == closed
+        assert zero_brackets((k, l)) == closed
+        assert boundary_scan((k, l), comb=False).level == "dense"
 
     def test_short_count_falls_back_to_dense(self, monkeypatch):
         # at stride 16 a sub-grid cell of (100, 98) holds two zeros and no
         # sign change, so the sub-grid count falls short of the valence total
         monkeypatch.setattr(zeros, "_STRIDE", 1)
-        dense = both_counts((100, 98))
+        dense = zero_brackets((100, 98))
         monkeypatch.setattr(zeros, "_STRIDE", 16)
         zeros._boundary_scan.cache_clear()
-        assert both_counts((100, 98)) == dense
-        assert boundary_scan((100, 98)).stride == 1
+        assert zero_brackets((100, 98)) == dense
+        assert boundary_scan((100, 98), comb=False).level == "dense"
 
     def test_wrong_sign_overshoot_fails_valence(self, monkeypatch):
-        # a flipped sign inside a searched cell adds two changes there: the
-        # scan falls back to the dense grid, which sees them too
+        # a stretch of flipped signs breaks the comb and the sub-grid
+        # count; the dense scan sees its two extra changes too
         pair = (100, 58)
         before = audit(pair)
         flip_side_sign(monkeypatch, pair)
         r = audit(pair)
-        assert boundary_scan(pair).stride == 1
+        assert boundary_scan(pair).level == "dense"
         assert (r.A, r.B) == (before.A, before.B + 2)
         assert not r.valence_ok
 
     def test_uncertain_sub_grid_point_raises(self, monkeypatch):
         grid, _ = side_setup((100, 58))
+        counts = both_counts((100, 58))
         i = 2 * zeros._STRIDE
         blind_side_at(monkeypatch, grid, i)
         with pytest.raises(SignUncertainError) as info:
-            count_side_zeros((100, 58))
+            zero_brackets((100, 58))
         assert info.value.points == (float(grid[i]),)
+        # the counting scan never certifies that point
+        zeros._boundary_scan.cache_clear()
+        assert both_counts((100, 58)) == counts
 
     def test_uncertain_point_in_searched_cell_raises(self, monkeypatch):
         grid, lows = side_setup((100, 58))
@@ -390,38 +464,46 @@ class TestValenceClosure:
         i = lows[0] - lows[0] % stride + stride // 2
         blind_side_at(monkeypatch, grid, i)
         with pytest.raises(SignUncertainError) as info:
-            count_side_zeros((100, 58))
+            zero_brackets((100, 58))
         assert info.value.points == (float(grid[i]),)
 
     def test_uncertain_point_outside_searched_cells_is_skipped(
             self, monkeypatch):
         # the dense scan stops at a point the closed scan never needs
         pair = (100, 58)
-        closed = both_counts(pair)
+        closed = zero_brackets(pair)
         grid, lows = side_setup(pair)
         stride = zeros._STRIDE
         a = next(a for a in range(0, grid.size - stride, stride)
                  if not any(a <= i < a + stride for i in lows))
         blind_side_at(monkeypatch, grid, a + stride // 2)
-        assert both_counts(pair) == closed
-        assert boundary_scan(pair).stride == stride
+        assert zero_brackets(pair) == closed
+        assert boundary_scan(pair, comb=False).level == "stride"
         monkeypatch.setattr(zeros, "_STRIDE", 1)
         zeros._boundary_scan.cache_clear()
         with pytest.raises(SignUncertainError):
-            count_side_zeros(pair)
+            zero_brackets(pair)
 
 
 class TestScans:
     def test_arc_count_example(self):
-        a, locs = count_arc_zeros((56, 20))
+        # the counter returns certified cells; zero_brackets narrows each
+        # zero inside its cell to 1e-12
+        a, cells = count_arc_zeros((56, 20))
         assert a == 3
+        assert len(cells) == 3
+        for cell in cells:
+            assert cell.kind == "arc"
+            assert cell.sign_lo * cell.sign_hi == -1
+            assert math.pi / 3 < cell.lo < cell.hi < math.pi / 2
+        assert all(c2.lo >= c1.hi for c1, c2 in zip(cells, cells[1:]))
+        locs = [br for br in zero_brackets((56, 20)) if br.kind == "arc"]
         assert len(locs) == 3
-        for br in locs:
-            assert br.kind == "arc"
+        for br, cell in zip(locs, cells):
             assert br.width <= 1e-12
             assert br.sign_lo * br.sign_hi == -1
-            assert math.pi / 3 < br.location < math.pi / 2
-        mids = [b.location for b in locs]
+            assert (br.sign_lo, br.sign_hi) == (cell.sign_lo, cell.sign_hi)
+            assert cell.lo < br.lo < br.hi < cell.hi
         assert all(b2.lo > b1.hi for b1, b2 in zip(locs, locs[1:]))
 
     def test_side_count_examples(self):
@@ -430,8 +512,14 @@ class TestScans:
         assert count_side_zeros((68, 42))[0] == 6
 
     def test_side_brackets_sound(self):
-        b, locs = count_side_zeros((56, 22))
+        b, cells = count_side_zeros((56, 22))
         y_max = side_upper_cutoff((56, 22))
+        for cell in cells:
+            assert cell.kind == "side"
+            assert cell.sign_lo * cell.sign_hi == -1
+            assert math.sqrt(3) / 2 < cell.lo < cell.hi <= y_max
+        locs = [br for br in zero_brackets((56, 22)) if br.kind == "side"]
+        assert len(locs) == b
         for br in locs:
             assert br.kind == "side"
             assert br.width <= 1e-12
@@ -466,8 +554,8 @@ class TestScans:
     def test_equidistribution_window(self):
         # for k - l >= 120 every comb window far enough from the corner
         # holds exactly one refined zero
-        a, locs = count_arc_zeros((140, 20))
-        mids = [b.location for b in locs]
+        mids = [b.location for b in zero_brackets((140, 20))
+                if b.kind == "arc"]
         w = 2 * math.pi / 120
         for m in range(24, 29):
             lo, hi = m * w, (m + 1) * w
@@ -484,8 +572,9 @@ class TestScans:
             assert count_arc_zeros((40 + kp, 40))[0] == 0
 
     def test_fine_eps_reaches_every_rung(self, monkeypatch, fresh_scan):
-        # at eps = 1e-15 every evaluation the counters make, in the scan,
-        # its one-point escalation and the refinement, is at 1e-15
+        # at eps = 1e-15 every evaluation the counters and zero_brackets
+        # make, in the scans, their one-point escalation and the
+        # refinement, is at 1e-15
         seen = []
         for name in ("arc_real_batch", "side_normalized_batch"):
             def recording(wp, xs, eps, real=getattr(zeros, name)):
@@ -494,6 +583,7 @@ class TestScans:
             monkeypatch.setattr(zeros, name, recording)
         count_arc_zeros((98, 72), eps=1e-15)
         count_side_zeros((98, 72), eps=1e-15)
+        zero_brackets((98, 72), eps=1e-15)
         assert set(seen) == {1e-15}
 
 
@@ -514,13 +604,16 @@ class TestAudit:
     @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
                                       (100, 14), (98, 96), (70, 40)])
     def test_counts_match_refined_counters(self, k, l):
-        # audit counts through the counters, which bisect every change
+        # audit counts the counters' cells, and zero_brackets bisects the
+        # same number of zeros on each piece
         pair = (k, l)
         r = audit(pair)
         a, arcs = count_arc_zeros(pair)
         b, sides = count_side_zeros(pair)
         assert (r.A, r.B) == (a, b) == (len(arcs), len(sides))
-        assert all(br.width <= 1e-12 for br in arcs + sides)
+        brackets = zero_brackets(pair)
+        assert [br.kind for br in brackets] == ["arc"] * a + ["side"] * b
+        assert all(br.width <= 1e-12 for br in brackets)
 
     def test_valence_scatter(self):
         for pair in [(14, 14), (100, 14), (44, 26), (98, 96), (100, 40)]:
