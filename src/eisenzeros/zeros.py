@@ -11,10 +11,10 @@ bounds on the arc and side counts A and B, and the valence identity
 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l fixes their sum, so once the
 changes reach that sum they are the counts: each cell with a change holds
 exactly one simple zero and every other cell holds none.  The counters
-certify the paper's sample combs plus both scan-grid ends, then every 8th
-grid point, then every grid point, stopping at the first level that
-closes, so a wrong sign still shows as a valence failure in audit().
-zero_brackets() skips the combs and bisects dense-grid cells to 1e-12.
+certify the paper's sample combs plus both scan-grid ends and, when those
+do not close, every grid point, so a wrong sign still shows as a valence
+failure in audit().  zero_brackets() certifies every 8th grid point,
+else every grid point, and bisects the cells with a change to 1e-12.
 
 Closed-form predictions for the counts and the stabilization threshold
 in k past which they stop moving live alongside; audit() ties the counts
@@ -503,7 +503,7 @@ def _side_eval(wp: WeightPair) -> _BatchEval:
     return ev
 
 
-_STRIDE = 8    # sub-grid stride of the valence-closed scan
+_STRIDE = 8    # sub-grid stride of zero_brackets' valence-closed scan
 
 
 @dataclass(frozen=True)
@@ -598,32 +598,30 @@ def _joint_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
                          "stride" if stride > 1 else "dense")
 
 
-# One pair: count_arc_zeros and then count_side_zeros read the scan of an
-# audit, which clears it first so that every audit certifies its points.
+# One pair: count_arc_zeros and count_side_zeros share a scan.  audit clears
+# it only because perfbench's test_traced_output_identical_to_untraced traces
+# an audit of a pair just audited untraced (ROADMAP item 4).
 @lru_cache(maxsize=1)
 def _boundary_scan(wp: WeightPair, eps: float, oversample: float,
-                   y_max: float, comb: bool = True) -> _BoundaryScan:
-    """The scan of both boundary pieces at the first level that closes the
-    count: the combs (when comb is set), the stride sub-grid, else the
-    dense grid."""
-    return ((comb and _comb_scan(wp, eps, oversample, y_max))
-            or _joint_scan(wp, eps, oversample, y_max, _STRIDE)
+                   y_max: float) -> _BoundaryScan:
+    """The counting scan of both boundary pieces: the combs when they close
+    the count, else the dense grid."""
+    return (_comb_scan(wp, eps, oversample, y_max)
             or _joint_scan(wp, eps, oversample, y_max, 1))
 
 
-def _census_scan(kind: str, wp, eps: float, oversample: float,
-                 comb: bool = True) -> tuple[WeightPair, _BoundaryScan]:
+def _census_pair(kind: str, wp) -> tuple[WeightPair, float]:
     wp = _as_pair(wp)
     if wp.l < 14:
         raise ValueError(f"{kind} census needs k >= l >= 14")
     # the closure needs the side's count, so the arc scan needs its cutoff
-    return wp, _boundary_scan(wp, eps, oversample, side_upper_cutoff(wp),
-                              comb)
+    return wp, side_upper_cutoff(wp)
 
 
 def _counted(kind: str, wp, eps: float, oversample: float,
              ) -> tuple[int, tuple[ZeroBracket, ...]]:
-    cells = getattr(_census_scan(kind, wp, eps, oversample)[1], kind)
+    wp, y_max = _census_pair(kind, wp)
+    cells = getattr(_boundary_scan(wp, eps, oversample, y_max), kind)
     return len(cells), tuple(
         ZeroBracket(kind, lo, hi, int(np.sign(v_lo)), int(np.sign(v_hi)))
         for lo, hi, v_lo, v_hi in cells)
@@ -658,9 +656,11 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
 def zero_brackets(wp, eps: float = 1e-12, oversample: float = 1.0,
                   ) -> tuple[ZeroBracket, ...]:
     """Every boundary zero bisected to a 1e-12 bracket, arc then side,
-    from the sign-change cells of the dense grids (_boundary_scan without
-    the combs).  No point is evaluated at a tolerance coarser than eps."""
-    wp, scan = _census_scan("arc", wp, eps, oversample, comb=False)
+    from the sign-change cells of the stride sub-grid scan, else the dense
+    scan.  No point is evaluated at a tolerance coarser than eps."""
+    wp, y_max = _census_pair("arc", wp)
+    scan = (_joint_scan(wp, eps, oversample, y_max, _STRIDE)
+            or _joint_scan(wp, eps, oversample, y_max, 1))
     return tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc, eps)
                  + _refine_brackets(_side_eval(wp), "side", scan.side, eps))
 
@@ -789,12 +789,12 @@ def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
 
     Measured counts come from the counters' certified sign changes, and no
     zero is refined; the valence identity is checked in cleared-denominator
-    integer form.  A scan whose combs or sub-grid closed the count
-    satisfies it by construction; it fails only on the dense fallback, when
-    the certified changes do not add up.  Once k has
-    passed the stabilization point (and the pair is not in the n = 0
-    family) the measured counts must equal the stabilized predictions;
-    mismatches are reported as findings, as is a valence failure.
+    integer form.  A scan whose combs closed the count satisfies it by
+    construction; it fails only on the dense fallback, when the certified
+    changes do not add up.  Once k has passed the stabilization point (and
+    the pair is not in the n = 0 family) the measured counts must equal the
+    stabilized predictions; mismatches are reported as findings, as is a
+    valence failure.
     """
     wp = _as_pair(wp)
     _boundary_scan.cache_clear()

@@ -261,7 +261,7 @@ class TestRefinement:
     @pytest.mark.parametrize("k, l", [(98, 72), (56, 20)])
     def test_refinement_never_evaluates_cell_ends(self, k, l):
         # refinement starts from the end values the scan certified
-        scan = boundary_scan((k, l), comb=False)
+        scan = located_scan((k, l))
         wp = WeightPair(k, l)
         for ev, kind, cells in ((zeros._arc_eval(wp), "arc", scan.arc),
                                 (zeros._side_eval(wp), "side", scan.side)):
@@ -289,11 +289,18 @@ def both_counts(pair):
     return count_arc_zeros(pair), count_side_zeros(pair)
 
 
-def boundary_scan(pair, comb=True):
-    """The counting scan of pair (comb=True), or the scan zero_brackets
-    refines (comb=False)."""
+def boundary_scan(pair):
+    """The counting scan of pair."""
     wp = WeightPair(*pair)
-    return zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp), comb)
+    return zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
+
+
+def located_scan(pair):
+    """The scan zero_brackets refines: the stride sub-grid, else dense."""
+    wp = WeightPair(*pair)
+    y_max = side_upper_cutoff(wp)
+    return (zeros._joint_scan(wp, 1e-12, 1.0, y_max, zeros._STRIDE)
+            or zeros._joint_scan(wp, 1e-12, 1.0, y_max, 1))
 
 
 def side_setup(pair):
@@ -302,7 +309,7 @@ def side_setup(pair):
     wp = WeightPair(*pair)
     grid = zeros._side_grid(wp, 1.0, side_upper_cutoff(wp))
     lows = [int(np.argmin(np.abs(grid - lo)))
-            for lo, _, _, _ in boundary_scan(pair, comb=False).side]
+            for lo, _, _, _ in located_scan(pair).side]
     return grid, lows
 
 
@@ -310,13 +317,13 @@ def flip_side_sign(monkeypatch, pair):
     """Negate the side restriction on the 32 dense grid steps centred on
     the second side comb point, which for (100, 58) holds no zero and
     ends in cells without one.  The comb loses the two changes at that
-    point and both the sub-grid and the dense grid gain two at the
-    stretch's ends, so every level of the scan misses the total."""
+    point and the dense grid gains two at the stretch's ends, so both
+    levels of the counting scan miss the total."""
     wp = WeightPair(*pair)
     grid = zeros._side_grid(wp, 1.0, side_upper_cutoff(wp))
     c = int(np.searchsorted(grid, 0.5 * math.tan(
         side_sample_points(pair[1])[1])))
-    lo, hi = grid[c - 2 * zeros._STRIDE], grid[c + 2 * zeros._STRIDE]
+    lo, hi = grid[c - 16], grid[c + 16]
     real = zeros.side_normalized_batch
 
     def flipped(wp, ys, eps):
@@ -326,6 +333,30 @@ def flip_side_sign(monkeypatch, pair):
 
     monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
     zeros._boundary_scan.cache_clear()
+
+
+def flip_side_point(monkeypatch, pair):
+    """Negate the side restriction at one dense grid point of the first
+    sub-grid cell with a change, off the sub-grid and off the cell's true
+    change, so that cell holds three dense changes.  Returns the list of
+    points the flip has hit."""
+    grid, lows = side_setup(pair)
+    stride = zeros._STRIDE
+    i = lows[0]
+    a = i - i % stride
+    j = a + 1 if i >= a + 2 else a + stride - 1
+    real = zeros.side_normalized_batch
+    hits = []
+
+    def flipped(wp, ys, eps):
+        vals, errs = real(wp, ys, eps)
+        at = np.asarray(ys) == grid[j]
+        hits.extend(np.asarray(ys)[at].tolist())
+        return np.where(at, -vals, vals), errs
+
+    monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
+    zeros._boundary_scan.cache_clear()
+    return hits
 
 
 def blind_side_at(monkeypatch, grid, i):
@@ -377,7 +408,7 @@ class TestCombRung:
                 [dense[0]] + [x for x in comb if dense[0] < x < dense[-1]]
                 + [dense[-1]])
             assert np.all(np.abs(vals[1:-1]) > 0.5)
-        located = boundary_scan((k, l), comb=False)
+        located = located_scan((k, l))
         assert located.level in ("stride", "dense")
         for cells, fine in ((scan.arc, located.arc),
                             (scan.side, located.side)):
@@ -386,12 +417,12 @@ class TestCombRung:
             for (lo, hi, _, _), (a, b, _, _) in zip(cells, fine):
                 assert lo <= a < b <= hi
 
-    def test_short_comb_falls_back_to_stride(self, monkeypatch):
+    def test_short_comb_falls_back_to_dense(self, monkeypatch):
         # without its arc comb, (56, 20) keeps one of its three arc changes
         counts = [c for c, _ in both_counts((56, 20))]
         monkeypatch.setattr(zeros, "arc_sample_points", lambda wp: [])
         zeros._boundary_scan.cache_clear()
-        assert boundary_scan((56, 20)).level == "stride"
+        assert boundary_scan((56, 20)).level == "dense"
         assert [c for c, _ in both_counts((56, 20))] == counts == [3, 2]
 
     @pytest.mark.parametrize("k, l", [(40, 16), (56, 20), (98, 72),
@@ -418,11 +449,10 @@ class TestValenceClosure:
     def test_closed_scan_matches_dense(self, k, l, monkeypatch):
         closed = zero_brackets((k, l))
         assert zeros._STRIDE > 1
-        assert boundary_scan((k, l), comb=False).level == "stride"
+        assert located_scan((k, l)).level == "stride"
         monkeypatch.setattr(zeros, "_STRIDE", 1)
-        zeros._boundary_scan.cache_clear()
         assert zero_brackets((k, l)) == closed
-        assert boundary_scan((k, l), comb=False).level == "dense"
+        assert located_scan((k, l)).level == "dense"
 
     def test_short_count_falls_back_to_dense(self, monkeypatch):
         # at stride 16 a sub-grid cell of (100, 98) holds two zeros and no
@@ -430,13 +460,12 @@ class TestValenceClosure:
         monkeypatch.setattr(zeros, "_STRIDE", 1)
         dense = zero_brackets((100, 98))
         monkeypatch.setattr(zeros, "_STRIDE", 16)
-        zeros._boundary_scan.cache_clear()
         assert zero_brackets((100, 98)) == dense
-        assert boundary_scan((100, 98), comb=False).level == "dense"
+        assert located_scan((100, 98)).level == "dense"
 
     def test_wrong_sign_overshoot_fails_valence(self, monkeypatch):
-        # a stretch of flipped signs breaks the comb and the sub-grid
-        # count; the dense scan sees its two extra changes too
+        # a stretch of flipped signs breaks the comb count; the dense scan
+        # sees its two extra changes
         pair = (100, 58)
         before = audit(pair)
         flip_side_sign(monkeypatch, pair)
@@ -444,6 +473,28 @@ class TestValenceClosure:
         assert boundary_scan(pair).level == "dense"
         assert (r.A, r.B) == (before.A, before.B + 2)
         assert not r.valence_ok
+
+    def test_overshoot_in_searched_cell_falls_back_to_dense(
+            self, monkeypatch):
+        # the sub-grid still closes, but the searched cell holds three
+        # dense changes: the stride scan rejects it and zero_brackets reads
+        # the dense grid, which sees the two extra changes; the combs never
+        # evaluate the flipped point, so the counts do not move
+        pair = (100, 58)
+        counts = both_counts(pair)
+        before = zero_brackets(pair)
+        hits = flip_side_point(monkeypatch, pair)
+        wp = WeightPair(*pair)
+        assert zeros._joint_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp),
+                                 zeros._STRIDE) is None
+        assert hits
+        assert located_scan(pair).level == "dense"
+        after = zero_brackets(pair)
+        assert [b for b in after if b.kind == "arc"] == [
+            b for b in before if b.kind == "arc"]
+        assert len(after) == len(before) + 2
+        assert both_counts(pair) == counts
+        assert boundary_scan(pair).level == "comb"
 
     def test_uncertain_sub_grid_point_raises(self, monkeypatch):
         grid, _ = side_setup((100, 58))
@@ -454,7 +505,6 @@ class TestValenceClosure:
             zero_brackets((100, 58))
         assert info.value.points == (float(grid[i]),)
         # the counting scan never certifies that point
-        zeros._boundary_scan.cache_clear()
         assert both_counts((100, 58)) == counts
 
     def test_uncertain_point_in_searched_cell_raises(self, monkeypatch):
@@ -478,9 +528,8 @@ class TestValenceClosure:
                  if not any(a <= i < a + stride for i in lows))
         blind_side_at(monkeypatch, grid, a + stride // 2)
         assert zero_brackets(pair) == closed
-        assert boundary_scan(pair, comb=False).level == "stride"
+        assert located_scan(pair).level == "stride"
         monkeypatch.setattr(zeros, "_STRIDE", 1)
-        zeros._boundary_scan.cache_clear()
         with pytest.raises(SignUncertainError):
             zero_brackets(pair)
 
