@@ -13,8 +13,8 @@ changes reach that sum they are the counts: each cell with a change holds
 exactly one simple zero and every other cell holds none.  The counters
 certify the paper's sample combs plus both scan-grid ends and, when those
 do not close, every grid point, so a wrong sign still shows as a valence
-failure in audit().  zero_brackets() certifies every 8th grid point,
-else every grid point, and bisects the cells with a change to 1e-12.
+failure in audit().  zero_brackets() certifies every grid point and
+bisects the cells with a change to 1e-12.
 
 Closed-form predictions for the counts and the stabilization threshold
 in k past which they stop moving live alongside; audit() ties the counts
@@ -355,28 +355,22 @@ def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
 
 
 def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
-                  at: Optional[np.ndarray] = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Certified values at the points grid[at] of a scan grid, every point
-    when at is None.
+    """Certified values at every point of a scan grid.
 
     The points are certified at eps as one batch.  Each point ambiguous
     there climbs the rungs of _EPS_LADDER[1:] that are <= eps alone, since
     a batch reports its largest bound, and is then nudged within its own
-    cell of the whole grid (a zero sitting exactly on a grid point is
-    isolated, so a nudged neighbour certifies), so a point moves by the
-    same nudge whichever of its neighbours are certified with it.  Returns
-    the possibly nudged points and their values.  Every ambiguous point is
-    tried; if any stays uncertain, one SignUncertainError carries all of
-    them.
+    grid cell (a zero sitting exactly on a grid point is isolated, so a
+    nudged neighbour certifies).  Returns the possibly nudged points and
+    their values.  Every ambiguous point is tried; if any stays uncertain,
+    one SignUncertainError carries all of them.
     """
-    idx = np.arange(grid.size) if at is None else at
-    xs = np.asarray(grid, dtype=float)[idx]
+    xs = np.array(grid, dtype=float)
     vals, ok = _certify(batch_eval, xs, (eps,))
     gaps = np.diff(grid)
-    for j in np.nonzero(~ok)[0]:
-        i = idx[j]
-        v, c = _certify(batch_eval, xs[j:j + 1],
+    for i in np.nonzero(~ok)[0]:
+        v, c = _certify(batch_eval, xs[i:i + 1],
                         [r for r in _EPS_LADDER[1:] if r <= eps])
         if not c[0]:
             half = 0.5 * min(gaps[max(i - 1, 0)], gaps[min(i, gaps.size - 1)])
@@ -384,9 +378,9 @@ def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
                 x2 = float(grid[i] + frac * half)
                 v, c = _certify(batch_eval, np.array([x2]), _ladder(eps))
                 if c[0]:
-                    xs[j] = x2
+                    xs[i] = x2
                     break
-        vals[j], ok[j] = v[0], c[0]
+        vals[i], ok[i] = v[0], c[0]
     if not ok.all():
         uncertain = xs[~ok].tolist()
         raise SignUncertainError(
@@ -503,13 +497,10 @@ def _side_eval(wp: WeightPair) -> _BatchEval:
     return ev
 
 
-_STRIDE = 8    # sub-grid stride of zero_brackets' valence-closed scan
-
-
 @dataclass(frozen=True)
 class _BoundaryScan:
     """The sign-change cells of the arc and side, and the level of the scan
-    that found them: "comb", "stride" or "dense"."""
+    that found them: "comb" or "dense"."""
 
     arc: tuple[_Cell, ...]
     side: tuple[_Cell, ...]
@@ -521,14 +512,23 @@ def _valence_closes(wp: WeightPair, changes: int) -> bool:
     return 12 * changes + 6 * v_i + 4 * v_rho + 12 == wp.weight_sum
 
 
+def _sign_changes(pts: np.ndarray, vals: np.ndarray) -> tuple[_Cell, ...]:
+    """The cells between consecutive points whose certified values differ
+    in sign, with those values."""
+    pts, vals = pts.tolist(), vals.tolist()
+    return tuple((pts[i], pts[i + 1], vals[i], vals[i + 1])
+                 for i in range(len(pts) - 1)
+                 if (vals[i] > 0.0) != (vals[i + 1] > 0.0))
+
+
 def _comb_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
                ) -> Optional[_BoundaryScan]:
     """Sign-change cells between the points of the paper's sample combs.
 
     Each piece certifies its scan grid's two ends and the comb points
-    between them (side angles mapped to y = tan(theta) / 2) as one grid
-    in one _certify_grid call, so a nudge stays between neighbours.  None
-    unless the changes close the count and no nudged end left the span."""
+    between them (side angles mapped to y = tan(theta) / 2) as one batch on
+    the ladder from eps.  No point is nudged: None unless every point
+    certifies and the changes close the count."""
     cells = []
     for ev, grid, comb in (
             (_arc_eval(wp), _arc_grid(wp, oversample), arc_sample_points(wp)),
@@ -537,65 +537,25 @@ def _comb_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
         if grid.size < 2:
             return None
         mid = [x for x in comb if grid[0] < x < grid[-1]]
-        pts, vals = _certify_grid(ev, np.hstack((grid[0], mid, grid[-1])), eps)
-        if pts[0] < grid[0] or pts[-1] > grid[-1]:
+        pts = np.hstack((grid[0], mid, grid[-1]))
+        vals, certified = _certify(ev, pts, _ladder(eps))
+        if not certified.all():
             return None
-        pts, vals = pts.tolist(), vals.tolist()
-        cells.append(tuple(
-            (pts[i], pts[i + 1], vals[i], vals[i + 1])
-            for i in range(len(pts) - 1)
-            if (vals[i] > 0.0) != (vals[i + 1] > 0.0)))
+        cells.append(_sign_changes(pts, vals))
     if not _valence_closes(wp, len(cells[0]) + len(cells[1])):
         return None
     return _BoundaryScan(cells[0], cells[1], "comb")
 
 
-def _joint_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
-                stride: int) -> Optional[_BoundaryScan]:
-    """Sign-change cells of both dense grids from their stride sub-grids.
-
-    Certifies every stride-th grid point and both ends of each piece, one
-    _certify_grid call per piece.  When the sub-grid sign changes close the
-    valence identity, the grid points inside every sub-grid cell with a
-    change are certified in one more call per piece, and each such cell
-    must hold exactly one change of the dense grid.  A cell carries the
-    certified values at its ends, from which refinement starts.  Returns
-    None when the count does not close or a cell breaks that rule.  At
-    stride 1 this is the dense scan, and it returns its cells whatever
-    they count.
-    """
-    pieces = []
-    changes = 0
-    for ev, grid in ((_arc_eval(wp), _arc_grid(wp, oversample)),
-                     (_side_eval(wp), _side_grid(wp, oversample, y_max))):
-        pts, vals = grid.copy(), np.zeros(grid.size)
-        spans = []      # sub-grid cells (a, b) with a sign change
-        if grid.size >= 2:
-            sub = np.unique(np.append(np.arange(0, grid.size, stride),
-                                      grid.size - 1))
-            pts[sub], vals[sub] = _certify_grid(ev, grid, eps, sub)
-            pos = vals[sub] > 0.0
-            lows = np.nonzero(pos[:-1] != pos[1:])[0]
-            spans = list(zip(sub[lows].tolist(), sub[lows + 1].tolist()))
-        pieces.append((ev, grid, pts, vals, spans))
-        changes += len(spans)
-    if stride > 1 and not _valence_closes(wp, changes):
-        return None
-    cells = []
-    for ev, grid, pts, vals, spans in pieces:
-        inner = np.array([i for a, b in spans for i in range(a + 1, b)],
-                         dtype=np.int64)
-        if inner.size:
-            pts[inner], vals[inner] = _certify_grid(ev, grid, eps, inner)
-        pts, vals = pts.tolist(), vals.tolist()
-        cells.append(tuple(
-            (pts[i], pts[i + 1], vals[i], vals[i + 1])
-            for a, b in spans for i in range(a, b)
-            if (vals[i] > 0.0) != (vals[i + 1] > 0.0)))
-    if stride > 1 and len(cells[0]) + len(cells[1]) != changes:
-        return None
-    return _BoundaryScan(cells[0], cells[1],
-                         "stride" if stride > 1 else "dense")
+def _dense_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
+                ) -> _BoundaryScan:
+    """Sign-change cells of both dense grids, one _certify_grid call per
+    piece, whatever they count."""
+    cells = [_sign_changes(*_certify_grid(ev, grid, eps))
+             for ev, grid in ((_arc_eval(wp), _arc_grid(wp, oversample)),
+                              (_side_eval(wp),
+                               _side_grid(wp, oversample, y_max)))]
+    return _BoundaryScan(cells[0], cells[1], "dense")
 
 
 # One pair: count_arc_zeros and count_side_zeros share a scan.  audit clears
@@ -607,7 +567,7 @@ def _boundary_scan(wp: WeightPair, eps: float, oversample: float,
     """The counting scan of both boundary pieces: the combs when they close
     the count, else the dense grid."""
     return (_comb_scan(wp, eps, oversample, y_max)
-            or _joint_scan(wp, eps, oversample, y_max, 1))
+            or _dense_scan(wp, eps, oversample, y_max))
 
 
 def _census_pair(kind: str, wp) -> tuple[WeightPair, float]:
@@ -656,11 +616,10 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
 def zero_brackets(wp, eps: float = 1e-12, oversample: float = 1.0,
                   ) -> tuple[ZeroBracket, ...]:
     """Every boundary zero bisected to a 1e-12 bracket, arc then side,
-    from the sign-change cells of the stride sub-grid scan, else the dense
-    scan.  No point is evaluated at a tolerance coarser than eps."""
+    from the sign-change cells of the dense scan.  No point is evaluated at
+    a tolerance coarser than eps."""
     wp, y_max = _census_pair("arc", wp)
-    scan = (_joint_scan(wp, eps, oversample, y_max, _STRIDE)
-            or _joint_scan(wp, eps, oversample, y_max, 1))
+    scan = _dense_scan(wp, eps, oversample, y_max)
     return tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc, eps)
                  + _refine_brackets(_side_eval(wp), "side", scan.side, eps))
 

@@ -387,8 +387,13 @@ PINNED_BRACKETS = {
 }
 
 # sha256 of the whole stdout of plotdata --kind zeros --format json, so
-# that a change of any byte (field order, float format, row order) shows
+# that a change of any byte (field order, float format, row order) shows;
+# (250, 150) and (200, 200) sit at the k + l = 400 cap
 PINNED_PLOTDATA_SHA256 = {
+    (200, 200): "1701377e873d8eb57dcb8f02f3ffc951"
+                "77243b16b648645d5b71dd082f2e00b2",
+    (250, 150): "77b7b01cbd0cd97d629b13481dae0cb6"
+                "db0e4d87b62ad011c0726347101c12c6",
     (56, 20): "e59126d223479be7e910ab648002e2a7"
               "a2733ffc6f5ca749f645ac68aba8869d",
     (98, 72): "fce52e68e3ffe7f68824ab118181b262"

@@ -195,23 +195,6 @@ class TestCountSignChanges:
         assert vals.tolist() == [1e-12] * 3
 
 
-    def test_sub_grid_nudge_uses_dense_gaps(self):
-        # uncertain exactly at 3.0: the nudge there is 0.61 of half the
-        # smaller dense gap (2.0), as in the dense scan, not of the
-        # sub-grid's gaps (3.0 and 7.0)
-        def ev(xs, eps):
-            xs = np.asarray(xs)
-            return np.ones(xs.shape), np.where(xs == 3.0, 1.0, 1e-3)
-
-        grid = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
-        at = np.array([0, 2, 4])
-        dense, _ = _certify_grid(ev, grid, 1e-12)
-        sub, vals = _certify_grid(ev, grid, 1e-12, at)
-        assert dense.tolist() == [0.0, 1.0, 3.61, 6.0, 10.0]
-        assert sub.tolist() == dense[at].tolist()
-        assert vals.tolist() == [1.0, 1.0, 1.0]
-
-
 def sequential_brackets(ev, kind, cells, eps):
     """One-at-a-time bisection of cells (lo, hi, v_lo, v_hi), which
     needs only the signs of the end values."""
@@ -261,7 +244,7 @@ class TestRefinement:
     @pytest.mark.parametrize("k, l", [(98, 72), (56, 20)])
     def test_refinement_never_evaluates_cell_ends(self, k, l):
         # refinement starts from the end values the scan certified
-        scan = located_scan((k, l))
+        scan = dense_scan((k, l))
         wp = WeightPair(k, l)
         for ev, kind, cells in ((zeros._arc_eval(wp), "arc", scan.arc),
                                 (zeros._side_eval(wp), "side", scan.side)):
@@ -295,12 +278,10 @@ def boundary_scan(pair):
     return zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
 
 
-def located_scan(pair):
-    """The scan zero_brackets refines: the stride sub-grid, else dense."""
+def dense_scan(pair):
+    """The scan zero_brackets refines."""
     wp = WeightPair(*pair)
-    y_max = side_upper_cutoff(wp)
-    return (zeros._joint_scan(wp, 1e-12, 1.0, y_max, zeros._STRIDE)
-            or zeros._joint_scan(wp, 1e-12, 1.0, y_max, 1))
+    return zeros._dense_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
 
 
 def side_setup(pair):
@@ -309,7 +290,7 @@ def side_setup(pair):
     wp = WeightPair(*pair)
     grid = zeros._side_grid(wp, 1.0, side_upper_cutoff(wp))
     lows = [int(np.argmin(np.abs(grid - lo)))
-            for lo, _, _, _ in located_scan(pair).side]
+            for lo, _, _, _ in dense_scan(pair).side]
     return grid, lows
 
 
@@ -336,15 +317,12 @@ def flip_side_sign(monkeypatch, pair):
 
 
 def flip_side_point(monkeypatch, pair):
-    """Negate the side restriction at one dense grid point of the first
-    sub-grid cell with a change, off the sub-grid and off the cell's true
-    change, so that cell holds three dense changes.  Returns the list of
-    points the flip has hit."""
+    """Negate the side restriction at the dense grid point two below the
+    first dense sign-change cell, so the grid gains the two changes on
+    either side of it.  Returns the list of points the flip has hit."""
     grid, lows = side_setup(pair)
-    stride = zeros._STRIDE
-    i = lows[0]
-    a = i - i % stride
-    j = a + 1 if i >= a + 2 else a + stride - 1
+    j = lows[0] - 2
+    assert j >= 1
     real = zeros.side_normalized_batch
     hits = []
 
@@ -385,14 +363,14 @@ class TestCombRung:
                                       (100, 14), (98, 96), (26, 18)])
     def test_comb_closes_with_dense_counts(self, k, l, monkeypatch):
         certified = []
-        real = zeros._certify_grid
+        real = zeros._certify
 
-        def recording(ev, grid, eps, at=None):
-            pts, vals = real(ev, grid, eps, at)
-            certified.append((grid, pts, vals))
-            return pts, vals
+        def recording(ev, xs, ladder):
+            vals, ok = real(ev, xs, ladder)
+            certified.append((xs, vals, ok))
+            return vals, ok
 
-        monkeypatch.setattr(zeros, "_certify_grid", recording)
+        monkeypatch.setattr(zeros, "_certify", recording)
         scan = boundary_scan((k, l))
         assert scan.level == "comb"
         wp = WeightPair(k, l)
@@ -400,21 +378,22 @@ class TestCombRung:
         combs = (arc_sample_points(wp),
                  [0.5 * math.tan(t) for t in side_sample_points(l)])
         assert len(certified) == 2
-        for (grid, pts, vals), dense, comb in zip(
+        for (xs, vals, ok), dense, comb in zip(
                 certified, (zeros._arc_grid(wp, 1.0),
                             zeros._side_grid(wp, 1.0, y_max)), combs):
-            # no point was nudged, and every comb value is far from zero
-            assert grid.tolist() == pts.tolist() == (
+            # one batch of the grid ends and the comb points between them,
+            # all certified, and every comb value is far from zero
+            assert xs.tolist() == (
                 [dense[0]] + [x for x in comb if dense[0] < x < dense[-1]]
                 + [dense[-1]])
+            assert ok.all()
             assert np.all(np.abs(vals[1:-1]) > 0.5)
-        located = located_scan((k, l))
-        assert located.level in ("stride", "dense")
-        for cells, fine in ((scan.arc, located.arc),
-                            (scan.side, located.side)):
+        fine = dense_scan((k, l))
+        for cells, dense_cells in ((scan.arc, fine.arc),
+                                   (scan.side, fine.side)):
             # each comb cell holds exactly one dense sign-change cell
-            assert len(cells) == len(fine)
-            for (lo, hi, _, _), (a, b, _, _) in zip(cells, fine):
+            assert len(cells) == len(dense_cells)
+            for (lo, hi, _, _), (a, b, _, _) in zip(cells, dense_cells):
                 assert lo <= a < b <= hi
 
     def test_short_comb_falls_back_to_dense(self, monkeypatch):
@@ -436,32 +415,33 @@ class TestCombRung:
         r = audit((k, l))
         assert r.valence_ok and r.findings == ()
 
+    def test_ambiguous_comb_end_falls_back_to_dense(self, monkeypatch):
+        # the arc grid's lower end stays ambiguous, and so does the point
+        # a nudge by half the gap to the first comb point would try first;
+        # the next such nudge would leave the arc.  The comb nudges
+        # nothing, so the dense scan counts, nudging the end by its own gap
+        wp = WeightPair(56, 20)
+        grid = zeros._arc_grid(wp, 1.0)
+        h = grid[1] - grid[0]
+        blind = np.array([grid[0], grid[0] + 0.61 * 0.5 * (
+            arc_sample_points(wp)[0] - grid[0])])
+        real = zeros.arc_real_batch
+
+        def ev(wp, thetas, eps):
+            vals, errs = real(wp, thetas, eps)
+            gap = np.abs(np.subtract.outer(np.asarray(thetas), blind))
+            return vals, np.where(gap.min(axis=1) < 0.1 * h, np.inf, errs)
+
+        monkeypatch.setattr(zeros, "arc_real_batch", ev)
+        r = audit(wp)
+        assert (r.A, r.B) == (3, 2) and r.valence_ok
+        assert boundary_scan((56, 20)).level == "dense"
+
 
 @pytest.mark.usefixtures("fresh_scan")
 class TestValenceClosure:
-    # zero_brackets' scan certifies every _STRIDE-th grid point and, once
-    # their sign changes close the valence identity, searches only the
-    # cells holding a change; it must give exactly the cells of the dense
-    # (stride 1) scan
-
-    @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
-                                      (32, 24), (100, 14), (98, 96), (70, 40)])
-    def test_closed_scan_matches_dense(self, k, l, monkeypatch):
-        closed = zero_brackets((k, l))
-        assert zeros._STRIDE > 1
-        assert located_scan((k, l)).level == "stride"
-        monkeypatch.setattr(zeros, "_STRIDE", 1)
-        assert zero_brackets((k, l)) == closed
-        assert located_scan((k, l)).level == "dense"
-
-    def test_short_count_falls_back_to_dense(self, monkeypatch):
-        # at stride 16 a sub-grid cell of (100, 98) holds two zeros and no
-        # sign change, so the sub-grid count falls short of the valence total
-        monkeypatch.setattr(zeros, "_STRIDE", 1)
-        dense = zero_brackets((100, 98))
-        monkeypatch.setattr(zeros, "_STRIDE", 16)
-        assert zero_brackets((100, 98)) == dense
-        assert located_scan((100, 98)).level == "dense"
+    # a count that misses the valence total fails audit, and zero_brackets
+    # refines every sign change of the dense scan
 
     def test_wrong_sign_overshoot_fails_valence(self, monkeypatch):
         # a stretch of flipped signs breaks the comb count; the dense scan
@@ -474,64 +454,35 @@ class TestValenceClosure:
         assert (r.A, r.B) == (before.A, before.B + 2)
         assert not r.valence_ok
 
-    def test_overshoot_in_searched_cell_falls_back_to_dense(
-            self, monkeypatch):
-        # the sub-grid still closes, but the searched cell holds three
-        # dense changes: the stride scan rejects it and zero_brackets reads
-        # the dense grid, which sees the two extra changes; the combs never
-        # evaluate the flipped point, so the counts do not move
+    def test_flipped_dense_point_adds_two_side_brackets(self, monkeypatch):
+        # zero_brackets reads the dense grid, which sees the two extra
+        # changes; the combs never evaluate the flipped point, so the
+        # counts do not move
         pair = (100, 58)
         counts = both_counts(pair)
         before = zero_brackets(pair)
         hits = flip_side_point(monkeypatch, pair)
-        wp = WeightPair(*pair)
-        assert zeros._joint_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp),
-                                 zeros._STRIDE) is None
-        assert hits
-        assert located_scan(pair).level == "dense"
         after = zero_brackets(pair)
+        assert hits
         assert [b for b in after if b.kind == "arc"] == [
             b for b in before if b.kind == "arc"]
         assert len(after) == len(before) + 2
         assert both_counts(pair) == counts
         assert boundary_scan(pair).level == "comb"
 
-    def test_uncertain_sub_grid_point_raises(self, monkeypatch):
-        grid, _ = side_setup((100, 58))
-        counts = both_counts((100, 58))
-        i = 2 * zeros._STRIDE
-        blind_side_at(monkeypatch, grid, i)
-        with pytest.raises(SignUncertainError) as info:
-            zero_brackets((100, 58))
-        assert info.value.points == (float(grid[i]),)
-        # the counting scan never certifies that point
-        assert both_counts((100, 58)) == counts
-
-    def test_uncertain_point_in_searched_cell_raises(self, monkeypatch):
-        grid, lows = side_setup((100, 58))
-        stride = zeros._STRIDE
-        # a point of the first searched cell, off the sub-grid
-        i = lows[0] - lows[0] % stride + stride // 2
-        blind_side_at(monkeypatch, grid, i)
-        with pytest.raises(SignUncertainError) as info:
-            zero_brackets((100, 58))
-        assert info.value.points == (float(grid[i]),)
-
-    def test_uncertain_point_outside_searched_cells_is_skipped(
-            self, monkeypatch):
-        # the dense scan stops at a point the closed scan never needs
+    def test_uncertain_dense_point_raises(self, monkeypatch):
+        # a blind side grid point anywhere stops zero_brackets, which names
+        # it; the counting scan never certifies it
         pair = (100, 58)
-        closed = zero_brackets(pair)
         grid, lows = side_setup(pair)
-        stride = zeros._STRIDE
-        a = next(a for a in range(0, grid.size - stride, stride)
-                 if not any(a <= i < a + stride for i in lows))
-        blind_side_at(monkeypatch, grid, a + stride // 2)
-        assert zero_brackets(pair) == closed
-        assert located_scan(pair).level == "stride"
-        monkeypatch.setattr(zeros, "_STRIDE", 1)
-        with pytest.raises(SignUncertainError):
-            zero_brackets(pair)
+        counts = both_counts(pair)
+        for i in (16, lows[0], lows[0] + 1, grid.size // 2, grid.size - 2):
+            with monkeypatch.context() as m:
+                blind_side_at(m, grid, i)
+                with pytest.raises(SignUncertainError) as info:
+                    zero_brackets(pair)
+                assert info.value.points == (float(grid[i]),)
+                assert both_counts(pair) == counts
 
 
 class TestScans:
