@@ -443,6 +443,23 @@ class TestValenceClosure:
     # a count that misses the valence total fails audit, and zero_brackets
     # refines every sign change of the dense scan
 
+    @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
+                                      (32, 24), (100, 14), (98, 96), (70, 40)])
+    def test_closed_scan_matches_dense(self, k, l):
+        # the comb scan closes the valence identity, and each bracket
+        # zero_brackets refines from the dense scan lies in its own comb
+        # cell, with that cell's end signs
+        scan = boundary_scan((k, l))
+        assert scan.level == "comb"
+        brackets = zero_brackets((k, l))
+        cells = ([("arc",) + c for c in scan.arc]
+                 + [("side",) + c for c in scan.side])
+        assert len(brackets) == len(cells)
+        for br, (kind, lo, hi, v_lo, v_hi) in zip(brackets, cells):
+            assert br.kind == kind
+            assert lo <= br.lo < br.hi <= hi
+            assert (br.sign_lo, br.sign_hi) == (np.sign(v_lo), np.sign(v_hi))
+
     def test_wrong_sign_overshoot_fails_valence(self, monkeypatch):
         # a stretch of flipped signs breaks the comb count; the dense scan
         # sees its two extra changes
@@ -470,19 +487,31 @@ class TestValenceClosure:
         assert both_counts(pair) == counts
         assert boundary_scan(pair).level == "comb"
 
-    def test_uncertain_dense_point_raises(self, monkeypatch):
-        # a blind side grid point anywhere stops zero_brackets, which names
-        # it; the counting scan never certifies it
+    def test_uncertain_sub_grid_point_raises(self, monkeypatch):
+        # a blind side grid point away from every sign change stops
+        # zero_brackets, which names it; the counting scan never certifies it
         pair = (100, 58)
-        grid, lows = side_setup(pair)
+        grid, _ = side_setup(pair)
         counts = both_counts(pair)
-        for i in (16, lows[0], lows[0] + 1, grid.size // 2, grid.size - 2):
+        for i in (16, grid.size // 2, grid.size - 2):
             with monkeypatch.context() as m:
                 blind_side_at(m, grid, i)
                 with pytest.raises(SignUncertainError) as info:
                     zero_brackets(pair)
                 assert info.value.points == (float(grid[i]),)
                 assert both_counts(pair) == counts
+
+    def test_uncertain_point_in_searched_cell_raises(self, monkeypatch):
+        # a blind point at either end of a dense sign-change cell stops
+        # zero_brackets too
+        pair = (100, 58)
+        grid, lows = side_setup(pair)
+        for i in (lows[0], lows[0] + 1):
+            with monkeypatch.context() as m:
+                blind_side_at(m, grid, i)
+                with pytest.raises(SignUncertainError) as info:
+                    zero_brackets(pair)
+                assert info.value.points == (float(grid[i]),)
 
 
 class TestScans:
