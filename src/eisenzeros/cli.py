@@ -479,7 +479,8 @@ def _add_common(sub, fmt_default: str, jobs: bool = False):
     sub.add_argument("--eps", type=float, default=1e-12,
                      help="certification tolerance, in [1e-15, 1e-6]")
     sub.add_argument("--oversample", type=float, default=1.0,
-                     help="scan grid density multiplier, in (0, 64]")
+                     help="how near the corners the arc ends and the side's "
+                          "lower end lie (larger is nearer), in (0, 64]")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"),
                      default=fmt_default, help="output format")
     sub.add_argument("--out", default=None, help="output file (default stdout)")

@@ -6,15 +6,14 @@ and the vertical side x = 1/2, y > sqrt(3)/2.  Counting is by certified
 sign changes of the real-valued restrictions from the delta module,
 each sign clearing the evaluator's own error bound by a safety factor.
 
-Both pieces are scanned together.  Certified sign changes are lower
-bounds on the arc and side counts A and B, and the valence identity
+Both pieces are scanned together, at the paper's sample combs and two
+scan ends per piece.  Certified sign changes are lower bounds on the arc
+and side counts A and B, and the valence identity
 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l fixes their sum, so once the
 changes reach that sum they are the counts: each cell with a change holds
-exactly one simple zero and every other cell holds none.  The counters
-certify the paper's sample combs plus both scan-grid ends and, when those
-do not close, every grid point, so a wrong sign still shows as a valence
-failure in audit().  zero_brackets() certifies every grid point and
-bisects the cells with a change to 1e-12.
+exactly one simple zero and every other cell holds none.  Changes that
+fall short are reported as a valence failure in audit(), never rescued.
+zero_brackets() bisects the closed comb cells to 1e-12.
 
 Closed-form predictions for the counts and the stabilization threshold
 in k past which they stop moving live alongside; audit() ties the counts
@@ -287,8 +286,8 @@ def trivial_orders(w: int) -> tuple[int, int]:
 # honest for accuracy target eps
 _BatchEval = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 
-# (lo, hi, v_lo, v_hi): one dense grid cell whose ends have certified
-# values of opposite sign
+# (lo, hi, v_lo, v_hi): two consecutive certified scan points whose
+# values have opposite sign
 _Cell = tuple[float, float, float, float]
 
 
@@ -352,41 +351,6 @@ def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
         else:
             hi = mid
     return ZeroBracket(kind, lo, hi, sign_lo, sign_hi)
-
-
-def _certify_grid(batch_eval: _BatchEval, grid: np.ndarray, eps: float,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Certified values at every point of a scan grid.
-
-    The points are certified at eps as one batch.  Each point ambiguous
-    there climbs the rungs of _EPS_LADDER[1:] that are <= eps alone, since
-    a batch reports its largest bound, and is then nudged within its own
-    grid cell (a zero sitting exactly on a grid point is isolated, so a
-    nudged neighbour certifies).  Returns the possibly nudged points and
-    their values.  Every ambiguous point is tried; if any stays uncertain,
-    one SignUncertainError carries all of them.
-    """
-    xs = np.array(grid, dtype=float)
-    vals, ok = _certify(batch_eval, xs, (eps,))
-    gaps = np.diff(grid)
-    for i in np.nonzero(~ok)[0]:
-        v, c = _certify(batch_eval, xs[i:i + 1],
-                        [r for r in _EPS_LADDER[1:] if r <= eps])
-        if not c[0]:
-            half = 0.5 * min(gaps[max(i - 1, 0)], gaps[min(i, gaps.size - 1)])
-            for frac in (0.61, -0.53, 0.87):
-                x2 = float(grid[i] + frac * half)
-                v, c = _certify(batch_eval, np.array([x2]), _ladder(eps))
-                if c[0]:
-                    xs[i] = x2
-                    break
-        vals[i], ok[i] = v[0], c[0]
-    if not ok.all():
-        uncertain = xs[~ok].tolist()
-        raise SignUncertainError(
-            f"{len(uncertain)} scan point(s) stayed sign-uncertain, first at "
-            f"{uncertain[0]:.12g}", points=uncertain, uncertain=len(uncertain))
-    return xs, vals
 
 
 # ---------------------------------------------------------------------------
@@ -454,35 +418,21 @@ def _refine_brackets(batch_eval: _BatchEval, kind: str,
     return out
 
 
-def _arc_grid(wp: WeightPair, oversample: float) -> np.ndarray:
-    """16 (k + l) equispaced interior angles of the arc, half-offset so
-    neither corner is sampled."""
+def _arc_ends(wp: WeightPair, oversample: float) -> tuple[float, float]:
+    """The arc's scan ends: the outer midpoints of 16 (k + l) equal steps
+    of (pi/3, pi/2), so neither corner is sampled."""
     npts = max(64, math.ceil(16 * wp.weight_sum * oversample))
     h = (math.pi / 2.0 - math.pi / 3.0) / npts
-    return math.pi / 3.0 + h * (np.arange(npts) + 0.5)
+    return math.pi / 3.0 + h * 0.5, math.pi / 3.0 + h * (npts - 0.5)
 
 
-def _side_grid(wp: WeightPair, oversample: float, y_max: float) -> np.ndarray:
-    """Heights on the side: 16 l points uniform in theta up to height
-    k^(2/5), 8 between consecutive resonance heights y_N = k / (2 pi N),
-    and y_max, all in (sqrt(3)/2, y_max]."""
-    y_lo = _SQRT3 / 2.0
-    pieces = [np.array([y_max])]
-    y_cap = min(wp.k ** 0.4, y_max)
-    th_hi = math.atan2(y_cap, 0.5)
+def _side_ends(wp: WeightPair, oversample: float, y_max: float,
+               ) -> tuple[float, float]:
+    """The side's scan ends: y = tan(theta) / 2 at the first midpoint of
+    16 l equal steps in theta up to height min(k^(2/5), y_max), and y_max."""
     n1 = max(64, math.ceil(16 * wp.l * oversample))
-    h = (th_hi - math.pi / 3.0) / n1
-    if h > 0:
-        thetas = math.pi / 3.0 + h * (np.arange(n1) + 0.5)
-        pieces.append(0.5 * np.tan(thetas))
-    n_res = int(wp.k ** 0.6 / (2.0 * math.pi))
-    for m in range(1, n_res + 1):
-        y_hi_r = wp.k / (2.0 * math.pi * m)
-        y_lo_r = wp.k / (2.0 * math.pi * (m + 1))
-        t = (np.arange(8) + 0.5) / 8.0
-        pieces.append(y_lo_r + t * (y_hi_r - y_lo_r))
-    ys = np.unique(np.concatenate(pieces))
-    return ys[(ys > y_lo + 1e-9) & (ys <= y_max)]
+    h = (math.atan2(min(wp.k ** 0.4, y_max), 0.5) - math.pi / 3.0) / n1
+    return float(0.5 * np.tan(math.pi / 3.0 + h * 0.5)), y_max
 
 
 def _arc_eval(wp: WeightPair) -> _BatchEval:
@@ -499,12 +449,10 @@ def _side_eval(wp: WeightPair) -> _BatchEval:
 
 @dataclass(frozen=True)
 class _BoundaryScan:
-    """The sign-change cells of the arc and side, and the level of the scan
-    that found them: "comb" or "dense"."""
+    """The sign-change cells of the arc and the side."""
 
     arc: tuple[_Cell, ...]
     side: tuple[_Cell, ...]
-    level: str
 
 
 def _valence_closes(wp: WeightPair, changes: int) -> bool:
@@ -522,52 +470,35 @@ def _sign_changes(pts: np.ndarray, vals: np.ndarray) -> tuple[_Cell, ...]:
 
 
 def _comb_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
-               ) -> Optional[_BoundaryScan]:
+               ) -> _BoundaryScan:
     """Sign-change cells between the points of the paper's sample combs.
 
-    Each piece certifies its scan grid's two ends and the comb points
-    between them (side angles mapped to y = tan(theta) / 2) as one batch on
-    the ladder from eps.  No point is nudged: None unless every point
-    certifies and the changes close the count."""
+    Each piece certifies its two scan ends and the comb points between
+    them (side angles mapped to y = tan(theta) / 2) as one batch on the
+    ladder from eps, and returns its cells whatever they count.  No point
+    is moved: a piece with points still uncertain raises one
+    SignUncertainError naming all of them."""
     cells = []
-    for ev, grid, comb in (
-            (_arc_eval(wp), _arc_grid(wp, oversample), arc_sample_points(wp)),
-            (_side_eval(wp), _side_grid(wp, oversample, y_max),
+    for ev, (lo, hi), comb in (
+            (_arc_eval(wp), _arc_ends(wp, oversample), arc_sample_points(wp)),
+            (_side_eval(wp), _side_ends(wp, oversample, y_max),
              [0.5 * math.tan(t) for t in side_sample_points(wp.l)])):
-        if grid.size < 2:
-            return None
-        mid = [x for x in comb if grid[0] < x < grid[-1]]
-        pts = np.hstack((grid[0], mid, grid[-1]))
+        pts = np.array([lo] + [x for x in comb if lo < x < hi] + [hi])
         vals, certified = _certify(ev, pts, _ladder(eps))
         if not certified.all():
-            return None
+            uncertain = pts[~certified].tolist()
+            raise SignUncertainError(
+                f"{len(uncertain)} scan point(s) stayed sign-uncertain, "
+                f"first at {uncertain[0]:.12g}", points=uncertain,
+                uncertain=len(uncertain))
         cells.append(_sign_changes(pts, vals))
-    if not _valence_closes(wp, len(cells[0]) + len(cells[1])):
-        return None
-    return _BoundaryScan(cells[0], cells[1], "comb")
-
-
-def _dense_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
-                ) -> _BoundaryScan:
-    """Sign-change cells of both dense grids, one _certify_grid call per
-    piece, whatever they count."""
-    cells = [_sign_changes(*_certify_grid(ev, grid, eps))
-             for ev, grid in ((_arc_eval(wp), _arc_grid(wp, oversample)),
-                              (_side_eval(wp),
-                               _side_grid(wp, oversample, y_max)))]
-    return _BoundaryScan(cells[0], cells[1], "dense")
+    return _BoundaryScan(*cells)
 
 
 # One pair: count_arc_zeros and count_side_zeros share a scan.  audit clears
 # it only because perfbench's test_traced_output_identical_to_untraced traces
-# an audit of a pair just audited untraced (ROADMAP item 4).
-@lru_cache(maxsize=1)
-def _boundary_scan(wp: WeightPair, eps: float, oversample: float,
-                   y_max: float) -> _BoundaryScan:
-    """The counting scan of both boundary pieces: the combs when they close
-    the count, else the dense grid."""
-    return (_comb_scan(wp, eps, oversample, y_max)
-            or _dense_scan(wp, eps, oversample, y_max))
+# an audit of a pair just audited untraced (ROADMAP item 1).
+_boundary_scan = lru_cache(maxsize=1)(_comb_scan)
 
 
 def _census_pair(kind: str, wp) -> tuple[WeightPair, float]:
@@ -591,11 +522,13 @@ def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
     """Zeros of the arc restriction on the open arc, endpoints excluded.
 
-    Scans 16 (k + l) equispaced interior angles jointly with the side, first
-    at the arc comb theta_m = 2 m pi / (k - l) (see the module docstring),
-    never at a tolerance coarser than eps.  Returns the count and its
-    certified cells, unrefined; when the valence identity closes, each
-    cell provably holds exactly one zero.
+    Counts the certified sign changes at the arc comb
+    theta_m = 2 m pi / (k - l) and the two scan ends, whose distance from
+    the corners oversample sets; the side is scanned with it (see the
+    module docstring).  No point is evaluated at a tolerance coarser than
+    eps.  Returns the count, a lower bound, and its certified cells,
+    unrefined; when the valence identity closes, the count is exact and
+    each cell provably holds exactly one zero.
     """
     return _counted("arc", wp, eps, oversample)
 
@@ -604,11 +537,10 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
                      ) -> tuple[int, tuple[ZeroBracket, ...]]:
     """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max.
 
-    The scan grid is the union of 16 l points uniform in theta up to
-    height k^(2/5) and 8 points between consecutive resonance heights
-    y_N = k / (2 pi N), truncated at the certified dominance cutoff y_max
-    above which no zero can exist.  It is scanned with the arc, first at
-    the side comb y = tan(pi m / l) / 2, and returns like count_arc_zeros.
+    Counts the certified sign changes at the side comb y = tan(pi m / l) / 2
+    between a lower end just above the corner, placed by oversample, and
+    the certified dominance cutoff y_max above which no zero can exist.
+    Scanned with the arc, and returns like count_arc_zeros.
     """
     return _counted("side", wp, eps, oversample)
 
@@ -616,10 +548,16 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
 def zero_brackets(wp, eps: float = 1e-12, oversample: float = 1.0,
                   ) -> tuple[ZeroBracket, ...]:
     """Every boundary zero bisected to a 1e-12 bracket, arc then side,
-    from the sign-change cells of the dense scan.  No point is evaluated at
-    a tolerance coarser than eps."""
+    from the comb cells the counters read.  Raises ArithmeticError when
+    their changes do not close the valence identity, since a cell may then
+    hold more than one zero.  No point is evaluated at a tolerance coarser
+    than eps."""
     wp, y_max = _census_pair("arc", wp)
-    scan = _dense_scan(wp, eps, oversample, y_max)
+    scan = _comb_scan(wp, eps, oversample, y_max)
+    if not _valence_closes(wp, len(scan.arc) + len(scan.side)):
+        raise ArithmeticError(
+            f"comb sign changes do not close the valence identity at "
+            f"k={wp.k}, l={wp.l}: A>={len(scan.arc)}, B>={len(scan.side)}")
     return tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc, eps)
                  + _refine_brackets(_side_eval(wp), "side", scan.side, eps))
 
@@ -746,14 +684,13 @@ def _side_upper_cutoff(wp: WeightPair) -> float:
 def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
     """Full boundary census for one pair with the exact valence cross-check.
 
-    Measured counts come from the counters' certified sign changes, and no
-    zero is refined; the valence identity is checked in cleared-denominator
-    integer form.  A scan whose combs closed the count satisfies it by
-    construction; it fails only on the dense fallback, when the certified
-    changes do not add up.  Once k has passed the stabilization point (and
-    the pair is not in the n = 0 family) the measured counts must equal the
-    stabilized predictions; mismatches are reported as findings, as is a
-    valence failure.
+    Measured counts come from the counters' certified sign changes at the
+    combs, and no zero is refined; the valence identity is checked in
+    cleared-denominator integer form.  Changes that miss the total are
+    lower bounds and are reported as a valence failure.  Once k has passed
+    the stabilization point (and the pair is not in the n = 0 family) the
+    measured counts must equal the stabilized predictions; mismatches are
+    reported as findings, as is a valence failure.
     """
     wp = _as_pair(wp)
     _boundary_scan.cache_clear()

@@ -59,8 +59,8 @@ class TestRunConfig:
             RunConfig("scan", k_values=(56,), l_values=(20,), oversample=0.0)
 
     def test_oversample_bounded(self):
-        # no grid is built here: an unbounded factor would ask the arc
-        # scan for ~1e15 angles, and inf failed deep in the scan
+        # rejected here: an unbounded factor would put the scan ends
+        # within rounding of the corners, and inf failed deep in the scan
         for bad in (math.inf, 1e6):
             with pytest.raises(ValueError, match="oversample"):
                 RunConfig("audit", k_values=(40,), l_values=(16,),
@@ -326,63 +326,65 @@ class TestPlotdata:
 # (98, 72) holds a side midpoint that a batch's shared bound can leave
 # ambiguous while it certifies alone, (98, 94) the pair where a change of
 # summation order once moved brackets at the rounding level, (56, 20) the
-# README example, (100, 66) an arc bracket whose zero a 120-digit q-series
-# puts just outside it.
-# Honest rounding bounds and batch-invariant evaluators may move these
-# (the (100, 66) bracket must move); update the pins once, listing every
-# move.
+# README example, (100, 66) an arc bracket near a float sign that is wrong:
+# at 1.3859967644061575 the arc value reads +2.2e-16 against a bound of
+# 3.9e-19, where a 120-digit q-series gives -8.5e-16.  Bisection from the
+# comb cell no longer probes that point, and the q-series signs at both
+# ends of the pinned bracket agree with the float ones.
+# Honest rounding bounds and batch-invariant evaluators may move these;
+# update the pins once, listing every move.
 PINNED_BRACKETS = {
     (98, 72): [
-        ("arc", 1.329135367408511, 1.3291353674092279),
-        ("side", 0.8776363460684276, 0.8776363460691599),
-        ("side", 1.0148142027500455, 1.0148142027509643),
-        ("side", 1.136486787752995, 1.1364867877535478),
-        ("side", 1.2857505290120885, 1.2857505290127709),
-        ("side", 1.4729519549433037, 1.4729519549441727),
-        ("side", 1.7154222647136825, 1.7154222647142556),
-        ("side", 2.0433313412530394, 2.043331341253833),
-        ("side", 2.5136632737642137, 2.513663273764802),
-        ("side", 3.2491917700012554, 3.2491917700022266),
-        ("side", 4.581718945206278, 4.581718945207233),
-        ("side", 7.8325638052046065, 7.832563805205165),
+        ("arc", 1.329135367409011, 1.32913536740989),
+        ("side", 0.8776363460687295, 0.8776363460694141),
+        ("side", 1.0148142027501739, 1.014814202750987),
+        ("side", 1.1364867877525557, 1.136486787753537),
+        ("side", 1.2857505290123021, 1.2857505290129083),
+        ("side", 1.4729519549434729, 1.4729519549442442),
+        ("side", 1.715422264713786, 1.7154222647142956),
+        ("side", 2.0433313412534613, 2.043331341254169),
+        ("side", 2.5136632737640445, 2.5136632737645725),
+        ("side", 3.2491917700011523, 3.2491917700020276),
+        ("side", 4.581718945206508, 4.581718945207379),
+        ("side", 7.832563805204721, 7.832563805205279),
     ],
     (98, 94): [
-        ("side", 0.8983846208996142, 0.8983846209001952),
-        ("side", 0.9676014527792207, 0.9676014527798729),
-        ("side", 1.0474421476754365, 1.047442147676177),
-        ("side", 1.1396540662224144, 1.1396540662232655),
-        ("side", 1.2474050450129714, 1.2474050450139638),
-        ("side", 1.3750819634927676, 1.3750819634933555),
-        ("side", 1.5289426518890696, 1.5289426518897808),
-        ("side", 1.7182093084406647, 1.7182093084415455),
-        ("side", 1.9570292349471945, 1.9570292349477558),
-        ("side", 2.2682438700636665, 2.2682438700644076),
-        ("side", 2.691273020924176, 2.691273020924691),
-        ("side", 3.3006131923720314, 3.3006131923727984),
-        ("side", 4.258226824046448, 4.258226824047079),
-        ("side", 6.001646112977253, 6.001646112977874),
-        ("side", 10.259600144138798, 10.259600144139775),
+        ("side", 0.8983846208998657, 0.898384620900536),
+        ("side", 0.9676014527793172, 0.967601452779878),
+        ("side", 1.0474421476754197, 1.04744214767606),
+        ("side", 1.1396540662218833, 1.139654066222623),
+        ("side", 1.247405045013489, 1.2474050450143555),
+        ("side", 1.3750819634927725, 1.375081963493288),
+        ("side", 1.5289426518892066, 1.5289426518898321),
+        ("side", 1.7182093084406627, 1.7182093084414392),
+        ("side", 1.9570292349474365, 1.9570292349484288),
+        ("side", 2.2682438700641807, 2.268243870064839),
+        ("side", 2.691273020924572, 2.6912730209254896),
+        ("side", 3.3006131923721624, 3.3006131923728477),
+        ("side", 4.258226824046375, 4.258226824046944),
+        ("side", 6.001646112977352, 6.0016461129779195),
+        ("side", 10.25960014413863, 10.259600144139421),
     ],
     (56, 20): [
-        ("arc", 1.144043909274239, 1.144043909275041),
-        ("arc", 1.3084617538022836, 1.3084617538030856),
-        ("arc", 1.4834079124714576, 1.4834079124722597),
-        ("side", 1.207077288528952, 1.2070772885296983),
-        ("side", 2.095361555574518, 2.0953615555750265),
+        ("arc", 1.1440439092743486, 1.1440439092749828),
+        ("arc", 1.3084617538021828, 1.3084617538028178),
+        ("arc", 1.4834079124714572, 1.4834079124720914),
+        ("side", 1.2070772885289203, 1.2070772885294272),
+        ("side", 2.0953615555742866, 2.095361555574894),
     ],
     (100, 66): [
-        ("arc", 1.2012140165936582, 1.2012140165943928),
-        ("arc", 1.385996764405423, 1.3859967644061575),
-        ("side", 0.9214825071515826, 0.9214825071524446),
-        ("side", 1.0291624613649286, 1.0291624613654413),
-        ("side", 1.1675971970372587, 1.1675971970378916),
-        ("side", 1.340552011083207, 1.34055201108401),
-        ("side", 1.5641361434267589, 1.5641361434272878),
-        ("side", 1.8660254647478411, 1.866025464748573),
-        ("side", 2.298457231275277, 2.2984572312758194),
-        ("side", 2.973714960748304, 2.973714960749195),
-        ("side", 4.194490082373185, 4.19449008237406),
-        ("side", 7.170657003756246, 7.1706570037568),
+        ("arc", 1.201214016593418, 1.2012140165940903),
+        ("arc", 1.3859967644058089, 1.3859967644064812),
+        ("side", 0.9214825071515591, 0.9214825071523116),
+        ("side", 1.0291624613645576, 1.0291624613654669),
+        ("side", 1.1675971970373635, 1.1675971970379242),
+        ("side", 1.3405520110832194, 1.3405520110839313),
+        ("side", 1.5641361434262597, 1.564136143427199),
+        ("side", 1.8660254647479784, 1.8660254647486298),
+        ("side", 2.2984572312752958, 2.2984572312762657),
+        ("side", 2.9737149607486146, 2.973714960749418),
+        ("side", 4.194490082373137, 4.194490082373937),
+        ("side", 7.170657003756382, 7.170657003757312),
     ],
 }
 
@@ -390,16 +392,16 @@ PINNED_BRACKETS = {
 # that a change of any byte (field order, float format, row order) shows;
 # (250, 150) and (200, 200) sit at the k + l = 400 cap
 PINNED_PLOTDATA_SHA256 = {
-    (200, 200): "1701377e873d8eb57dcb8f02f3ffc951"
-                "77243b16b648645d5b71dd082f2e00b2",
-    (250, 150): "77b7b01cbd0cd97d629b13481dae0cb6"
-                "db0e4d87b62ad011c0726347101c12c6",
-    (56, 20): "e59126d223479be7e910ab648002e2a7"
-              "a2733ffc6f5ca749f645ac68aba8869d",
-    (98, 72): "fce52e68e3ffe7f68824ab118181b262"
-              "79ee4d2e02887567167f5b995df7dc6f",
-    (100, 66): "dcc36e474115257b8866c91a10f07abf"
-               "c22ae5bae395d716b99f78648784f0a3",
+    (200, 200): "db028db92bd234f0d15a62be3d548eeb"
+                "3d2f692cf6ea677fb33019133a352a26",
+    (250, 150): "0df2d8fa8914a1c95d81db5aedf04b89"
+                "e2e7652460a2d544c76bcb535d23fd34",
+    (56, 20): "eebbe7afefe6d3010e42ed3d66895cb0"
+              "19be4578735d2b0a4a3f9d1eb062c431",
+    (98, 72): "82a540d005b9475ff94dd84718cccea1"
+              "3c8f4a66dde9ff824d28abaa57b8c7c5",
+    (100, 66): "7f59b0ffabc41fb4d7e385e9c4be6298"
+               "29c0d4041cfef5bdb3a9ed86817b6b27",
 }
 
 

@@ -15,8 +15,8 @@ from eisenzeros.delta import (WeightPair, arc_real_batch, m_main, p_main,
                               side_normalized_batch)
 from eisenzeros.numerics import bernoulli
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
-                              SignUncertainError, ZeroBracket, _certify_grid,
-                              _delta_log_coeffs, _refine_bracket,
+                              SignUncertainError, ZeroBracket, _certify,
+                              _delta_log_coeffs, _ladder, _refine_bracket,
                               _refine_brackets,
                               arc_sample_points, audit, count_arc_zeros,
                               count_side_zeros, expected_boundary_counts,
@@ -146,25 +146,28 @@ class TestPredictedCounts:
         assert abs(arc_real_batch(wp, np.array([math.pi / 2]))[0][0]) > 0.5
 
 
-def constant_batch(value, bound):
-    """Batch evaluator returning value everywhere with error bound(eps)."""
-    def ev(xs, eps):
-        n = len(xs)
-        return np.full(n, value), np.full(n, bound(eps))
-    return ev
-
-
 class TestCountSignChanges:
-    # the scans count sign changes of the signs _certify_grid certifies
+    # the scans count sign changes of the signs _certify certifies
 
-    def test_uncertain_raises_with_count(self):
-        # never certifiable: escalation and all three nudges fail at every
-        # point, and one error reports all of them
-        ev = constant_batch(5e-14, lambda eps: max(eps, 1e-13))
+    def test_uncertain_raises_with_count(self, monkeypatch):
+        # blind at every side comb point on every rung: the ends certify,
+        # and one error names all the comb points
+        wp = WeightPair(56, 20)
+        blind = scan_points((56, 20))[1][1:-1]
+        real = zeros.side_normalized_batch
+
+        def ev(wp, ys, eps):
+            vals, errs = real(wp, ys, eps)
+            return vals, np.where(np.isin(ys, blind), np.inf, errs)
+
+        monkeypatch.setattr(zeros, "side_normalized_batch", ev)
         with pytest.raises(SignUncertainError) as info:
-            _certify_grid(ev, np.array([0.0, 1.0, 2.0]), 1e-12)
-        assert info.value.uncertain == 3
-        assert info.value.points == (0.0, 1.0, 2.0)
+            zeros._comb_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
+        assert len(blind) == 2
+        assert info.value.uncertain == 2
+        assert info.value.points == tuple(blind)
+        assert str(info.value) == (
+            f"2 scan point(s) stayed sign-uncertain, first at {blind[0]:.12g}")
 
     def test_escalation_resolves(self):
         # uncertain at 1e-12 and 1e-14, certified positive at 1e-15, where
@@ -176,23 +179,11 @@ class TestCountSignChanges:
             vals = np.where(np.asarray(xs) == 0.0, 5e-14, 1.0)
             return vals, np.full(len(xs), eps)
 
-        grid, vals = _certify_grid(ev, np.array([0.0, 1.0, 2.0]), 1e-12)
-        assert grid.tolist() == [0.0, 1.0, 2.0]
+        vals, certified = _certify(ev, np.array([0.0, 1.0, 2.0]),
+                                   _ladder(1e-12))
+        assert certified.all()
         assert vals.tolist() == [5e-14, 1.0, 1.0]
         assert batches == [(3, 1e-12), (1, 1e-14), (1, 1e-15)]
-
-    def test_escalation_certifies_each_point_alone(self):
-        # a batch reports its largest bound, as hk_batch does: 0.0 is
-        # ambiguous on every rung, 1.0 and 2.0 certify at 1e-14 alone but
-        # not beside 0.0, so only 0.0 is nudged
-        def ev(xs, eps):
-            xs = np.asarray(xs)
-            own = np.where(xs == 0.0, 1.0, eps)
-            return np.full(xs.shape, 1e-12), np.full(xs.shape, own.max())
-
-        grid, vals = _certify_grid(ev, np.array([0.0, 1.0, 2.0]), 1e-12)
-        assert grid.tolist() == [0.305, 1.0, 2.0]
-        assert vals.tolist() == [1e-12] * 3
 
 
 def sequential_brackets(ev, kind, cells, eps):
@@ -235,8 +226,8 @@ class TestRefinement:
 
     @pytest.mark.parametrize("k, l", [(100, 58), (98, 96), (100, 14)])
     def test_counters_match_sequential_bisection(self, k, l, monkeypatch):
-        # zero_brackets refines the dense scan cells, which carry certified
-        # end values; sequential bisection reads only their signs
+        # zero_brackets refines the comb cells, which carry certified end
+        # values; sequential bisection reads only their signs
         batched = zero_brackets((k, l))
         monkeypatch.setattr(zeros, "_refine_brackets", sequential_brackets)
         assert zero_brackets((k, l)) == batched
@@ -244,7 +235,7 @@ class TestRefinement:
     @pytest.mark.parametrize("k, l", [(98, 72), (56, 20)])
     def test_refinement_never_evaluates_cell_ends(self, k, l):
         # refinement starts from the end values the scan certified
-        scan = dense_scan((k, l))
+        scan = boundary_scan((k, l))
         wp = WeightPair(k, l)
         for ev, kind, cells in ((zeros._arc_eval(wp), "arc", scan.arc),
                                 (zeros._side_eval(wp), "side", scan.side)):
@@ -268,96 +259,45 @@ def fresh_scan():
     zeros._boundary_scan.cache_clear()
 
 
-def both_counts(pair):
-    return count_arc_zeros(pair), count_side_zeros(pair)
-
-
 def boundary_scan(pair):
     """The counting scan of pair."""
     wp = WeightPair(*pair)
     return zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
 
 
-def dense_scan(pair):
-    """The scan zero_brackets refines."""
+def scan_points(pair):
+    """The points the comb scan certifies on the arc and on the side: each
+    piece's two ends and the comb points between them."""
     wp = WeightPair(*pair)
-    return zeros._dense_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
-
-
-def side_setup(pair):
-    """The dense side grid of pair and the grid indices of the lower ends
-    of its dense sign-change cells."""
-    wp = WeightPair(*pair)
-    grid = zeros._side_grid(wp, 1.0, side_upper_cutoff(wp))
-    lows = [int(np.argmin(np.abs(grid - lo)))
-            for lo, _, _, _ in dense_scan(pair).side]
-    return grid, lows
+    pieces = []
+    for (lo, hi), comb in (
+            (zeros._arc_ends(wp, 1.0), arc_sample_points(wp)),
+            (zeros._side_ends(wp, 1.0, side_upper_cutoff(wp)),
+             [0.5 * math.tan(t) for t in side_sample_points(pair[1])])):
+        pieces.append([lo] + [x for x in comb if lo < x < hi] + [hi])
+    return pieces
 
 
 def flip_side_sign(monkeypatch, pair):
-    """Negate the side restriction on the 32 dense grid steps centred on
-    the second side comb point, which for (100, 58) holds no zero and
-    ends in cells without one.  The comb loses the two changes at that
-    point and the dense grid gains two at the stretch's ends, so both
-    levels of the counting scan miss the total."""
-    wp = WeightPair(*pair)
-    grid = zeros._side_grid(wp, 1.0, side_upper_cutoff(wp))
-    c = int(np.searchsorted(grid, 0.5 * math.tan(
-        side_sample_points(pair[1])[1])))
-    lo, hi = grid[c - 16], grid[c + 16]
+    """Negate the side restriction near the second side comb point, which
+    for (100, 58) lies between two comb cells that each hold a zero.  The
+    comb loses the two changes at that point and misses the total."""
+    y = scan_points(pair)[1][2]
     real = zeros.side_normalized_batch
 
     def flipped(wp, ys, eps):
         vals, errs = real(wp, ys, eps)
-        ys = np.asarray(ys)
-        return np.where((ys >= lo) & (ys < hi), -vals, vals), errs
+        return np.where(np.abs(np.asarray(ys) - y) < 1e-9, -vals, vals), errs
 
     monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
-    zeros._boundary_scan.cache_clear()
-
-
-def flip_side_point(monkeypatch, pair):
-    """Negate the side restriction at the dense grid point two below the
-    first dense sign-change cell, so the grid gains the two changes on
-    either side of it.  Returns the list of points the flip has hit."""
-    grid, lows = side_setup(pair)
-    j = lows[0] - 2
-    assert j >= 1
-    real = zeros.side_normalized_batch
-    hits = []
-
-    def flipped(wp, ys, eps):
-        vals, errs = real(wp, ys, eps)
-        at = np.asarray(ys) == grid[j]
-        hits.extend(np.asarray(ys)[at].tolist())
-        return np.where(at, -vals, vals), errs
-
-    monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
-    zeros._boundary_scan.cache_clear()
-    return hits
-
-
-def blind_side_at(monkeypatch, grid, i):
-    """Make the side evaluator uncertain at every rung within 0.45 of the
-    smaller gap around grid point i, which covers its nudges and no other
-    grid point."""
-    real = zeros.side_normalized_batch
-    radius = 0.45 * min(grid[i] - grid[i - 1], grid[i + 1] - grid[i])
-
-    def ev(wp, ys, eps):
-        vals, errs = real(wp, ys, eps)
-        near = np.abs(np.asarray(ys) - grid[i]) < radius
-        return vals, np.where(near, np.inf, errs)
-
-    monkeypatch.setattr(zeros, "side_normalized_batch", ev)
     zeros._boundary_scan.cache_clear()
 
 
 @pytest.mark.usefixtures("fresh_scan")
 class TestCombRung:
-    # the counting scan certifies the paper's sample combs and both grid
-    # ends; when their changes close the valence identity each comb cell
-    # holds exactly one zero, so its counts are the dense scan's
+    # the counting scan certifies the paper's sample combs and both scan
+    # ends of each piece; when their changes close the valence identity
+    # each comb cell holds exactly one zero
 
     @pytest.mark.parametrize("k, l", [(40, 16), (56, 20), (98, 72),
                                       (100, 14), (98, 96), (26, 18)])
@@ -372,37 +312,35 @@ class TestCombRung:
 
         monkeypatch.setattr(zeros, "_certify", recording)
         scan = boundary_scan((k, l))
-        assert scan.level == "comb"
-        wp = WeightPair(k, l)
-        y_max = side_upper_cutoff(wp)
-        combs = (arc_sample_points(wp),
-                 [0.5 * math.tan(t) for t in side_sample_points(l)])
+        assert (len(scan.arc), len(scan.side)) == expected_boundary_counts(
+            (k, l))
         assert len(certified) == 2
-        for (xs, vals, ok), dense, comb in zip(
-                certified, (zeros._arc_grid(wp, 1.0),
-                            zeros._side_grid(wp, 1.0, y_max)), combs):
-            # one batch of the grid ends and the comb points between them,
+        for (xs, vals, ok), pts in zip(certified, scan_points((k, l))):
+            # one batch of the two ends and the comb points between them,
             # all certified, and every comb value is far from zero
-            assert xs.tolist() == (
-                [dense[0]] + [x for x in comb if dense[0] < x < dense[-1]]
-                + [dense[-1]])
+            assert xs.tolist() == pts
             assert ok.all()
             assert np.all(np.abs(vals[1:-1]) > 0.5)
-        fine = dense_scan((k, l))
-        for cells, dense_cells in ((scan.arc, fine.arc),
-                                   (scan.side, fine.side)):
-            # each comb cell holds exactly one dense sign-change cell
-            assert len(cells) == len(dense_cells)
-            for (lo, hi, _, _), (a, b, _, _) in zip(cells, dense_cells):
-                assert lo <= a < b <= hi
 
-    def test_short_comb_falls_back_to_dense(self, monkeypatch):
-        # without its arc comb, (56, 20) keeps one of its three arc changes
-        counts = [c for c, _ in both_counts((56, 20))]
+    def test_short_comb_fails_valence(self, monkeypatch, capsys):
+        # without its arc comb, (56, 20) keeps one of its three arc
+        # changes: audit reports that lower bound and a valence finding,
+        # and zero_brackets refuses the cells, so plotdata prints no row
         monkeypatch.setattr(zeros, "arc_sample_points", lambda wp: [])
-        zeros._boundary_scan.cache_clear()
-        assert boundary_scan((56, 20)).level == "dense"
-        assert [c for c, _ in both_counts((56, 20))] == counts == [3, 2]
+        r = audit((56, 20))
+        assert (r.A, r.B) == (1, 2)
+        assert not r.valence_ok
+        assert r.findings == (
+            "valence identity fails at k=56, l=20: A=1, B=2, v_i=0, v_rho=1",
+            "stabilized arc count 1 != 3 predicted at k=56, l=20")
+        with pytest.raises(ArithmeticError, match="do not close") as info:
+            zero_brackets((56, 20))
+        assert not isinstance(info.value, SignUncertainError)
+        capsys.readouterr()
+        assert cli.main(["plotdata", "--kind", "zeros", "--k", "56",
+                         "--l", "20"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "do not close" in err
 
     @pytest.mark.parametrize("k, l", [(40, 16), (56, 20), (98, 72),
                                       (100, 14), (98, 96), (26, 18)])
@@ -415,42 +353,39 @@ class TestCombRung:
         r = audit((k, l))
         assert r.valence_ok and r.findings == ()
 
-    def test_ambiguous_comb_end_falls_back_to_dense(self, monkeypatch):
-        # the arc grid's lower end stays ambiguous, and so does the point
-        # a nudge by half the gap to the first comb point would try first;
-        # the next such nudge would leave the arc.  The comb nudges
-        # nothing, so the dense scan counts, nudging the end by its own gap
+    def test_uncertain_arc_end_is_named(self, monkeypatch):
+        # the arc's lower end stays ambiguous on every rung; no point is
+        # moved, so audit and zero_brackets both raise, naming that end
         wp = WeightPair(56, 20)
-        grid = zeros._arc_grid(wp, 1.0)
-        h = grid[1] - grid[0]
-        blind = np.array([grid[0], grid[0] + 0.61 * 0.5 * (
-            arc_sample_points(wp)[0] - grid[0])])
+        end = scan_points((56, 20))[0][0]
         real = zeros.arc_real_batch
 
         def ev(wp, thetas, eps):
             vals, errs = real(wp, thetas, eps)
-            gap = np.abs(np.subtract.outer(np.asarray(thetas), blind))
-            return vals, np.where(gap.min(axis=1) < 0.1 * h, np.inf, errs)
+            return vals, np.where(np.asarray(thetas) == end, np.inf, errs)
 
         monkeypatch.setattr(zeros, "arc_real_batch", ev)
-        r = audit(wp)
-        assert (r.A, r.B) == (3, 2) and r.valence_ok
-        assert boundary_scan((56, 20)).level == "dense"
+        for run in (audit, zero_brackets):
+            with pytest.raises(SignUncertainError) as info:
+                run(wp)
+            assert info.value.points == (end,)
+            assert info.value.uncertain == 1
 
 
 @pytest.mark.usefixtures("fresh_scan")
 class TestValenceClosure:
     # a count that misses the valence total fails audit, and zero_brackets
-    # refines every sign change of the dense scan
+    # refines every sign change of a closed comb scan
 
     @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
                                       (32, 24), (100, 14), (98, 96), (70, 40)])
     def test_closed_scan_matches_dense(self, k, l):
         # the comb scan closes the valence identity, and each bracket
-        # zero_brackets refines from the dense scan lies in its own comb
-        # cell, with that cell's end signs
+        # zero_brackets refines lies in its own comb cell, with that
+        # cell's end signs
         scan = boundary_scan((k, l))
-        assert scan.level == "comb"
+        assert zeros._valence_closes(WeightPair(k, l),
+                                     len(scan.arc) + len(scan.side))
         brackets = zero_brackets((k, l))
         cells = ([("arc",) + c for c in scan.arc]
                  + [("side",) + c for c in scan.side])
@@ -461,57 +396,36 @@ class TestValenceClosure:
             assert (br.sign_lo, br.sign_hi) == (np.sign(v_lo), np.sign(v_hi))
 
     def test_wrong_sign_overshoot_fails_valence(self, monkeypatch):
-        # a stretch of flipped signs breaks the comb count; the dense scan
-        # sees its two extra changes
+        # a wrong sign at one side comb point removes the two changes
+        # beside it; nothing rescues the count, which fails the identity
         pair = (100, 58)
         before = audit(pair)
         flip_side_sign(monkeypatch, pair)
         r = audit(pair)
-        assert boundary_scan(pair).level == "dense"
-        assert (r.A, r.B) == (before.A, before.B + 2)
+        assert (r.A, r.B) == (before.A, before.B - 2)
         assert not r.valence_ok
+        with pytest.raises(ArithmeticError, match="do not close"):
+            zero_brackets(pair)
 
-    def test_flipped_dense_point_adds_two_side_brackets(self, monkeypatch):
-        # zero_brackets reads the dense grid, which sees the two extra
-        # changes; the combs never evaluate the flipped point, so the
-        # counts do not move
-        pair = (100, 58)
-        counts = both_counts(pair)
-        before = zero_brackets(pair)
-        hits = flip_side_point(monkeypatch, pair)
-        after = zero_brackets(pair)
-        assert hits
-        assert [b for b in after if b.kind == "arc"] == [
-            b for b in before if b.kind == "arc"]
-        assert len(after) == len(before) + 2
-        assert both_counts(pair) == counts
-        assert boundary_scan(pair).level == "comb"
+    # pairs above the 990-pair triangle (k > 100, k + l <= 400): in each
+    # class (l mod 6, (k - l) mod 12), the corners of the region (smallest
+    # k and l, largest k - l, largest l) and its middle in (l, k) order
+    FAR_PAIRS = [
+        p for cls in (
+            [(k, l) for l in range(14, 201, 2)
+             for k in range(max(l, 102), 401 - l, 2)
+             if (l % 6, (k - l) % 12) == (lm, j)]
+            for lm in (0, 2, 4) for j in range(0, 12, 2))
+        for p in (cls[0], max(cls, key=lambda p: p[0] - p[1]), cls[-1],
+                  cls[len(cls) // 2])]
 
-    def test_uncertain_sub_grid_point_raises(self, monkeypatch):
-        # a blind side grid point away from every sign change stops
-        # zero_brackets, which names it; the counting scan never certifies it
-        pair = (100, 58)
-        grid, _ = side_setup(pair)
-        counts = both_counts(pair)
-        for i in (16, grid.size // 2, grid.size - 2):
-            with monkeypatch.context() as m:
-                blind_side_at(m, grid, i)
-                with pytest.raises(SignUncertainError) as info:
-                    zero_brackets(pair)
-                assert info.value.points == (float(grid[i]),)
-                assert both_counts(pair) == counts
-
-    def test_uncertain_point_in_searched_cell_raises(self, monkeypatch):
-        # a blind point at either end of a dense sign-change cell stops
-        # zero_brackets too
-        pair = (100, 58)
-        grid, lows = side_setup(pair)
-        for i in (lows[0], lows[0] + 1):
-            with monkeypatch.context() as m:
-                blind_side_at(m, grid, i)
-                with pytest.raises(SignUncertainError) as info:
-                    zero_brackets(pair)
-                assert info.value.points == (float(grid[i]),)
+    def test_comb_closes_above_triangle(self):
+        assert len(set(self.FAR_PAIRS)) == 72
+        wrong = [(pair, (r.A, r.B), (r.predicted_A, r.predicted_B))
+                 for pair in self.FAR_PAIRS for r in [audit(pair)]
+                 if not r.valence_ok
+                 or (r.A, r.B) != (r.predicted_A, r.predicted_B)]
+        assert wrong == []
 
 
 class TestScans:
@@ -602,8 +516,7 @@ class TestScans:
 
     def test_fine_eps_reaches_every_rung(self, monkeypatch, fresh_scan):
         # at eps = 1e-15 every evaluation the counters and zero_brackets
-        # make, in the scans, their one-point escalation and the
-        # refinement, is at 1e-15
+        # make, in the comb scan and the refinement, is at 1e-15
         seen = []
         for name in ("arc_real_batch", "side_normalized_batch"):
             def recording(wp, xs, eps, real=getattr(zeros, name)):
@@ -643,6 +556,13 @@ class TestAudit:
         brackets = zero_brackets(pair)
         assert [br.kind for br in brackets] == ["arc"] * a + ["side"] * b
         assert all(br.width <= 1e-12 for br in brackets)
+
+    def test_coarsest_eps_counts_as_default(self):
+        # at eps = 1e-6 the arc's imaginary truncation residue exceeds
+        # 1e-9 but stays within the tail bound fk_batch returns
+        coarse, default = audit((22, 14), eps=1e-6), audit((22, 14))
+        assert coarse == default
+        assert coarse.valence_ok and coarse.findings == ()
 
     def test_valence_scatter(self):
         for pair in [(14, 14), (100, 14), (44, 26), (98, 96), (100, 40)]:
