@@ -452,7 +452,12 @@ def cmd_plotdata(cfg: RunConfig, kind: str, *, k=None, l=None, x=0.5,
         if k is None or l is None:
             raise ValueError("plotdata --kind zeros requires --k and --l")
         _check_pair_sums((k,), (l,))
-        rows = _plot_zeros(k, l, cfg.eps, cfg.oversample)
+        try:
+            rows = _plot_zeros(k, l, cfg.eps, cfg.oversample)
+        except ArithmeticError as exc:
+            # a failed certified check exits 1, as an audit row error
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         fields = _ZEROS_FIELDS
     elif kind == "regimes":
         k = 300 if k is None else k

@@ -13,7 +13,8 @@ and side counts A and B, and the valence identity
 changes reach that sum they are the counts: each cell with a change holds
 exactly one simple zero and every other cell holds none.  Changes that
 fall short are reported as a valence failure in audit(), never rescued.
-zero_brackets() bisects the closed comb cells to 1e-12.
+zero_brackets() narrows the closed comb cells, to 1e-12 where the signs
+near each zero certify.
 
 Closed-form predictions for the counts and the stabilization threshold
 in k past which they stop moving live alongside; audit() ties the counts
@@ -320,49 +321,15 @@ def _certify(batch_eval: _BatchEval, xs: np.ndarray, ladder: Sequence[float],
     return vals, certified
 
 
-_SPLIT_FRACTIONS = (0.5, 0.45, 0.55, 0.40, 0.60)
-
-
-def _refine_bracket(batch_eval: _BatchEval, kind: str, lo: float, hi: float,
-                    sign_lo: int, sign_hi: int, eps: float) -> ZeroBracket:
-    """Narrow a certified sign change to width <= 1e-12 by bisection.
-
-    Every probe is certified alone, as a batch of one, on the ladder from
-    eps.  A probe whose sign cannot be certified is sidestepped by moving
-    the split fraction; zeros of the restrictions are isolated, so some
-    probe certifies unless the bracket has already collapsed onto the
-    zero.
-    """
-    if sign_lo * sign_hi >= 0:
-        raise ValueError("bracket endpoints need opposite certified signs")
-    for _ in range(200):
-        if hi - lo <= _BRACKET_WIDTH:
-            break
-        for frac in _SPLIT_FRACTIONS:
-            mid = lo + frac * (hi - lo)
-            vals, certified = _certify(batch_eval, np.array([mid]),
-                                       _ladder(eps))
-            if certified[0]:
-                break
-        else:
-            break
-        if (vals[0] > 0.0) == (sign_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return ZeroBracket(kind, lo, hi, sign_lo, sign_hi)
-
-
 # ---------------------------------------------------------------------------
 # boundary scans
 
 
 def _chord_path(lo: float, hi: float, v_lo: float, v_hi: float,
                 ) -> list[float]:
-    """The midpoints bisection of (lo, hi) visits, down to a 1e-12
-    bracket, if the zero lies where the chord through the certified end
-    values crosses zero.  Every midpoint is computed as _refine_bracket
-    computes its first split, lo + 0.5 (hi - lo)."""
+    """The midpoints lo + 0.5 (hi - lo) that bisection of (lo, hi) visits,
+    down to a 1e-12 bracket, if the zero lies where the chord through the
+    certified end values crosses zero."""
     guess = lo - v_lo * (hi - lo) / (v_hi - v_lo)
     path = []
     while hi - lo > _BRACKET_WIDTH:
@@ -372,49 +339,56 @@ def _chord_path(lo: float, hi: float, v_lo: float, v_hi: float,
     return path
 
 
+def _even_split(lo: float, hi: float) -> list[float]:
+    """The 15 interior points that cut (lo, hi) into 16 equal steps."""
+    return [lo + (hi - lo) * j / 16 for j in range(1, 16)]
+
+
 def _refine_brackets(batch_eval: _BatchEval, kind: str,
                      cells: Sequence[_Cell], eps: float) -> list[ZeroBracket]:
-    """_refine_bracket for every cell (lo, hi, v_lo, v_hi) at once, with
-    the same brackets, on the ladder from eps.
+    """Each cell (lo, hi, v_lo, v_hi) of a closed count narrowed around its
+    one zero, on the ladder from eps.
 
-    Each round certifies the _chord_path of every open cell in one
-    _certify call, then bisects each cell along its path for as long as
-    the path's points are the midpoints its certified signs lead to.  A
-    certified sign is the true sign, so the walk is the one sequential
-    bisection takes, and a cell's ends are never evaluated again.  A cell
-    whose next midpoint stays uncertain finishes on _refine_bracket, one
-    point at a time: a batch reports its largest bound, so a point left
-    ambiguous in a batch may certify alone.
+    Each round certifies the probes of every open cell in one _certify
+    call: the cell's _chord_path, or its _even_split when the round before
+    left it unchanged.  The cell shrinks to the sign change among its ends
+    and its certified probes; uncertain probes are skipped, and a cell's
+    ends are never evaluated again.  A certified sign is the true sign and
+    the cell holds one zero, so a cell that shows more than one change
+    raises ArithmeticError.  A cell ends at width <= 1e-12, or as it stands
+    when neither a chord round nor the even split after it narrows it: no
+    probe near its zero certifies.
     """
     out: list[Optional[ZeroBracket]] = [None] * len(cells)
-    open_cells = dict(enumerate(cells))
+    open_cells = {i: (cell, True) for i, cell in enumerate(cells)}
     while open_cells:
-        paths = {i: _chord_path(*cell) for i, cell in open_cells.items()}
+        probes = {i: _chord_path(*cell) if chord else _even_split(*cell[:2])
+                  for i, (cell, chord) in open_cells.items()}
         vals, certified = _certify(
-            batch_eval, np.array([x for p in paths.values() for x in p]),
+            batch_eval, np.array([x for p in probes.values() for x in p]),
             _ladder(eps))
         vals, certified, at = vals.tolist(), certified.tolist(), 0
-        for i, path in paths.items():
-            lo, hi, v_lo, v_hi = open_cells.pop(i)
-            sign = 1 if v_lo > 0.0 else -1
-            for m, v, ok in zip(path, vals[at:at + len(path)],
-                                certified[at:at + len(path)]):
-                if m != lo + 0.5 * (hi - lo):
-                    break
-                if not ok:
-                    out[i] = _refine_bracket(batch_eval, kind, lo, hi,
-                                             sign, -sign, eps)
-                    break
-                if (v > 0.0) == (v_lo > 0.0):
-                    lo, v_lo = m, v
-                else:
-                    hi, v_hi = m, v
-            at += len(path)
-            if out[i] is None:
-                if hi - lo <= _BRACKET_WIDTH:
-                    out[i] = ZeroBracket(kind, lo, hi, sign, -sign)
-                else:
-                    open_cells[i] = (lo, hi, v_lo, v_hi)
+        for i, xs in probes.items():
+            cell, chord = open_cells.pop(i)
+            lo, hi, v_lo, v_hi = cell
+            got = zip(xs, vals[at:at + len(xs)], certified[at:at + len(xs)])
+            at += len(xs)
+            seen = sorted([(lo, v_lo), (hi, v_hi)]
+                          + [(x, v) for x, v, ok in got if ok])
+            changes = _sign_changes(*zip(*seen))
+            if len(changes) > 1:
+                raise ArithmeticError(
+                    f"{kind} cell [{lo!r}, {hi!r}] shows {len(changes)} "
+                    f"certified sign changes where the closed valence count "
+                    f"allows one")
+            (new,) = changes
+            if new[1] - new[0] <= _BRACKET_WIDTH or (
+                    new == cell and not chord):
+                sign = 1 if v_lo > 0.0 else -1
+                out[i] = ZeroBracket(kind, new[0], new[1], sign, -sign)
+            else:
+                # a round that narrows the cell is followed by a chord round
+                open_cells[i] = (new, new != cell)
     return out
 
 
@@ -460,10 +434,10 @@ def _valence_closes(wp: WeightPair, changes: int) -> bool:
     return 12 * changes + 6 * v_i + 4 * v_rho + 12 == wp.weight_sum
 
 
-def _sign_changes(pts: np.ndarray, vals: np.ndarray) -> tuple[_Cell, ...]:
+def _sign_changes(pts: Sequence[float], vals: Sequence[float],
+                  ) -> tuple[_Cell, ...]:
     """The cells between consecutive points whose certified values differ
     in sign, with those values."""
-    pts, vals = pts.tolist(), vals.tolist()
     return tuple((pts[i], pts[i + 1], vals[i], vals[i + 1])
                  for i in range(len(pts) - 1)
                  if (vals[i] > 0.0) != (vals[i + 1] > 0.0))
@@ -491,7 +465,7 @@ def _comb_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
                 f"{len(uncertain)} scan point(s) stayed sign-uncertain, "
                 f"first at {uncertain[0]:.12g}", points=uncertain,
                 uncertain=len(uncertain))
-        cells.append(_sign_changes(pts, vals))
+        cells.append(_sign_changes(pts.tolist(), vals.tolist()))
     return _BoundaryScan(*cells)
 
 
@@ -547,11 +521,16 @@ def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
 
 def zero_brackets(wp, eps: float = 1e-12, oversample: float = 1.0,
                   ) -> tuple[ZeroBracket, ...]:
-    """Every boundary zero bisected to a 1e-12 bracket, arc then side,
-    from the comb cells the counters read.  Raises ArithmeticError when
-    their changes do not close the valence identity, since a cell may then
-    hold more than one zero.  No point is evaluated at a tolerance coarser
-    than eps."""
+    """Every boundary zero in a certified bracket, arc then side, narrowed
+    from the comb cells the counters read by _refine_brackets.
+
+    A bracket is at most 1e-12 wide unless no probe near its zero
+    certifies; it is then returned wider, its end signs still certified
+    (about 5e-12 at (250, 150) and 5e-11 at (200, 200)).  Raises
+    ArithmeticError when the comb changes do not close the valence
+    identity, since a cell may then hold more than one zero, or when a
+    cell shows more than one certified change.  No point is evaluated at a
+    tolerance coarser than eps."""
     wp, y_max = _census_pair("arc", wp)
     scan = _comb_scan(wp, eps, oversample, y_max)
     if not _valence_closes(wp, len(scan.arc) + len(scan.side)):

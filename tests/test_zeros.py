@@ -16,8 +16,7 @@ from eisenzeros.delta import (WeightPair, arc_real_batch, m_main, p_main,
 from eisenzeros.numerics import bernoulli
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               SignUncertainError, ZeroBracket, _certify,
-                              _delta_log_coeffs, _ladder, _refine_bracket,
-                              _refine_brackets,
+                              _delta_log_coeffs, _ladder, _refine_brackets,
                               arc_sample_points, audit, count_arc_zeros,
                               count_side_zeros, expected_boundary_counts,
                               interior_zero_hunt, predicted_counts,
@@ -186,51 +185,77 @@ class TestCountSignChanges:
         assert batches == [(3, 1e-12), (1, 1e-14), (1, 1e-15)]
 
 
-def sequential_brackets(ev, kind, cells, eps):
-    """One-at-a-time bisection of cells (lo, hi, v_lo, v_hi), which
-    needs only the signs of the end values."""
-    return [_refine_bracket(ev, kind, lo, hi, int(np.sign(v_lo)),
-                            int(np.sign(v_hi)), eps)
-            for lo, hi, v_lo, v_hi in cells]
+def root_eval(roots, hidden=lambda x: 0.0):
+    """A batch evaluator of x minus its nearest root whose bound, 10 eps
+    plus hidden(x), hides every sign within 100 eps of a root; calls
+    records each batch."""
+    calls = []
+
+    def ev(xs, eps):
+        calls.append((len(xs), eps))
+        xs = np.asarray(xs)
+        nearest = np.array([min(roots, key=lambda r: abs(x - r)) for x in xs])
+        return xs - nearest, 10.0 * eps + np.array([hidden(x) for x in xs])
+    return ev, calls
+
+
+def root_cells(ev, ends):
+    return [(lo, hi, *ev(np.array([lo, hi]), 1e-12)[0]) for lo, hi in ends]
 
 
 class TestRefinement:
-    # _refine_brackets bisects all cells together and must land on the
-    # brackets one-at-a-time bisection finds
+    # _refine_brackets narrows every cell of a piece together, one
+    # _certify batch a round, to the one sign change of its certified probes
 
-    def test_batched_matches_sequential_through_escalation(self):
-        # x - root with a bound that hides the sign within 100 eps of the
-        # root, so the last steps escalate and some end on the sidestep
-        # path; the root at 0.5 sits on its cell's first midpoint
+    def test_brackets_hold_their_roots_through_escalation(self):
+        # the last steps escalate and some probes stay uncertain; the root
+        # at 0.5 sits on its cell's first midpoint, and near 0.9 no sign
+        # within 1e-10 certifies, so that bracket is returned wider
         roots = [0.1234567890123, 0.5, 0.75 + 1e-13, 0.9]
-        calls = []
+        ev, calls = root_eval(roots, lambda x: 1e-11 * (abs(x - 0.9) < 0.05))
+        cells = root_cells(ev, [(0.0, 0.25), (0.4, 0.6), (0.7, 0.8),
+                                (0.85, 1.0)])
+        calls.clear()
+        brackets = _refine_brackets(ev, "arc", cells, 1e-12)
+        for br, (lo, hi, v_lo, v_hi), root in zip(brackets, cells, roots):
+            assert lo <= br.lo <= root <= br.hi <= hi
+            assert (br.kind, br.sign_lo, br.sign_hi) == (
+                "arc", np.sign(v_lo), np.sign(v_hi))
+        assert [br.width <= 1e-12 for br in brackets] == [True] * 3 + [False]
+        assert 1e-12 < brackets[3].width < 1e-9
+        # one batch per round and rung, never one point at a time
+        assert min(n for n, _ in calls) > 1
+        assert len(calls) < 30
 
-        def ev(xs, eps):
-            calls.append(len(xs))
+    def test_two_changes_in_a_cell_raise(self):
+        # x - 0.7 reports negated, certified values on (0.55, 0.65), between
+        # the cell's midpoint and its root: a cell of a closed count holds
+        # one zero, so its three changes show a wrong certified sign
+        ev, _ = root_eval([0.7])
+
+        def flipped(xs, eps):
+            vals, errs = ev(xs, eps)
             xs = np.asarray(xs)
-            nearest = np.array([min(roots, key=lambda r: abs(x - r))
-                                for x in xs])
-            return xs - nearest, np.full(xs.shape, 10.0 * eps)
+            return np.where((xs > 0.55) & (xs < 0.65), -vals, vals), errs
 
-        ends = [(0.0, 0.25), (0.4, 0.6), (0.7, 0.8), (0.85, 1.0)]
-        cells = [(lo, hi, *ev(np.array([lo, hi]), 1e-12)[0])
-                 for lo, hi in ends]
-        calls.clear()
-        batched = _refine_brackets(ev, "arc", cells, 1e-12)
-        n_batched = len(calls)
-        calls.clear()
-        assert batched == sequential_brackets(ev, "arc", cells, 1e-12)
-        assert n_batched < len(calls) / 2
-        assert all(lo <= br.lo < br.hi <= hi
-                   for br, (lo, hi, _, _) in zip(batched, cells))
+        cells = root_cells(ev, [(0.0, 1.0)])
+        with pytest.raises(ArithmeticError, match="3 certified sign changes"):
+            _refine_brackets(flipped, "side", cells, 1e-12)
 
     @pytest.mark.parametrize("k, l", [(100, 58), (98, 96), (100, 14)])
-    def test_counters_match_sequential_bisection(self, k, l, monkeypatch):
-        # zero_brackets refines the comb cells, which carry certified end
-        # values; sequential bisection reads only their signs
-        batched = zero_brackets((k, l))
-        monkeypatch.setattr(zeros, "_refine_brackets", sequential_brackets)
-        assert zero_brackets((k, l)) == batched
+    def test_brackets_narrow_inside_their_comb_cells(self, k, l):
+        # zero_brackets refines the comb cells the counters read: each
+        # bracket lies in its own cell, keeps its end signs and is 1e-12
+        scan = boundary_scan((k, l))
+        cells = [("arc", c) for c in scan.arc] + [("side", c)
+                                                  for c in scan.side]
+        brackets = zero_brackets((k, l))
+        assert len(brackets) == len(cells) > 0
+        for br, (kind, (lo, hi, v_lo, v_hi)) in zip(brackets, cells):
+            assert br.kind == kind
+            assert lo <= br.lo < br.hi <= hi
+            assert (br.sign_lo, br.sign_hi) == (np.sign(v_lo), np.sign(v_hi))
+            assert br.width <= 1e-12
 
     @pytest.mark.parametrize("k, l", [(98, 72), (56, 20)])
     def test_refinement_never_evaluates_cell_ends(self, k, l):
@@ -338,9 +363,10 @@ class TestCombRung:
         assert not isinstance(info.value, SignUncertainError)
         capsys.readouterr()
         assert cli.main(["plotdata", "--kind", "zeros", "--k", "56",
-                         "--l", "20"]) == 2
+                         "--l", "20"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and "do not close" in err
+        assert out == ""
+        assert err.startswith("error: ") and "do not close" in err
 
     @pytest.mark.parametrize("k, l", [(40, 16), (56, 20), (98, 72),
                                       (100, 14), (98, 96), (26, 18)])
@@ -349,27 +375,44 @@ class TestCombRung:
             raise AssertionError("audit refined a bracket")
 
         monkeypatch.setattr(zeros, "_refine_brackets", refuse)
-        monkeypatch.setattr(zeros, "_refine_bracket", refuse)
         r = audit((k, l))
         assert r.valence_ok and r.findings == ()
 
     def test_uncertain_arc_end_is_named(self, monkeypatch):
         # the arc's lower end stays ambiguous on every rung; no point is
         # moved, so audit and zero_brackets both raise, naming that end
-        wp = WeightPair(56, 20)
-        end = scan_points((56, 20))[0][0]
-        real = zeros.arc_real_batch
-
-        def ev(wp, thetas, eps):
-            vals, errs = real(wp, thetas, eps)
-            return vals, np.where(np.asarray(thetas) == end, np.inf, errs)
-
-        monkeypatch.setattr(zeros, "arc_real_batch", ev)
+        end = blind_arc_end(monkeypatch)
         for run in (audit, zero_brackets):
             with pytest.raises(SignUncertainError) as info:
-                run(wp)
+                run(WeightPair(56, 20))
             assert info.value.points == (end,)
             assert info.value.uncertain == 1
+
+    def test_uncertain_arc_end_fails_plotdata(self, monkeypatch, capsys):
+        # a certified check that fails exits 1, as it does in audit; exit 2
+        # stays for a rejected configuration
+        end = blind_arc_end(monkeypatch)
+        capsys.readouterr()
+        assert cli.main(["plotdata", "--kind", "zeros", "--k", "56",
+                         "--l", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: 1 scan point(s) stayed sign-uncertain, "
+                       f"first at {end:.12g}\n")
+
+
+def blind_arc_end(monkeypatch):
+    """Make the arc's lower scan end of (56, 20) uncertain on every rung,
+    and return it."""
+    end = scan_points((56, 20))[0][0]
+    real = zeros.arc_real_batch
+
+    def ev(wp, thetas, eps):
+        vals, errs = real(wp, thetas, eps)
+        return vals, np.where(np.asarray(thetas) == end, np.inf, errs)
+
+    monkeypatch.setattr(zeros, "arc_real_batch", ev)
+    return end
 
 
 @pytest.mark.usefixtures("fresh_scan")
