@@ -124,12 +124,12 @@ _INT_POW_LIMIT = 100
 
 
 def _neg_power(u: np.ndarray, k: int) -> np.ndarray:
-    """u^(-k) elementwise through integer powers only: numpy's squaring
-    below _INT_POW_LIMIT, above it the square of the (k // 2)-th power,
-    divided once more by u when k is odd."""
+    """u^(-k) elementwise through integer powers only, written over u:
+    numpy's squaring below _INT_POW_LIMIT, above it the square of the
+    (k // 2)-th power, divided once more by u (so from a copy) if k is odd."""
     if k < _INT_POW_LIMIT:
-        return u ** (-k)
-    h = _neg_power(u, k // 2)
+        return np.power(u, -k, out=u)
+    h = _neg_power(u.copy() if k % 2 else u, k // 2)
     h *= h
     if k % 2:
         h /= u
@@ -146,42 +146,52 @@ def _lattice_sum(zs: np.ndarray, x_lo: float, x_hi: float, y: float,
 
     With x_lo = x_hi this is one point's disk; a window gives the union of
     the per-point d-ranges, a pair superset for a batch of points.  The
-    pairs stream in (c, d) order as runs of max(1, _BLOCK_TERMS // len(zs))
-    pairs, one kernel block of about _BLOCK_TERMS terms each, so no more
-    of the disk is held at once; rows are buffered and concatenated once
-    per _BLOCK_TERMS pairs.  The blocks' sums are added in run order,
-    starting from the first block's; an empty disk sums to zeros.
+    disk is a table of rows (c, first d, count) in Python integers, cut in
+    (c, d) order into runs of max(1, _BLOCK_TERMS // len(zs)) pairs, the
+    last one short.  Each run builds its c and d arrays from the rows it
+    spans and writes its block of about _BLOCK_TERMS terms over the first
+    run's.  The blocks' sums are added in run order; no pairs sum to zeros.
     """
-    step = max(1, _BLOCK_TERMS // zs.size)
-    c_hi = min(int(t / y), _AXIS_CAP)
-    total = None
-    cs, ds, held = [], [], 0
-    for c in range(1, c_hi + 1):
+    rows, n = [], 0
+    for c in range(1, min(int(t / y), _AXIS_CAP) + 1):
         s2 = t * t - (c * y) ** 2
         if s2 > 0.0:
             r = math.sqrt(s2)
-            d = np.arange(math.ceil(-c * x_hi - r),
-                          math.floor(-c * x_lo + r) + 1, dtype=np.float64)
-            ds.append(d)
-            cs.append(np.full(d.shape, float(c)))
-            held += d.size
-        if held >= _BLOCK_TERMS or (c == c_hi and held):
-            c_buf, d_buf = np.concatenate(cs), np.concatenate(ds)
-            end = held if c == c_hi else held - held % step
-            for i in range(0, end, step):
-                u = np.multiply.outer(zs, c_buf[i:i + step])
-                u += d_buf[i:i + step]
-                if s is not None:
-                    u *= s[:, None]
-                # the block stays referenced into the next run: freed at
-                # once, it costs about 60% more page faults at k = 6
-                block = _neg_power(u, k)
-                part = block.sum(axis=1)
-                total = part if total is None else total + part
-            cs, ds, held = [c_buf[end:]], [d_buf[end:]], held - end
-    if total is None:
+            d0 = math.ceil(-c * x_hi - r)
+            rows.append((c, d0, math.floor(-c * x_lo + r) + 1 - d0))
+            n += rows[-1][2]
+    if not n:
         return np.zeros(zs.size, dtype=np.complex128)
+    step = max(1, _BLOCK_TERMS // zs.size)
+    total = block = None
+    j = used = 0  # the next row, and its pairs taken by earlier runs
+    for i in range(0, n, step):
+        size = min(step, n - i)
+        segs, held = [], 0
+        while held < size:
+            c, d0, count = rows[j]
+            take = min(count - used, size - held)
+            segs.append((c, d0 + used - held, take))  # c, d - index, pairs
+            held, used = held + take, used + take
+            if used == count:
+                j, used = j + 1, 0
+        cs, shifts, counts = zip(*segs)
+        c_run, d_run = np.repeat(np.array([cs, shifts], dtype=np.float64),
+                                 counts, axis=1)
+        d_run += np.arange(size, dtype=np.float64)
+        u = np.multiply.outer(zs, c_run, out=block if size == step else None)
+        block = u if block is None else block
+        u += d_run
+        if s is not None:
+            u *= s[:, None]
+        part = _neg_power(u, k).sum(axis=1)
+        total = part if total is None else total + part
     return total
+
+
+def _axis_sum(k: int, t: float) -> float:
+    """sum_{1 <= d <= t} d^(-k): the d > 0 half of the disk's c = 0 row."""
+    return float((np.arange(1.0, math.floor(t) + 1.0) ** float(-k)).sum())
 
 
 def eval_ek_lattice(k: int, z, eps: float = 1e-12) -> tuple[complex, float]:
@@ -202,7 +212,7 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12) -> tuple[complex, float]:
         raise ValueError(f"eps below certificate floor {_MIN_EPS}")
     t, tail = _truncation_radius(k, z, eps, 0.0)
     val = complex(_lattice_sum(np.array([z]), z.real, z.real, z.imag, t, k)[0])
-    val += float((np.arange(1.0, math.floor(t) + 1.0) ** float(-k)).sum())
+    val += _axis_sum(k, t)
     return val / zeta(k), tail
 
 
@@ -313,9 +323,9 @@ def fk_batch(k: int, thetas: np.ndarray,
         t = max(t, t_i)
         tail = max(tail, tail_i)
     zs = np.exp(1j * thetas)
-    vals = _lattice_sum(zs, float(np.cos(thetas).min()),
-                        float(np.cos(thetas).max()), y_min, t, k)
-    vals += float((np.arange(1.0, math.floor(t) + 1.0) ** float(-k)).sum())
+    xs = np.cos(thetas)
+    vals = _lattice_sum(zs, float(xs.min()), float(xs.max()), y_min, t, k)
+    vals += _axis_sum(k, t)
     vals = np.exp(0.5j * k * thetas) * vals / zeta(k)
     # the imaginary part is truncation, so it may reach the tail bound
     resid = float(np.abs(vals.imag).max())

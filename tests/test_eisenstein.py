@@ -358,14 +358,15 @@ class TestLatticeKernel:
 
     def test_k4_evaluation_holds_about_one_block(self):
         # the 4M-pair disk held whole costs about 122 MiB of numpy arrays;
-        # streamed, the evaluation holds about one block of it at a time
+        # streamed, the evaluation holds one reused 512 KiB block and the
+        # pair arrays of its run
         tracemalloc.start()
         try:
             eval_ek_lattice(4, 0.3 + 1j)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak < 2 * 2 ** 20
 
     @pytest.mark.parametrize(
         "k", [4, 8, 98, 100, 102, 150, 200, 202, 210, 302, 400])
@@ -399,14 +400,20 @@ class TestLatticeKernel:
 
     def test_blocks_cover_the_pair_set_in_order(self):
         zs = np.array([0.5 + 1.0j, 0.5 + 1.5j, 0.5 + 2.0j])
-        # 37,589 pairs: three full runs of 10,922 and a short one
+        # 37,589 pairs: three full runs of 10,922 and a short one, each
+        # run edge inside a row
         c, d = disk_pairs_reference(0.5, 0.5, 1.0, 155.0)
-        # unscaled, and rescaled by s_i = 1/|z_i| as hk_batch does
-        for s in (None, 1.0 / np.abs(zs)):
-            parts = block_sums_reference(zs, c, d, 12, s)
-            assert len(parts) == 4
-            assert same_bits(_lattice_sum(zs, 0.5, 0.5, 1.0, 155.0, 12, s),
-                             sum(parts[1:], parts[0]))
+        assert c.size == 37_589
+        for edge in (10_922, 21_844, 32_766):
+            assert c[edge - 1] == c[edge]
+        # k = 150 squares in place above _INT_POW_LIMIT; unscaled, and
+        # rescaled by s_i = 1/|z_i| as hk_batch does
+        for k in (12, 150):
+            for s in (None, 1.0 / np.abs(zs)):
+                parts = block_sums_reference(zs, c, d, k, s)
+                assert len(parts) == 4
+                got = _lattice_sum(zs, 0.5, 0.5, 1.0, 155.0, k, s)
+                assert same_bits(got, sum(parts[1:], parts[0])), (k, s)
 
     @pytest.mark.parametrize("k", [14, 58, 100, 158])
     def test_hk_batch_oracle_fence(self, k):
