@@ -65,7 +65,6 @@ SCHEMA_VERSION = 1
 
 _EPS_MIN = 1e-15
 _EPS_MAX = 1e-6
-_OVERSAMPLE_MAX = 64.0
 _PAIR_SUM_CAP = 400
 _FOURIER_ENVELOPE = 1e-6
 
@@ -117,7 +116,6 @@ class RunConfig:
     k_values: tuple[int, ...] = ()
     l_values: tuple[int, ...] = ()
     eps: float = 1e-12
-    oversample: float = 1.0
     fmt: str = "csv"
     out: str | None = None
     jobs: int = 1
@@ -128,9 +126,6 @@ class RunConfig:
         if not (_EPS_MIN <= self.eps <= _EPS_MAX):
             raise ValueError(
                 f"eps must lie in [{_EPS_MIN:g}, {_EPS_MAX:g}], got {self.eps:g}")
-        if not 0.0 < self.oversample <= _OVERSAMPLE_MAX:
-            raise ValueError(f"oversample must lie in (0, {_OVERSAMPLE_MAX:g}], "
-                             f"got {self.oversample:g}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.jobs < 1:
@@ -271,11 +266,11 @@ def cmd_eval(cfg: RunConfig, z: complex, method: str) -> int:
 
 
 def _pair_report(task: tuple) -> dict:
-    k, l, eps, oversample = task
+    k, l, eps = task
     row = {"schema_version": SCHEMA_VERSION, "k": k, "l": l}
     try:
         wp = WeightPair(k, l)
-        report = audit(wp, eps=eps, oversample=oversample)
+        report = audit(wp, eps=eps)
         row.update(
             A=report.A, B=report.B, v_i=report.v_i, v_rho=report.v_rho,
             predicted_A=report.predicted_A, predicted_B=report.predicted_B,
@@ -319,7 +314,7 @@ def _triangle_pairs(cfg: RunConfig) -> list[tuple[int, int]]:
 
 def cmd_scan(cfg: RunConfig) -> int:
     pairs = _triangle_pairs(cfg)
-    tasks = [(k, l, cfg.eps, cfg.oversample) for (k, l) in pairs]
+    tasks = [(k, l, cfg.eps) for (k, l) in pairs]
     rows = _run_tasks(tasks, cfg.jobs)
 
     valence_failures = sum(
@@ -349,7 +344,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 def cmd_audit(cfg: RunConfig) -> int:
     k, l = cfg.k_values[0], cfg.l_values[0]
-    row = _pair_report((k, l, cfg.eps, cfg.oversample))
+    row = _pair_report((k, l, cfg.eps))
     with _out_stream(cfg.out) as fh:
         _write_rows(fh, cfg.fmt, _REPORT_FIELDS, [row])
     return 1 if _row_failed(row) else 0
@@ -369,8 +364,7 @@ def _table_cell(which: int, row: dict):
 
 
 def cmd_table(cfg: RunConfig, which: int) -> int:
-    tasks = [(k, l, cfg.eps, cfg.oversample)
-             for l in cfg.l_values for k in cfg.k_values]
+    tasks = [(k, l, cfg.eps) for l in cfg.l_values for k in cfg.k_values]
     rows = _run_tasks(tasks, cfg.jobs)
     cells = {(r["l"], r["k"]): _table_cell(which, r) for r in rows}
 
@@ -412,10 +406,10 @@ def _plot_phi(r_min: float, r_max: float, points: int) -> list[dict]:
     return rows
 
 
-def _plot_zeros(k: int, l: int, eps: float, oversample: float) -> list[dict]:
+def _plot_zeros(k: int, l: int, eps: float) -> list[dict]:
     wp = WeightPair(k, l)
     rows = []
-    for bracket in zero_brackets(wp, eps=eps, oversample=oversample):
+    for bracket in zero_brackets(wp, eps=eps):
         rows.append({
             "schema_version": SCHEMA_VERSION, "kind": bracket.kind,
             "location": bracket.location, "lo": bracket.lo, "hi": bracket.hi,
@@ -453,7 +447,7 @@ def cmd_plotdata(cfg: RunConfig, kind: str, *, k=None, l=None, x=0.5,
             raise ValueError("plotdata --kind zeros requires --k and --l")
         _check_pair_sums((k,), (l,))
         try:
-            rows = _plot_zeros(k, l, cfg.eps, cfg.oversample)
+            rows = _plot_zeros(k, l, cfg.eps)
         except ArithmeticError as exc:
             # a failed certified check exits 1, as an audit row error
             print(f"error: {exc}", file=sys.stderr)
@@ -483,9 +477,6 @@ def _even_range(lo: int, hi: int) -> tuple[int, ...]:
 def _add_common(sub, fmt_default: str, jobs: bool = False):
     sub.add_argument("--eps", type=float, default=1e-12,
                      help="certification tolerance, in [1e-15, 1e-6]")
-    sub.add_argument("--oversample", type=float, default=1.0,
-                     help="how near the corners the arc ends and the side's "
-                          "lower end lie (larger is nearer), in (0, 64]")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"),
                      default=fmt_default, help="output format")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
@@ -521,9 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", type=int, default=100)
     p.add_argument("--k-min", type=int, default=14)
     p.add_argument("--k-max", type=int, default=100)
-    p.add_argument("--no-hunt", action="store_true",
-                   help="no effect: the valence closure of the boundary "
-                        "count excludes interior zeros; kept for compatibility")
     _add_common(p, "json", jobs=True)
 
     p = commands.add_parser("audit", help="audit one weight pair")
@@ -547,8 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    common = dict(eps=args.eps, oversample=args.oversample,
-                  fmt=args.fmt, out=args.out, jobs=getattr(args, "jobs", 1))
+    common = dict(eps=args.eps, fmt=args.fmt, out=args.out,
+                  jobs=getattr(args, "jobs", 1))
     if args.command == "eval":
         cfg = RunConfig("eval", k_values=(args.k,), **common)
         return cmd_eval(cfg, parse_point(args.z), args.method)

@@ -48,8 +48,7 @@ _DEGENERATE_SUMS = frozenset({8, 10, 14})
 class WeightPair:
     """Weights k >= l of the two Eisenstein factors.
 
-    Derived decompositions: k - l = 12n + j with j in {0,2,4,6,8,10},
-    and l = 6q + a with a in {0,2,4}.
+    Derived decomposition: k - l = 12n + j with j in {0,2,4,6,8,10}.
     """
 
     k: int
@@ -77,14 +76,6 @@ class WeightPair:
     @property
     def j(self) -> int:
         return (self.k - self.l) % 12
-
-    @property
-    def q(self) -> int:
-        return self.l // 6
-
-    @property
-    def a(self) -> int:
-        return self.l % 6
 
 
 def _as_pair(wp) -> WeightPair:

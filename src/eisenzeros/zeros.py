@@ -71,11 +71,13 @@ class SignUncertainError(ArithmeticError):
     guess how much of a scan was ambiguous.
     """
 
-    def __init__(self, message: str, points: Sequence[float] = (),
-                 uncertain: int = 0) -> None:
+    def __init__(self, message: str, points: Sequence[float] = ()) -> None:
         super().__init__(message)
         self.points = tuple(float(p) for p in points)
-        self.uncertain = uncertain
+
+    @property
+    def uncertain(self) -> int:
+        return len(self.points)
 
 
 class DominanceCertificateError(ArithmeticError):
@@ -154,9 +156,10 @@ def arc_sample_points(wp) -> list[float]:
 
 
 def side_sample_points(l: int) -> list[float]:
-    """Angles theta_m = pi m / l, m = 2q + d, for the side comb.
+    """Angles theta_m = pi m / l, m = 2q + d, for the side comb, where
+    l = 6q + a with a in {0, 2, 4}.
 
-    The d-range depends on l mod 6 and is exactly the set of m for which
+    The d-range depends on a and is exactly the set of m for which
     theta_m falls in (pi/3, pi/2); at these angles cos(l theta_m) = (-1)^m.
     """
     if l % 2 or l < 14:
@@ -392,19 +395,18 @@ def _refine_brackets(batch_eval: _BatchEval, kind: str,
     return out
 
 
-def _arc_ends(wp: WeightPair, oversample: float) -> tuple[float, float]:
+def _arc_ends(wp: WeightPair) -> tuple[float, float]:
     """The arc's scan ends: the outer midpoints of 16 (k + l) equal steps
     of (pi/3, pi/2), so neither corner is sampled."""
-    npts = max(64, math.ceil(16 * wp.weight_sum * oversample))
+    npts = 16 * wp.weight_sum
     h = (math.pi / 2.0 - math.pi / 3.0) / npts
     return math.pi / 3.0 + h * 0.5, math.pi / 3.0 + h * (npts - 0.5)
 
 
-def _side_ends(wp: WeightPair, oversample: float, y_max: float,
-               ) -> tuple[float, float]:
+def _side_ends(wp: WeightPair, y_max: float) -> tuple[float, float]:
     """The side's scan ends: y = tan(theta) / 2 at the first midpoint of
     16 l equal steps in theta up to height min(k^(2/5), y_max), and y_max."""
-    n1 = max(64, math.ceil(16 * wp.l * oversample))
+    n1 = 16 * wp.l
     h = (math.atan2(min(wp.k ** 0.4, y_max), 0.5) - math.pi / 3.0) / n1
     return float(0.5 * np.tan(math.pi / 3.0 + h * 0.5)), y_max
 
@@ -443,8 +445,7 @@ def _sign_changes(pts: Sequence[float], vals: Sequence[float],
                  if (vals[i] > 0.0) != (vals[i + 1] > 0.0))
 
 
-def _comb_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
-               ) -> _BoundaryScan:
+def _comb_scan(wp: WeightPair, eps: float, y_max: float) -> _BoundaryScan:
     """Sign-change cells between the points of the paper's sample combs.
 
     Each piece certifies its two scan ends and the comb points between
@@ -454,8 +455,8 @@ def _comb_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
     SignUncertainError naming all of them."""
     cells = []
     for ev, (lo, hi), comb in (
-            (_arc_eval(wp), _arc_ends(wp, oversample), arc_sample_points(wp)),
-            (_side_eval(wp), _side_ends(wp, oversample, y_max),
+            (_arc_eval(wp), _arc_ends(wp), arc_sample_points(wp)),
+            (_side_eval(wp), _side_ends(wp, y_max),
              [0.5 * math.tan(t) for t in side_sample_points(wp.l)])):
         pts = np.array([lo] + [x for x in comb if lo < x < hi] + [hi])
         vals, certified = _certify(ev, pts, _ladder(eps))
@@ -463,8 +464,7 @@ def _comb_scan(wp: WeightPair, eps: float, oversample: float, y_max: float,
             uncertain = pts[~certified].tolist()
             raise SignUncertainError(
                 f"{len(uncertain)} scan point(s) stayed sign-uncertain, "
-                f"first at {uncertain[0]:.12g}", points=uncertain,
-                uncertain=len(uncertain))
+                f"first at {uncertain[0]:.12g}", points=uncertain)
         cells.append(_sign_changes(pts.tolist(), vals.tolist()))
     return _BoundaryScan(*cells)
 
@@ -483,44 +483,41 @@ def _census_pair(kind: str, wp) -> tuple[WeightPair, float]:
     return wp, side_upper_cutoff(wp)
 
 
-def _counted(kind: str, wp, eps: float, oversample: float,
-             ) -> tuple[int, tuple[ZeroBracket, ...]]:
+def _counted(kind: str, wp, eps: float) -> tuple[int, tuple[ZeroBracket, ...]]:
     wp, y_max = _census_pair(kind, wp)
-    cells = getattr(_boundary_scan(wp, eps, oversample, y_max), kind)
+    cells = getattr(_boundary_scan(wp, eps, y_max), kind)
     return len(cells), tuple(
         ZeroBracket(kind, lo, hi, int(np.sign(v_lo)), int(np.sign(v_hi)))
         for lo, hi, v_lo, v_hi in cells)
 
 
-def count_arc_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
+def count_arc_zeros(wp, eps: float = 1e-12,
                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
     """Zeros of the arc restriction on the open arc, endpoints excluded.
 
     Counts the certified sign changes at the arc comb
-    theta_m = 2 m pi / (k - l) and the two scan ends, whose distance from
-    the corners oversample sets; the side is scanned with it (see the
-    module docstring).  No point is evaluated at a tolerance coarser than
-    eps.  Returns the count, a lower bound, and its certified cells,
-    unrefined; when the valence identity closes, the count is exact and
-    each cell provably holds exactly one zero.
+    theta_m = 2 m pi / (k - l) and the two scan ends; the side is scanned
+    with it (see the module docstring).  No point is evaluated at a
+    tolerance coarser than eps.  Returns the count, a lower bound, and its
+    certified cells, unrefined; when the valence identity closes, the
+    count is exact and each cell provably holds exactly one zero.
     """
-    return _counted("arc", wp, eps, oversample)
+    return _counted("arc", wp, eps)
 
 
-def count_side_zeros(wp, eps: float = 1e-12, oversample: float = 1.0,
+def count_side_zeros(wp, eps: float = 1e-12,
                      ) -> tuple[int, tuple[ZeroBracket, ...]]:
     """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max.
 
     Counts the certified sign changes at the side comb y = tan(pi m / l) / 2
-    between a lower end just above the corner, placed by oversample, and
-    the certified dominance cutoff y_max above which no zero can exist.
-    Scanned with the arc, and returns like count_arc_zeros.
+    between a lower end just above the corner and the certified dominance
+    cutoff y_max above which no zero can exist.  Scanned with the arc, and
+    returns like count_arc_zeros.
     """
-    return _counted("side", wp, eps, oversample)
+    return _counted("side", wp, eps)
 
 
-def zero_brackets(wp, eps: float = 1e-12, oversample: float = 1.0,
-                  ) -> tuple[ZeroBracket, ...]:
+def zero_brackets(wp, eps: float = 1e-12) -> tuple[ZeroBracket, ...]:
     """Every boundary zero in a certified bracket, arc then side, narrowed
     from the comb cells the counters read by _refine_brackets.
 
@@ -532,7 +529,7 @@ def zero_brackets(wp, eps: float = 1e-12, oversample: float = 1.0,
     cell shows more than one certified change.  No point is evaluated at a
     tolerance coarser than eps."""
     wp, y_max = _census_pair("arc", wp)
-    scan = _comb_scan(wp, eps, oversample, y_max)
+    scan = _comb_scan(wp, eps, y_max)
     if not _valence_closes(wp, len(scan.arc) + len(scan.side)):
         raise ArithmeticError(
             f"comb sign changes do not close the valence identity at "
@@ -660,7 +657,7 @@ def _side_upper_cutoff(wp: WeightPair) -> float:
 # the audit
 
 
-def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
+def audit(wp, eps: float = 1e-12) -> ZeroCountReport:
     """Full boundary census for one pair with the exact valence cross-check.
 
     Measured counts come from the counters' certified sign changes at the
@@ -673,8 +670,8 @@ def audit(wp, eps: float = 1e-12, oversample: float = 1.0) -> ZeroCountReport:
     """
     wp = _as_pair(wp)
     _boundary_scan.cache_clear()
-    a_count, _ = count_arc_zeros(wp, eps=eps, oversample=oversample)
-    b_count, _ = count_side_zeros(wp, eps=eps, oversample=oversample)
+    a_count, _ = count_arc_zeros(wp, eps=eps)
+    b_count, _ = count_side_zeros(wp, eps=eps)
     v_i, v_rho = trivial_orders(wp.weight_sum)
     pc = predicted_counts(wp)
     pa, pb = expected_boundary_counts(wp, pc)

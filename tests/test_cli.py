@@ -55,17 +55,6 @@ class TestRunConfig:
             RunConfig("eval", k_values=(6,), fmt="xml")
         with pytest.raises(ValueError, match="jobs"):
             RunConfig("scan", k_values=(56,), l_values=(20,), jobs=0)
-        with pytest.raises(ValueError, match="oversample"):
-            RunConfig("scan", k_values=(56,), l_values=(20,), oversample=0.0)
-
-    def test_oversample_bounded(self):
-        # rejected here: an unbounded factor would put the scan ends
-        # within rounding of the corners, and inf failed deep in the scan
-        for bad in (math.inf, 1e6):
-            with pytest.raises(ValueError, match="oversample"):
-                RunConfig("audit", k_values=(40,), l_values=(16,),
-                          oversample=bad)
-        RunConfig("audit", k_values=(40,), l_values=(16,), oversample=64.0)
 
 
 class TestParsePoint:
@@ -220,17 +209,12 @@ class TestScan:
     def test_csv_rows_parse(self, capsys):
         rc, out, _ = run_cli(capsys, [
             "scan", "--l-min", "20", "--l-max", "20",
-            "--k-min", "56", "--k-max", "60", "--format", "csv", "--no-hunt"])
+            "--k-min", "56", "--k-max", "60", "--format", "csv"])
         assert rc == 0
         rows = csv_rows(out)
         assert len(rows) == 3
         assert all(r["valence_ok"] == "1" for r in rows)
         assert [int(r["A"]) for r in rows] == [3, 3, 3]
-
-    def test_no_hunt_is_a_no_op(self, capsys):
-        argv = ["scan", "--l-min", "20", "--l-max", "20",
-                "--k-min", "56", "--k-max", "58"]
-        assert run_cli(capsys, argv + ["--no-hunt"]) == run_cli(capsys, argv)
 
 
 class TestAudit:
@@ -510,7 +494,7 @@ class TestDeterminism:
 
     def test_parallel_scan_is_byte_identical(self, tmp_path):
         argv = ["scan", "--l-min", "20", "--l-max", "22",
-                "--k-min", "56", "--k-max", "62", "--no-hunt"]
+                "--k-min", "56", "--k-max", "62"]
         p1, p2 = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
         assert main(argv + ["--out", str(p1)]) == 0
         assert main(argv + ["--jobs", "3", "--out", str(p2)]) == 0
@@ -535,7 +519,7 @@ class TestDeterminism:
                 return map(fn, tasks)
 
         argv = ["scan", "--k-min", "28", "--k-max", "32", "--l-min", "28",
-                "--l-max", "28", "--no-hunt"]
+                "--l-max", "28"]
         rc, serial, _ = run_cli(capsys, argv)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             SerialPool)
@@ -574,6 +558,23 @@ def test_cli_import_leaves_the_pool_out():
                          capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+_ONE_PAIR_SCAN = ["scan", "--k-min", "56", "--k-max", "56",
+                  "--l-min", "20", "--l-max", "20"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--k", "40", "--l", "16", "--oversample", "1"],
+    _ONE_PAIR_SCAN + ["--oversample", "2"],
+    _ONE_PAIR_SCAN + ["--no-hunt"],
+])
+def test_scan_end_flags_are_unknown(capsys, argv):
+    # the scan ends follow from (k, l) alone, so no flag moves them
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", [

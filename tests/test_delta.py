@@ -72,7 +72,6 @@ class TestWeightPair:
                     continue
                 wp = WeightPair(k, l)
                 assert k - l == 12 * wp.n + wp.j and 0 <= wp.j < 12
-                assert l == 6 * wp.q + wp.a and wp.a in (0, 2, 4)
                 assert wp.weight_sum == k + l
 
     def test_rejects_bad_weights(self):

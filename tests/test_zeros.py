@@ -161,7 +161,7 @@ class TestCountSignChanges:
 
         monkeypatch.setattr(zeros, "side_normalized_batch", ev)
         with pytest.raises(SignUncertainError) as info:
-            zeros._comb_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
+            zeros._comb_scan(wp, 1e-12, side_upper_cutoff(wp))
         assert len(blind) == 2
         assert info.value.uncertain == 2
         assert info.value.points == tuple(blind)
@@ -287,7 +287,7 @@ def fresh_scan():
 def boundary_scan(pair):
     """The counting scan of pair."""
     wp = WeightPair(*pair)
-    return zeros._boundary_scan(wp, 1e-12, 1.0, side_upper_cutoff(wp))
+    return zeros._boundary_scan(wp, 1e-12, side_upper_cutoff(wp))
 
 
 def scan_points(pair):
@@ -296,8 +296,8 @@ def scan_points(pair):
     wp = WeightPair(*pair)
     pieces = []
     for (lo, hi), comb in (
-            (zeros._arc_ends(wp, 1.0), arc_sample_points(wp)),
-            (zeros._side_ends(wp, 1.0, side_upper_cutoff(wp)),
+            (zeros._arc_ends(wp), arc_sample_points(wp)),
+            (zeros._side_ends(wp, side_upper_cutoff(wp)),
              [0.5 * math.tan(t) for t in side_sample_points(pair[1])])):
         pieces.append([lo] + [x for x in comb if lo < x < hi] + [hi])
     return pieces
@@ -712,7 +712,7 @@ class TestInteriorHunt:
 
     def test_open_count_reports_interior(self, monkeypatch, capsys):
         flip_side_sign(monkeypatch, (100, 58))
-        row = cli._pair_report((100, 58, 1e-12, 1.0))
+        row = cli._pair_report((100, 58, 1e-12))
         assert row["valence_ok"] is False
         assert row["interior"] == ["interior not excluded: boundary count "
                                    "does not close the valence identity"]
