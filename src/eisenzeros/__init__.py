@@ -2,7 +2,7 @@
 the modular fundamental domain."""
 
 from .delta import WeightPair, corner_derivatives
-from .eisenstein import Regime, eval_ek_fourier, eval_ek_lattice
+from .eisenstein import eval_ek_fourier, eval_ek_lattice
 from .numerics import LogComplex, bernoulli, gamma_k
 from .zeros import (
     PredictedCounts,
@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LogComplex",
     "PredictedCounts",
-    "Regime",
     "WeightPair",
     "ZeroCountReport",
     "audit",

@@ -32,8 +32,7 @@ import numpy as np
 
 from .delta import WeightPair
 from .eisenstein import (
-    Regime,
-    _check_weight,
+    _MIN_EPS,
     eval_ek_fourier,
     eval_ek_lattice,
     gk,
@@ -42,6 +41,7 @@ from .eisenstein import (
     phi1,
     theta_eisenstein_transformed,
 )
+from .numerics import MAX_WEIGHT, _check_weight
 from .zeros import (
     audit,
     interior_zero_hunt,
@@ -63,9 +63,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_EPS_MIN = 1e-15
 _EPS_MAX = 1e-6
-_PAIR_SUM_CAP = 400
 _FOURIER_ENVELOPE = 1e-6
 
 TABLE_K_VALUES = tuple(range(56, 86, 2))
@@ -123,9 +121,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in ("eval", "table", "scan", "audit", "plotdata"):
             raise ValueError(f"unknown command {self.command!r}")
-        if not (_EPS_MIN <= self.eps <= _EPS_MAX):
+        if not (_MIN_EPS <= self.eps <= _EPS_MAX):
             raise ValueError(
-                f"eps must lie in [{_EPS_MIN:g}, {_EPS_MAX:g}], got {self.eps:g}")
+                f"eps must lie in [{_MIN_EPS:g}, {_EPS_MAX:g}], got {self.eps:g}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.jobs < 1:
@@ -134,17 +132,16 @@ class RunConfig:
             if not self.k_values or not self.l_values:
                 raise ValueError(f"{self.command} needs non-empty weight ranges")
             for v in self.k_values + self.l_values:
-                if v % 2 or v < 4:
-                    raise ValueError(f"weights must be even and >= 4, got {v}")
+                _check_weight(v)
             _check_pair_sums(self.k_values, self.l_values)
 
 
 def _check_pair_sums(k_values, l_values) -> None:
     over = [(k, l) for l in l_values for k in k_values
-            if k >= l and k + l > _PAIR_SUM_CAP]
+            if k >= l and k + l > MAX_WEIGHT]
     if over:
         raise ValueError(
-            f"{len(over)} pairs exceed the k + l <= {_PAIR_SUM_CAP} cap, "
+            f"{len(over)} pairs exceed the k + l <= {MAX_WEIGHT} cap, "
             f"largest {max(over, key=sum)}")
 
 
@@ -224,15 +221,15 @@ def _eval_one(k: int, z: complex, method: str, eps: float) -> dict:
             # scaled route needs k >= 8; at k = 4, 6 the direct product is
             # safe since |z|^k stays small
             g = (value - 1.0) * z ** k
-        regime, envelope = Regime.LATTICE_EXACT.value, tail
+        regime, envelope = "LatticeExact", tail
     elif method == "fourier":
         value = eval_ek_fourier(k, z)
         g = gk_fourier(k, z)
-        regime, envelope = Regime.FOURIER_LARGE.value, _FOURIER_ENVELOPE
+        regime, envelope = "FourierLarge", _FOURIER_ENVELOPE
     elif method == "theta":
         g = theta_eisenstein_transformed(k, z)
         value = _e_from_g(k, z, g)
-        regime = Regime.THETA_MID.value
+        regime = "ThetaMid"
         envelope = 10.0 * z.imag / k ** (2.0 / 3.0)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -560,7 +557,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # OSError: an --out path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .eisenstein import fk_batch, hk_batch
+from .numerics import _check_weight
 
 __all__ = [
     "CornerDerivatives",
@@ -55,9 +56,8 @@ class WeightPair:
     l: int
 
     def __post_init__(self):
-        for w in (self.k, self.l):
-            if w % 2 != 0 or w < 4:
-                raise ValueError(f"weights must be even and >= 4, got {w}")
+        _check_weight(self.k)
+        _check_weight(self.l)
         if self.k < self.l:
             raise ValueError(f"require k >= l, got k={self.k} < l={self.l}")
         if self.k + self.l in _DEGENERATE_SUMS:

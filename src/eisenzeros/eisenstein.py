@@ -17,7 +17,6 @@ G_k(z) = z^k (E_k(z) - 1),  H_k(z) = |z|^k (E_k(z) - 1),  |H_k| = |G_k|.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,10 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import LogComplex, gamma_k, lc_sum, zeta
+from .numerics import LogComplex, _check_weight, gamma_k, lc_sum, zeta
 
 __all__ = [
-    "Regime",
     "ThetaArgs",
     "eval_ek_fourier",
     "eval_ek_lattice",
@@ -45,21 +43,13 @@ __all__ = [
 
 # Truncation policy for the lattice evaluator.
 _PAIR_BUDGET = 4_000_000   # max lattice points enumerated per evaluation
-_AXIS_CAP = 10_000         # max |c|; |d| follows from t <= _T_HARD
 _T_HARD = 5_000.0          # absolute radius ceiling
-_MIN_EPS = 1e-15
+_MIN_EPS = 1e-15           # certificate floor of every lattice evaluator
 
 # Widened domain: the fundamental domain plus the corner strip
 # 2/5 <= x <= 3/5, 2^(-1/2) <= y used by the corner expansions.
 _X_MAX = 0.6 + 1e-12
 _Y_MIN = 2.0 ** -0.5 - 1e-12
-
-
-class Regime(enum.Enum):
-    SMALL_Y = "SmallY"
-    THETA_MID = "ThetaMid"
-    FOURIER_LARGE = "FourierLarge"
-    LATTICE_EXACT = "LatticeExact"
 
 
 @dataclass(frozen=True)
@@ -72,12 +62,6 @@ class ThetaArgs:
     def __post_init__(self):
         if not self.tau.imag > 0:
             raise ValueError("theta requires Im(tau) > 0")
-
-
-
-def _check_weight(k: int) -> None:
-    if k % 2 != 0 or k < 4:
-        raise ValueError(f"weight must be even and >= 4, got {k}")
 
 
 def _check_domain(z: complex) -> None:
@@ -96,8 +80,11 @@ def _truncation_radius(k: int, z: complex, eps: float,
 
     Lattice-point counting gives N(t) <= pi (t + rho)^2 / y with covering
     radius rho <= (1+|z|)/2, hence for T >= 1+|z| the tail is at most
-    2.25 pi k / (y (k-2)) * T^(2-k).
+    2.25 pi k / (y (k-2)) * T^(2-k).  Raises for eps below the
+    certificate floor _MIN_EPS: roundoff in the sum already exceeds it.
     """
+    if eps < _MIN_EPS:
+        raise ValueError(f"eps below certificate floor {_MIN_EPS}")
     y = z.imag
     a_const = 2.25 * math.pi * k / (y * (k - 2.0))
     log_half_a = math.log(0.5 * a_const / zeta(k))
@@ -106,10 +93,10 @@ def _truncation_radius(k: int, z: complex, eps: float,
     t_target = math.exp((scale_log + log_half_a - math.log(0.8 * eps))
                         / (k - 2.0))
     t_budget = math.sqrt(_PAIR_BUDGET * 2.0 * y / math.pi)
-    t = min(max(t_target, t_min), t_budget, _AXIS_CAP * y, _T_HARD)
-    t = max(t, t_min)
-    if t > min(t_budget, _AXIS_CAP * y, _T_HARD) * 1.01:
+    cap = min(t_budget, _T_HARD)
+    if t_min > 1.01 * cap:
         raise ValueError(f"cannot enumerate lattice disk for y={y}")
+    t = max(min(t_target, cap), t_min)
     log_tail = scale_log + log_half_a + (2.0 - k) * math.log(t)
     tail = math.exp(log_tail) if log_tail > -745.0 else 0.0
     return t, tail
@@ -153,7 +140,7 @@ def _lattice_sum(zs: np.ndarray, x_lo: float, x_hi: float, y: float,
     run's.  The blocks' sums are added in run order; no pairs sum to zeros.
     """
     rows, n = [], 0
-    for c in range(1, min(int(t / y), _AXIS_CAP) + 1):
+    for c in range(1, int(t / y) + 1):
         s2 = t * t - (c * y) ** 2
         if s2 > 0.0:
             r = math.sqrt(s2)
@@ -208,8 +195,6 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12) -> tuple[complex, float]:
     _check_weight(k)
     z = complex(z)
     _check_domain(z)
-    if eps < _MIN_EPS:
-        raise ValueError(f"eps below certificate floor {_MIN_EPS}")
     t, tail = _truncation_radius(k, z, eps, 0.0)
     val = complex(_lattice_sum(np.array([z]), z.real, z.real, z.imag, t, k)[0])
     val += _axis_sum(k, t)
@@ -405,13 +390,15 @@ def gk_fourier(k: int, z) -> complex:
 # --- Jacobi theta -------------------------------------------------------
 
 _THETA_MAX_N = 1_000_000
+# relative truncation tolerance of both theta series
+_THETA_EPS = 1e-14
 
 
-def jacobi_theta(args: ThetaArgs, eps: float = 1e-14) -> complex:
+def jacobi_theta(args: ThetaArgs) -> complex:
     """theta(w, tau) = sum_n exp(pi i n^2 tau + 2 pi i n w), Im tau > 0.
 
-    Truncates once the Gaussian factor drops below eps relative to the
-    partial sum (plus 1 to guard near-cancellation)."""
+    Truncates once the Gaussian factor drops below _THETA_EPS relative to
+    the partial sum (plus 1 to guard near-cancellation)."""
     w, tau = args.w, args.tau
     total = 1.0 + 0.0j
     n = 1
@@ -420,13 +407,13 @@ def jacobi_theta(args: ThetaArgs, eps: float = 1e-14) -> complex:
         t_pos = cmath.exp(base + 2j * math.pi * n * w)
         t_neg = cmath.exp(base - 2j * math.pi * n * w)
         total += t_pos + t_neg
-        if max(abs(t_pos), abs(t_neg)) < eps * (abs(total) + 1.0):
+        if max(abs(t_pos), abs(t_neg)) < _THETA_EPS * (abs(total) + 1.0):
             return total
         n += 1
     raise ArithmeticError(f"theta series failed to converge: {args}")
 
 
-def theta_eisenstein_transformed(k: int, z, eps: float = 1e-14) -> complex:
+def theta_eisenstein_transformed(k: int, z) -> complex:
     """The Eisenstein theta specialization evaluated through the modular
     transformation: r^(1/2) exp(-ikx/y + pi x^2/r) *
     sum_n exp(-pi r (n - k/(2 pi y))^2) e(nx), with r = 2 pi y^2 / k."""
@@ -434,7 +421,7 @@ def theta_eisenstein_transformed(k: int, z, eps: float = 1e-14) -> complex:
     x, y = z.real, z.imag
     r = 2.0 * math.pi * y * y / k
     n0 = k / (2.0 * math.pi * y)
-    width = math.ceil(math.sqrt(-math.log(eps) / (math.pi * r))) + 2
+    width = math.ceil(math.sqrt(-math.log(_THETA_EPS) / (math.pi * r))) + 2
     total = 0.0j
     for n in range(math.floor(n0) - width, math.ceil(n0) + width + 1):
         total += cmath.exp(-math.pi * r * (n - n0) ** 2

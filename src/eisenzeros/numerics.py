@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
+    "MAX_WEIGHT",
     "LogComplex",
     "bernoulli",
     "gamma_k",
@@ -22,6 +23,16 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# The largest weight the library certifies: the reach of the tangent-number
+# table behind bernoulli, and so the cap on k + l for a pair.
+MAX_WEIGHT = 400
+
+
+def _check_weight(k: int) -> None:
+    """The weight rule of every Eisenstein series here: k even and >= 4."""
+    if k % 2 != 0 or k < 4:
+        raise ValueError(f"weight must be even and >= 4, got {k}")
 
 
 def _wrap_phase(phi: float) -> float:
@@ -133,7 +144,7 @@ def _extend_bernoulli(n: int) -> None:
     # least doubles each time it grows, up to B_400.
     if len(_bernoulli_cache) >= n:
         return
-    n = min(max(n, 2 * len(_bernoulli_cache)), 200)
+    n = min(max(n, 2 * len(_bernoulli_cache)), MAX_WEIGHT // 2)
     t = [0, 1] + [0] * (n - 1)
     for j in range(2, n + 1):
         t[j] = (j - 1) * t[j - 1]
@@ -146,9 +157,10 @@ def _extend_bernoulli(n: int) -> None:
 
 
 def bernoulli(k: int) -> Fraction:
-    """Exact Bernoulli number B_k for even k with 2 <= k <= 400."""
-    if k % 2 != 0 or not 2 <= k <= 400:
-        raise ValueError(f"bernoulli requires even k in [2, 400], got {k}")
+    """Exact Bernoulli number B_k for even k with 2 <= k <= MAX_WEIGHT."""
+    if k % 2 != 0 or not 2 <= k <= MAX_WEIGHT:
+        raise ValueError(
+            f"bernoulli requires even k in [2, {MAX_WEIGHT}], got {k}")
     _extend_bernoulli(k // 2)
     return _bernoulli_cache[k // 2 - 1]
 
@@ -183,8 +195,7 @@ def gamma_k(k: int) -> LogComplex:
     hence the log-space return type.  Memoized: the big-rational division
     costs tens of microseconds, and every even weight up to 400 fits.
     """
-    if k % 2 != 0 or k < 4:
-        raise ValueError(f"gamma_k requires even k >= 4, got {k}")
+    _check_weight(k)
     val = Fraction(-2 * k) / bernoulli(k)
     return LogComplex(_log_abs_fraction(val),
                       0.0 if val > 0 else math.pi)

@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .delta import (WeightPair, _as_pair, arc_real_batch, corner_derivatives,
                     side_normalized_batch)
+from .eisenstein import _MIN_EPS
 # lc_sum is no longer called here but stays importable: perfbench's
 # tracer installs its numerics.lc_sum span at eisenzeros.zeros:lc_sum.
 from .numerics import bernoulli, gamma_k, lc_sum, zeta  # noqa: F401
@@ -58,7 +59,7 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 _CERTAINTY = 10.0
-_EPS_LADDER = (1e-12, 1e-14, 1e-15)
+_EPS_LADDER = (1e-12, 1e-14, _MIN_EPS)
 _BRACKET_WIDTH = 1e-12
 _COEFF_COUNT = 50
 _Y_CEILING = 64.0
@@ -411,18 +412,6 @@ def _side_ends(wp: WeightPair, y_max: float) -> tuple[float, float]:
     return float(0.5 * np.tan(math.pi / 3.0 + h * 0.5)), y_max
 
 
-def _arc_eval(wp: WeightPair) -> _BatchEval:
-    def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
-        return arc_real_batch(wp, xs, e)
-    return ev
-
-
-def _side_eval(wp: WeightPair) -> _BatchEval:
-    def ev(xs: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
-        return side_normalized_batch(wp, xs, e)
-    return ev
-
-
 @dataclass(frozen=True)
 class _BoundaryScan:
     """The sign-change cells of the arc and the side."""
@@ -455,8 +444,9 @@ def _comb_scan(wp: WeightPair, eps: float, y_max: float) -> _BoundaryScan:
     SignUncertainError naming all of them."""
     cells = []
     for ev, (lo, hi), comb in (
-            (_arc_eval(wp), _arc_ends(wp), arc_sample_points(wp)),
-            (_side_eval(wp), _side_ends(wp, y_max),
+            (partial(arc_real_batch, wp), _arc_ends(wp),
+             arc_sample_points(wp)),
+            (partial(side_normalized_batch, wp), _side_ends(wp, y_max),
              [0.5 * math.tan(t) for t in side_sample_points(wp.l)])):
         pts = np.array([lo] + [x for x in comb if lo < x < hi] + [hi])
         vals, certified = _certify(ev, pts, _ladder(eps))
@@ -534,8 +524,9 @@ def zero_brackets(wp, eps: float = 1e-12) -> tuple[ZeroBracket, ...]:
         raise ArithmeticError(
             f"comb sign changes do not close the valence identity at "
             f"k={wp.k}, l={wp.l}: A>={len(scan.arc)}, B>={len(scan.side)}")
-    return tuple(_refine_brackets(_arc_eval(wp), "arc", scan.arc, eps)
-                 + _refine_brackets(_side_eval(wp), "side", scan.side, eps))
+    arc, side = partial(arc_real_batch, wp), partial(side_normalized_batch, wp)
+    return tuple(_refine_brackets(arc, "arc", scan.arc, eps)
+                 + _refine_brackets(side, "side", scan.side, eps))
 
 
 # ---------------------------------------------------------------------------

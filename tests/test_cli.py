@@ -246,6 +246,18 @@ class TestAudit:
         assert out == ""
         assert "k + l <= 400 cap" in err and "bernoulli" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--k", "40", "--l", "16"],
+        ["eval", "--k", "12", "--z", "2i"],
+    ])
+    def test_unopenable_out_is_a_rejected_configuration(
+            self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        rc, out, err = run_cli(capsys, argv + ["--out", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+
 
 class TestPlotdata:
     def test_zeros_weight_sum_cap(self, capsys):

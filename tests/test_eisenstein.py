@@ -18,8 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisenzeros import zeros
+from eisenzeros.cli import RunConfig
 from eisenzeros.eisenstein import (
     _BLOCK_TERMS,
+    _MIN_EPS,
     _PAIR_BUDGET,
     _drow_tail,
     _lattice_sum,
@@ -39,6 +42,7 @@ from eisenzeros.eisenstein import (
     theta_eisenstein_transformed,
 )
 from eisenzeros.numerics import LogComplex, bernoulli, gamma_k, lc_sum
+from eisenzeros.zeros import audit, zero_brackets
 
 RHO = cmath.exp(1j * math.pi / 3)
 
@@ -135,6 +139,30 @@ class TestLatticeEvaluator:
             eval_ek_lattice(12, 0.5 + 0.5j)
         with pytest.raises(ValueError):
             eval_ek_lattice(12, 0.7 + 2j)
+
+    def test_every_lattice_evaluator_keeps_the_certificate_floor(self):
+        # a tail bound below roundoff certifies nothing: hk_batch and
+        # fk_batch size their disks through the same radius as
+        # eval_ek_lattice, and the counters and refinement reach them
+        floor = "certificate floor"
+        with pytest.raises(ValueError, match=floor):
+            hk_batch(20, np.array([1.0, 2.0]), 1e-16)
+        with pytest.raises(ValueError, match=floor):
+            fk_batch(20, np.array([1.2, 1.4]), 1e-16)
+        with pytest.raises(ValueError, match=floor):
+            audit((56, 20), eps=1e-16)
+        with pytest.raises(ValueError, match=floor):
+            zero_brackets((56, 20), eps=1e-16)
+
+    def test_one_floor_for_evaluators_ladder_and_cli(self):
+        below = math.nextafter(_MIN_EPS, 0.0)
+        eval_ek_lattice(12, 2j, eps=_MIN_EPS)
+        with pytest.raises(ValueError, match="certificate floor"):
+            eval_ek_lattice(12, 2j, eps=below)
+        assert zeros._EPS_LADDER[-1] == _MIN_EPS
+        RunConfig("audit", k_values=(56,), l_values=(20,), eps=_MIN_EPS)
+        with pytest.raises(ValueError, match="eps must lie"):
+            RunConfig("audit", k_values=(56,), l_values=(20,), eps=below)
 
 
 class TestFourierEvaluator:

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisenzeros.cli import RunConfig, main
 from eisenzeros.numerics import (
+    MAX_WEIGHT,
     LogComplex,
     bernoulli,
     gamma_k,
@@ -85,6 +87,18 @@ class TestBernoulli:
     def test_rejects_bad_input(self, bad):
         with pytest.raises(ValueError):
             bernoulli(bad)
+
+    def test_one_weight_cap_for_bernoulli_and_scan(self, capsys):
+        assert bernoulli(MAX_WEIGHT).denominator > 0
+        with pytest.raises(ValueError, match=f"\\[2, {MAX_WEIGHT}\\]"):
+            bernoulli(MAX_WEIGHT + 2)
+        half = MAX_WEIGHT // 2
+        RunConfig("scan", k_values=(half,), l_values=(half,))
+        assert main(["scan", "--k-min", str(half + 2), "--k-max",
+                     str(half + 2), "--l-min", str(half),
+                     "--l-max", str(half)]) == 2
+        err = capsys.readouterr().err
+        assert f"k + l <= {MAX_WEIGHT} cap" in err
 
 
 class TestGammaK:

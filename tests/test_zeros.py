@@ -4,6 +4,7 @@ the audit."""
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -262,8 +263,9 @@ class TestRefinement:
         # refinement starts from the end values the scan certified
         scan = boundary_scan((k, l))
         wp = WeightPair(k, l)
-        for ev, kind, cells in ((zeros._arc_eval(wp), "arc", scan.arc),
-                                (zeros._side_eval(wp), "side", scan.side)):
+        for ev, kind, cells in (
+                (partial(arc_real_batch, wp), "arc", scan.arc),
+                (partial(side_normalized_batch, wp), "side", scan.side)):
             seen = []
 
             def recording(xs, eps, ev=ev, seen=seen):
