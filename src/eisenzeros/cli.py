@@ -13,6 +13,8 @@ byte-deterministic for a fixed configuration: scan workers may run in
 parallel but results are reduced in (l, k) order, JSON keys are sorted,
 and CSV uses a bare "\\n" terminator.  Exit status is nonzero exactly
 when some certified check failed (or the configuration was rejected).
+The whole configuration is checked before --out is opened, and --out is
+opened before any work starts.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -134,6 +136,9 @@ class RunConfig:
             for v in self.k_values + self.l_values:
                 _check_weight(v)
             _check_pair_sums(self.k_values, self.l_values)
+            if (self.command == "scan"
+                    and max(self.k_values) < min(self.l_values)):
+                raise ValueError("weight ranges produce no pairs with k >= l")
 
 
 def _check_pair_sums(k_values, l_values) -> None:
@@ -242,7 +247,7 @@ def _eval_one(k: int, z: complex, method: str, eps: float) -> dict:
     }
 
 
-def cmd_eval(cfg: RunConfig, z: complex, method: str) -> int:
+def cmd_eval(cfg: RunConfig, fh, z: complex, method: str) -> int:
     k = cfg.k_values[0]
     methods = ("lattice", "fourier", "theta") if method == "all" else (method,)
     rows = [_eval_one(k, z, m, cfg.eps) for m in methods]
@@ -254,8 +259,7 @@ def cmd_eval(cfg: RunConfig, z: complex, method: str) -> int:
             "k": k, "x": z.real, "y": z.imag,
             "max_pairwise_deviation": deviation,
         })
-    with _out_stream(cfg.out) as fh:
-        _write_rows(fh, cfg.fmt, _EVAL_FIELDS, rows)
+    _write_rows(fh, cfg.fmt, _EVAL_FIELDS, rows)
     return 0
 
 
@@ -295,23 +299,13 @@ def _run_tasks(tasks, jobs):
 
 
 def _row_failed(row: dict) -> bool:
-    if row.get("error"):
-        return True
-    return (not row.get("valence_ok", False)
-            or bool(row.get("findings")) or bool(row.get("interior")))
+    # a valence failure always adds a finding, and only it fills interior
+    return bool(row.get("error") or row.get("findings"))
 
 
-def _triangle_pairs(cfg: RunConfig) -> list[tuple[int, int]]:
-    pairs = [(k, l) for l in cfg.l_values for k in cfg.k_values if k >= l]
-    if not pairs:
-        raise ValueError("weight ranges produce no pairs with k >= l")
-    pairs.sort(key=lambda p: (p[1], p[0]))
-    return pairs
-
-
-def cmd_scan(cfg: RunConfig) -> int:
-    pairs = _triangle_pairs(cfg)
-    tasks = [(k, l, cfg.eps) for (k, l) in pairs]
+def cmd_scan(cfg: RunConfig, fh) -> int:
+    tasks = [(k, l, cfg.eps) for l in sorted(cfg.l_values)
+             for k in sorted(cfg.k_values) if k >= l]
     rows = _run_tasks(tasks, cfg.jobs)
 
     valence_failures = sum(
@@ -326,24 +320,21 @@ def cmd_scan(cfg: RunConfig) -> int:
         "errors": errors,
     }
 
-    with _out_stream(cfg.out) as fh:
-        _write_rows(fh, cfg.fmt, _REPORT_FIELDS, rows)
-        if cfg.fmt == "json":
-            fh.write(json.dumps(summary, sort_keys=True))
-            fh.write("\n")
+    _write_rows(fh, cfg.fmt, _REPORT_FIELDS, rows)
+    if cfg.fmt == "json":
+        fh.write(json.dumps(summary, sort_keys=True))
+        fh.write("\n")
     print(
         f"scan: {len(rows)} pairs, {valence_failures} valence failures, "
         f"{mismatches} count mismatches, {interior} interior reports, "
         f"{errors} errors", file=sys.stderr)
-    failed = valence_failures or mismatches or interior or errors
-    return 1 if failed else 0
+    return 1 if any(map(_row_failed, rows)) else 0
 
 
-def cmd_audit(cfg: RunConfig) -> int:
+def cmd_audit(cfg: RunConfig, fh) -> int:
     k, l = cfg.k_values[0], cfg.l_values[0]
     row = _pair_report((k, l, cfg.eps))
-    with _out_stream(cfg.out) as fh:
-        _write_rows(fh, cfg.fmt, _REPORT_FIELDS, [row])
+    _write_rows(fh, cfg.fmt, _REPORT_FIELDS, [row])
     return 1 if _row_failed(row) else 0
 
 
@@ -360,7 +351,7 @@ def _table_cell(which: int, row: dict):
     return row["A"] - row["n_prime"]
 
 
-def cmd_table(cfg: RunConfig, which: int) -> int:
+def cmd_table(cfg: RunConfig, fh, which: int) -> int:
     tasks = [(k, l, cfg.eps) for l in cfg.l_values for k in cfg.k_values]
     rows = _run_tasks(tasks, cfg.jobs)
     cells = {(r["l"], r["k"]): _table_cell(which, r) for r in rows}
@@ -383,8 +374,7 @@ def cmd_table(cfg: RunConfig, which: int) -> int:
             })
 
     fieldnames = ("schema_version", "l") + tuple(str(k) for k in cfg.k_values)
-    with _out_stream(cfg.out) as fh:
-        _write_rows(fh, cfg.fmt, fieldnames, out_rows)
+    _write_rows(fh, cfg.fmt, fieldnames, out_rows)
     for line in diffs:
         print(line, file=sys.stderr)
     return 1 if diffs else 0
@@ -394,8 +384,6 @@ def cmd_table(cfg: RunConfig, which: int) -> int:
 
 
 def _plot_phi(r_min: float, r_max: float, points: int) -> list[dict]:
-    if not 0.0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
     rows = []
     for r in np.linspace(r_min, r_max, points):
         rows.append({"schema_version": SCHEMA_VERSION, "r": float(r),
@@ -434,15 +422,25 @@ def _plot_regimes(k: int, x: float, points: int, eps: float) -> list[dict]:
     return rows
 
 
-def cmd_plotdata(cfg: RunConfig, kind: str, *, k=None, l=None, x=0.5,
+def _check_plotdata(kind: str, k, l, r_min: float, r_max: float) -> None:
+    """The configuration checks of plotdata, made before --out opens."""
+    if kind == "phi" and not 0.0 < r_min < r_max:
+        raise ValueError("need 0 < r_min < r_max")
+    if kind == "zeros":
+        if k is None or l is None:
+            raise ValueError("plotdata --kind zeros requires --k and --l")
+        _check_pair_sums((k,), (l,))
+        WeightPair(k, l)
+    if kind == "regimes" and k is not None:
+        _check_weight(k)
+
+
+def cmd_plotdata(cfg: RunConfig, fh, kind: str, *, k=None, l=None, x=0.5,
                  r_min=0.05, r_max=10.0, points=0) -> int:
     if kind == "phi":
         rows = _plot_phi(r_min, r_max, points or 40)
         fields = _PHI_FIELDS
     elif kind == "zeros":
-        if k is None or l is None:
-            raise ValueError("plotdata --kind zeros requires --k and --l")
-        _check_pair_sums((k,), (l,))
         try:
             rows = _plot_zeros(k, l, cfg.eps)
         except ArithmeticError as exc:
@@ -451,14 +449,11 @@ def cmd_plotdata(cfg: RunConfig, kind: str, *, k=None, l=None, x=0.5,
             return 1
         fields = _ZEROS_FIELDS
     elif kind == "regimes":
-        k = 300 if k is None else k
-        _check_weight(k)
-        rows = _plot_regimes(k, x, points or 24, cfg.eps)
+        rows = _plot_regimes(300 if k is None else k, x, points or 24, cfg.eps)
         fields = _REGIMES_FIELDS
     else:
         raise ValueError(f"unknown plotdata kind {kind!r}")
-    with _out_stream(cfg.out) as fh:
-        _write_rows(fh, cfg.fmt, fields, rows)
+    _write_rows(fh, cfg.fmt, fields, rows)
     return 0
 
 
@@ -532,25 +527,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    """Check the whole configuration, then open --out and run the command."""
     common = dict(eps=args.eps, fmt=args.fmt, out=args.out,
                   jobs=getattr(args, "jobs", 1))
     if args.command == "eval":
         cfg = RunConfig("eval", k_values=(args.k,), **common)
-        return cmd_eval(cfg, parse_point(args.z), args.method)
-    if args.command == "table":
+        run = partial(cmd_eval, cfg, z=parse_point(args.z), method=args.method)
+    elif args.command == "table":
         cfg = RunConfig("table", k_values=TABLE_K_VALUES,
                         l_values=TABLE_L_VALUES, **common)
-        return cmd_table(cfg, args.which)
-    if args.command == "scan":
+        run = partial(cmd_table, cfg, which=args.which)
+    elif args.command == "scan":
         cfg = RunConfig("scan", k_values=_even_range(args.k_min, args.k_max),
                         l_values=_even_range(args.l_min, args.l_max), **common)
-        return cmd_scan(cfg)
-    if args.command == "audit":
+        run = partial(cmd_scan, cfg)
+    elif args.command == "audit":
         cfg = RunConfig("audit", k_values=(args.k,), l_values=(args.l,), **common)
-        return cmd_audit(cfg)
-    cfg = RunConfig("plotdata", **common)
-    return cmd_plotdata(cfg, args.kind, k=args.k, l=args.l, x=args.x,
-                        r_min=args.r_min, r_max=args.r_max, points=args.points)
+        run = partial(cmd_audit, cfg)
+    else:
+        cfg = RunConfig("plotdata", **common)
+        _check_plotdata(args.kind, args.k, args.l, args.r_min, args.r_max)
+        run = partial(cmd_plotdata, cfg, kind=args.kind, k=args.k, l=args.l,
+                      x=args.x, r_min=args.r_min, r_max=args.r_max,
+                      points=args.points)
+    with _out_stream(cfg.out) as fh:
+        return run(fh)
 
 
 def main(argv=None) -> int:

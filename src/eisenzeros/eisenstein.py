@@ -417,6 +417,7 @@ def theta_eisenstein_transformed(k: int, z) -> complex:
     """The Eisenstein theta specialization evaluated through the modular
     transformation: r^(1/2) exp(-ikx/y + pi x^2/r) *
     sum_n exp(-pi r (n - k/(2 pi y))^2) e(nx), with r = 2 pi y^2 / k."""
+    _check_weight(k)
     z = complex(z)
     x, y = z.real, z.imag
     r = 2.0 * math.pi * y * y / k

@@ -17,8 +17,9 @@ zero_brackets() narrows the closed comb cells, to 1e-12 where the signs
 near each zero certify.
 
 Closed-form predictions for the counts and the stabilization threshold
-in k past which they stop moving live alongside; audit() ties the counts
-to the valence identity, whose closure also excludes interior zeros.
+in k past which they stop moving live alongside.  audit() ties the counts
+to the valence identity, whose closure also excludes interior zeros, and
+compares them on every pair with expected_boundary_counts.
 """
 from __future__ import annotations
 
@@ -119,7 +120,6 @@ class PredictedCounts:
     T: int
     T_prime: int
     sp: float
-    total_nontrivial: int
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def stabilization_point(l: int, j: int) -> float:
 def predicted_counts(wp) -> PredictedCounts:
     """All closed-form count predictions for one pair."""
     wp = _as_pair(wp)
-    n, j, l, w = wp.n, wp.j, wp.l, wp.weight_sum
+    n, j, l = wp.n, wp.j, wp.l
     lm = l % 6
     n_floor = max(0, n - 1 if j in (0, 2, 6) else n)
     if n == 0:
@@ -237,23 +237,20 @@ def predicted_counts(wp) -> PredictedCounts:
         n_prime = n + _N_PRIME_OFFSET[j][lm]
     t_floor = l // 6 - (2 if lm == 0 else 1)
     t_prime = l // 6 + (0 if lm == 4 else -1)
-    total = w // 12 - 1 - (1 if w % 12 == 2 else 0)
     return PredictedCounts(n_floor, n_prime, t_floor, t_prime,
-                           stabilization_point(l, j), total)
+                           stabilization_point(l, j))
 
 
-def expected_boundary_counts(wp, pc: Optional[PredictedCounts] = None,
-                             ) -> tuple[int, int]:
+def expected_boundary_counts(wp) -> tuple[int, int]:
     """Expected (A, B) at this k, including the pre-stabilization transient.
 
     For n = 0 the special-case values apply at every k, and a j = 8
     zero that predicted_counts moves off the arc lies on the side;
     otherwise the arc carries one extra zero and the side one fewer until
-    k reaches the stabilization point.
+    k reaches the stabilization point, and (N_prime, T_prime) from there.
     """
     wp = _as_pair(wp)
-    if pc is None:
-        pc = predicted_counts(wp)
+    pc = predicted_counts(wp)
     if wp.n == 0:
         a = pc.N_prime
         b = wp.l // 6 + _B_PRESTAB_OFFSET[wp.j][wp.l % 6]
@@ -654,33 +651,27 @@ def audit(wp, eps: float = 1e-12) -> ZeroCountReport:
     Measured counts come from the counters' certified sign changes at the
     combs, and no zero is refined; the valence identity is checked in
     cleared-denominator integer form.  Changes that miss the total are
-    lower bounds and are reported as a valence failure.  Once k has passed
-    the stabilization point (and the pair is not in the n = 0 family) the
-    measured counts must equal the stabilized predictions; mismatches are
-    reported as findings, as is a valence failure.
+    lower bounds and are reported as a valence failure.  On every pair the
+    measured counts must equal expected_boundary_counts; each piece that
+    differs is reported as a finding, as is a valence failure.
     """
     wp = _as_pair(wp)
     _boundary_scan.cache_clear()
     a_count, _ = count_arc_zeros(wp, eps=eps)
     b_count, _ = count_side_zeros(wp, eps=eps)
     v_i, v_rho = trivial_orders(wp.weight_sum)
-    pc = predicted_counts(wp)
-    pa, pb = expected_boundary_counts(wp, pc)
+    pa, pb = expected_boundary_counts(wp)
     valence_ok = _valence_closes(wp, a_count + b_count)
     findings = []
     if not valence_ok:
         findings.append(
             f"valence identity fails at k={wp.k}, l={wp.l}: A={a_count}, "
             f"B={b_count}, v_i={v_i}, v_rho={v_rho}")
-    if wp.n >= 1 and wp.k >= pc.sp:
-        if a_count != pc.N_prime:
-            findings.append(
-                f"stabilized arc count {a_count} != {pc.N_prime} predicted "
-                f"at k={wp.k}, l={wp.l}")
-        if b_count != pc.T_prime:
-            findings.append(
-                f"stabilized side count {b_count} != {pc.T_prime} predicted "
-                f"at k={wp.k}, l={wp.l}")
+    for piece, count, predicted in (("arc", a_count, pa),
+                                    ("side", b_count, pb)):
+        if count != predicted:
+            findings.append(f"{piece} count {count} != {predicted} "
+                            f"predicted at k={wp.k}, l={wp.l}")
     return ZeroCountReport(wp, a_count, b_count, v_i, v_rho, pa, pb,
                            valence_ok, tuple(findings))
 

@@ -45,6 +45,8 @@ class TestRunConfig:
             RunConfig("scan", k_values=(), l_values=(22,))
         with pytest.raises(ValueError, match="non-empty"):
             RunConfig("table", k_values=(56,), l_values=())
+        with pytest.raises(ValueError, match="no pairs with k >= l"):
+            RunConfig("scan", k_values=(14, 20), l_values=(22, 24))
 
     def test_weights_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
@@ -134,6 +136,13 @@ class TestEval:
         assert rc == 2
         assert out == ""
         assert "finite" in err
+
+    def test_theta_keeps_the_weight_rule(self, capsys):
+        rc, out, err = run_cli(
+            capsys, ["eval", "--k", "5", "--z", "2i", "--method", "theta"])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: weight must be even and >= 4, got 5\n"
 
     def test_rejects_bad_eps(self, capsys):
         rc, _, err = run_cli(
@@ -249,9 +258,18 @@ class TestAudit:
     @pytest.mark.parametrize("argv", [
         ["audit", "--k", "40", "--l", "16"],
         ["eval", "--k", "12", "--z", "2i"],
+        ["scan", "--k-min", "40", "--k-max", "44", "--l-min", "16",
+         "--l-max", "16"],
+        ["plotdata", "--kind", "zeros", "--k", "40", "--l", "16"],
     ])
     def test_unopenable_out_is_a_rejected_configuration(
-            self, capsys, tmp_path, argv):
+            self, capsys, tmp_path, monkeypatch, argv):
+        # --out is opened before any work starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --out was opened")
+
+        for name in ("_pair_report", "_eval_one", "zero_brackets"):
+            monkeypatch.setattr(cli, name, refuse)
         path = tmp_path / "missing" / "x.json"
         rc, out, err = run_cli(capsys, argv + ["--out", str(path)])
         assert rc == 2

@@ -18,6 +18,7 @@ from eisenzeros.numerics import bernoulli
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               SignUncertainError, ZeroBracket, _certify,
                               _delta_log_coeffs, _ladder, _refine_brackets,
+                              _valence_closes,
                               arc_sample_points, audit, count_arc_zeros,
                               count_side_zeros, expected_boundary_counts,
                               interior_zero_hunt, predicted_counts,
@@ -110,9 +111,8 @@ class TestPredictedCounts:
     @settings(max_examples=80, deadline=None)
     def test_expected_counts_sum_to_total(self, l, n, j):
         wp = make_pair(l, n, j)
-        pc = predicted_counts(wp)
-        a, b = expected_boundary_counts(wp, pc)
-        assert a + b == pc.total_nontrivial
+        a, b = expected_boundary_counts(wp)
+        assert _valence_closes(wp, a + b)
 
     def test_trivial_orders_table(self):
         assert trivial_orders(24) == (0, 0)
@@ -359,7 +359,7 @@ class TestCombRung:
         assert not r.valence_ok
         assert r.findings == (
             "valence identity fails at k=56, l=20: A=1, B=2, v_i=0, v_rho=1",
-            "stabilized arc count 1 != 3 predicted at k=56, l=20")
+            "arc count 1 != 3 predicted at k=56, l=20")
         with pytest.raises(ArithmeticError, match="do not close") as info:
             zero_brackets((56, 20))
         assert not isinstance(info.value, SignUncertainError)
@@ -587,6 +587,31 @@ class TestAudit:
         assert (r.A, r.B) == (4, 2)
         assert r.valence_ok
         assert r.findings == ()
+
+    def test_transient_pair_checked_against_prediction(self, monkeypatch,
+                                                       capsys):
+        # (56, 42) is transient, k = 56 < sp = 56.87: its counts (1, 5)
+        # are still compared with expected_boundary_counts, so a zero
+        # counted on the wrong piece is a finding though valence closes
+        assert stabilization_point(42, 2) > 56
+        real = zeros.expected_boundary_counts
+
+        def moved(wp):
+            a, b = real(wp)
+            return (a + 1, b - 1) if (wp.k, wp.l) == (56, 42) else (a, b)
+
+        monkeypatch.setattr(zeros, "expected_boundary_counts", moved)
+        r = audit((56, 42))
+        assert (r.A, r.B) == (1, 5)
+        assert r.valence_ok
+        assert r.findings == (
+            "arc count 1 != 2 predicted at k=56, l=42",
+            "side count 5 != 4 predicted at k=56, l=42")
+        assert cli.main(["audit", "--k", "56", "--l", "42"]) == 1
+        (row,) = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        assert row["valence_ok"] and row["interior"] == []
+        assert row["findings"] == list(r.findings)
 
     @pytest.mark.parametrize("k, l", [(56, 20), (100, 58), (26, 18),
                                       (100, 14), (98, 96), (70, 40)])
