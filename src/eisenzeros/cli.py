@@ -45,6 +45,7 @@ from .eisenstein import (
 )
 from .numerics import MAX_WEIGHT, _check_weight
 from .zeros import (
+    _check_census_l,
     audit,
     interior_zero_hunt,
     predicted_counts,
@@ -135,6 +136,7 @@ class RunConfig:
                 raise ValueError(f"{self.command} needs non-empty weight ranges")
             for v in self.k_values + self.l_values:
                 _check_weight(v)
+            _check_census_l(min(self.l_values))
             _check_pair_sums(self.k_values, self.l_values)
             if (self.command == "scan"
                     and max(self.k_values) < min(self.l_values)):
@@ -267,11 +269,11 @@ def cmd_eval(cfg: RunConfig, fh, z: complex, method: str) -> int:
 
 
 def _pair_report(task: tuple) -> dict:
-    k, l, eps = task
+    k, l = task
     row = {"schema_version": SCHEMA_VERSION, "k": k, "l": l}
     try:
         wp = WeightPair(k, l)
-        report = audit(wp, eps=eps)
+        report = audit(wp)
         row.update(
             A=report.A, B=report.B, v_i=report.v_i, v_rho=report.v_rho,
             predicted_A=report.predicted_A, predicted_B=report.predicted_B,
@@ -304,7 +306,7 @@ def _row_failed(row: dict) -> bool:
 
 
 def cmd_scan(cfg: RunConfig, fh) -> int:
-    tasks = [(k, l, cfg.eps) for l in sorted(cfg.l_values)
+    tasks = [(k, l) for l in sorted(cfg.l_values)
              for k in sorted(cfg.k_values) if k >= l]
     rows = _run_tasks(tasks, cfg.jobs)
 
@@ -333,7 +335,7 @@ def cmd_scan(cfg: RunConfig, fh) -> int:
 
 def cmd_audit(cfg: RunConfig, fh) -> int:
     k, l = cfg.k_values[0], cfg.l_values[0]
-    row = _pair_report((k, l, cfg.eps))
+    row = _pair_report((k, l))
     _write_rows(fh, cfg.fmt, _REPORT_FIELDS, [row])
     return 1 if _row_failed(row) else 0
 
@@ -352,7 +354,7 @@ def _table_cell(which: int, row: dict):
 
 
 def cmd_table(cfg: RunConfig, fh, which: int) -> int:
-    tasks = [(k, l, cfg.eps) for l in cfg.l_values for k in cfg.k_values]
+    tasks = [(k, l) for l in cfg.l_values for k in cfg.k_values]
     rows = _run_tasks(tasks, cfg.jobs)
     cells = {(r["l"], r["k"]): _table_cell(which, r) for r in rows}
 
@@ -391,10 +393,10 @@ def _plot_phi(r_min: float, r_max: float, points: int) -> list[dict]:
     return rows
 
 
-def _plot_zeros(k: int, l: int, eps: float) -> list[dict]:
+def _plot_zeros(k: int, l: int) -> list[dict]:
     wp = WeightPair(k, l)
     rows = []
-    for bracket in zero_brackets(wp, eps=eps):
+    for bracket in zero_brackets(wp):
         rows.append({
             "schema_version": SCHEMA_VERSION, "kind": bracket.kind,
             "location": bracket.location, "lo": bracket.lo, "hi": bracket.hi,
@@ -402,14 +404,14 @@ def _plot_zeros(k: int, l: int, eps: float) -> list[dict]:
     return rows
 
 
-def _plot_regimes(k: int, x: float, points: int, eps: float) -> list[dict]:
+def _plot_regimes(k: int, x: float, points: int) -> list[dict]:
     boundary = k ** 0.4
     ys = np.geomspace(0.35 * boundary, 1.8 * boundary, points)
     bound_small = 10.0 * math.exp(-k ** (1.0 / 6.0))
     rows = []
     for y in ys:
         z = complex(x, float(y))
-        truth = gk(k, z, eps=eps)
+        truth = gk(k, z)
         small = 1.0 + (z / (z - 1.0)) ** k + (z / (z + 1.0)) ** k
         theta = theta_eisenstein_transformed(k, z)
         rows.append({
@@ -431,6 +433,7 @@ def _check_plotdata(kind: str, k, l, r_min: float, r_max: float) -> None:
             raise ValueError("plotdata --kind zeros requires --k and --l")
         _check_pair_sums((k,), (l,))
         WeightPair(k, l)
+        _check_census_l(l)
     if kind == "regimes" and k is not None:
         _check_weight(k)
 
@@ -442,14 +445,14 @@ def cmd_plotdata(cfg: RunConfig, fh, kind: str, *, k=None, l=None, x=0.5,
         fields = _PHI_FIELDS
     elif kind == "zeros":
         try:
-            rows = _plot_zeros(k, l, cfg.eps)
+            rows = _plot_zeros(k, l)
         except ArithmeticError as exc:
             # a failed certified check exits 1, as an audit row error
             print(f"error: {exc}", file=sys.stderr)
             return 1
         fields = _ZEROS_FIELDS
     elif kind == "regimes":
-        rows = _plot_regimes(300 if k is None else k, x, points or 24, cfg.eps)
+        rows = _plot_regimes(300 if k is None else k, x, points or 24)
         fields = _REGIMES_FIELDS
     else:
         raise ValueError(f"unknown plotdata kind {kind!r}")
@@ -467,8 +470,6 @@ def _even_range(lo: int, hi: int) -> tuple[int, ...]:
 
 
 def _add_common(sub, fmt_default: str, jobs: bool = False):
-    sub.add_argument("--eps", type=float, default=1e-12,
-                     help="certification tolerance, in [1e-15, 1e-6]")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"),
                      default=fmt_default, help="output format")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
@@ -492,6 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "part with '=', as --z=-0.3+2i")
     p.add_argument("--method", choices=("lattice", "fourier", "theta", "all"),
                    default="lattice")
+    p.add_argument("--eps", type=float, default=1e-12,
+                   help="lattice accuracy target, in [1e-15, 1e-6]")
     _add_common(p, "json")
 
     p = commands.add_parser("table", help="recompute a frozen count table")
@@ -528,10 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     """Check the whole configuration, then open --out and run the command."""
-    common = dict(eps=args.eps, fmt=args.fmt, out=args.out,
-                  jobs=getattr(args, "jobs", 1))
+    common = dict(fmt=args.fmt, out=args.out, jobs=getattr(args, "jobs", 1))
     if args.command == "eval":
-        cfg = RunConfig("eval", k_values=(args.k,), **common)
+        cfg = RunConfig("eval", k_values=(args.k,), eps=args.eps, **common)
         run = partial(cmd_eval, cfg, z=parse_point(args.z), method=args.method)
     elif args.command == "table":
         cfg = RunConfig("table", k_values=TABLE_K_VALUES,

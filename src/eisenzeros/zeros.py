@@ -163,8 +163,9 @@ def side_sample_points(l: int) -> list[float]:
     The d-range depends on a and is exactly the set of m for which
     theta_m falls in (pi/3, pi/2); at these angles cos(l theta_m) = (-1)^m.
     """
-    if l % 2 or l < 14:
-        raise ValueError(f"side comb needs even l >= 14, got {l}")
+    if l % 2:
+        raise ValueError(f"side comb needs even l, got {l}")
+    _check_census_l(l)
     q, a = divmod(l, 6)
     if a == 0:
         ds = range(1, q)
@@ -293,25 +294,20 @@ _BatchEval = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 _Cell = tuple[float, float, float, float]
 
 
-def _ladder(eps: float) -> tuple[float, ...]:
-    """The escalation ladder from eps: eps, then every finer rung of
-    _EPS_LADDER."""
-    return (eps,) + tuple(r for r in _EPS_LADDER if r < eps)
-
-
-def _certify(batch_eval: _BatchEval, xs: np.ndarray, ladder: Sequence[float],
+def _certify(batch_eval: _BatchEval, xs: np.ndarray,
              ) -> tuple[np.ndarray, np.ndarray]:
     """Values of the restriction at xs and whether each is certified.
 
     A value counts only when |value| clears the evaluator's own error
-    bound by the _CERTAINTY factor.  Each rung of the ladder re-evaluates,
-    as one batch, only the points still ambiguous after the rungs before.
+    bound by the _CERTAINTY factor.  Each rung of _EPS_LADDER
+    re-evaluates, as one batch, only the points still ambiguous after the
+    rungs before.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.zeros(xs.size)
     certified = np.zeros(xs.size, dtype=bool)
     todo = np.arange(xs.size)
-    for eps in ladder:
+    for eps in _EPS_LADDER:
         if not todo.size:
             break
         v, err = batch_eval(xs[todo], eps)
@@ -346,9 +342,9 @@ def _even_split(lo: float, hi: float) -> list[float]:
 
 
 def _refine_brackets(batch_eval: _BatchEval, kind: str,
-                     cells: Sequence[_Cell], eps: float) -> list[ZeroBracket]:
+                     cells: Sequence[_Cell]) -> list[ZeroBracket]:
     """Each cell (lo, hi, v_lo, v_hi) of a closed count narrowed around its
-    one zero, on the ladder from eps.
+    one zero.
 
     Each round certifies the probes of every open cell in one _certify
     call: the cell's _chord_path, or its _even_split when the round before
@@ -366,8 +362,7 @@ def _refine_brackets(batch_eval: _BatchEval, kind: str,
         probes = {i: _chord_path(*cell) if chord else _even_split(*cell[:2])
                   for i, (cell, chord) in open_cells.items()}
         vals, certified = _certify(
-            batch_eval, np.array([x for p in probes.values() for x in p]),
-            _ladder(eps))
+            batch_eval, np.array([x for p in probes.values() for x in p]))
         vals, certified, at = vals.tolist(), certified.tolist(), 0
         for i, xs in probes.items():
             cell, chord = open_cells.pop(i)
@@ -431,14 +426,14 @@ def _sign_changes(pts: Sequence[float], vals: Sequence[float],
                  if (vals[i] > 0.0) != (vals[i + 1] > 0.0))
 
 
-def _comb_scan(wp: WeightPair, eps: float, y_max: float) -> _BoundaryScan:
+def _comb_scan(wp: WeightPair, y_max: float) -> _BoundaryScan:
     """Sign-change cells between the points of the paper's sample combs.
 
     Each piece certifies its two scan ends and the comb points between
-    them (side angles mapped to y = tan(theta) / 2) as one batch on the
-    ladder from eps, and returns its cells whatever they count.  No point
-    is moved: a piece with points still uncertain raises one
-    SignUncertainError naming all of them."""
+    them (side angles mapped to y = tan(theta) / 2) as one batch, and
+    returns its cells whatever they count.  No point is moved: a piece
+    with points still uncertain raises one SignUncertainError naming all
+    of them."""
     cells = []
     for ev, (lo, hi), comb in (
             (partial(arc_real_batch, wp), _arc_ends(wp),
@@ -446,7 +441,7 @@ def _comb_scan(wp: WeightPair, eps: float, y_max: float) -> _BoundaryScan:
             (partial(side_normalized_batch, wp), _side_ends(wp, y_max),
              [0.5 * math.tan(t) for t in side_sample_points(wp.l)])):
         pts = np.array([lo] + [x for x in comb if lo < x < hi] + [hi])
-        vals, certified = _certify(ev, pts, _ladder(eps))
+        vals, certified = _certify(ev, pts)
         if not certified.all():
             uncertain = pts[~certified].tolist()
             raise SignUncertainError(
@@ -462,38 +457,40 @@ def _comb_scan(wp: WeightPair, eps: float, y_max: float) -> _BoundaryScan:
 _boundary_scan = lru_cache(maxsize=1)(_comb_scan)
 
 
-def _census_pair(kind: str, wp) -> tuple[WeightPair, float]:
+def _check_census_l(l: int) -> None:
+    """The census rule: the side comb, so every count, needs l >= 14."""
+    if l < 14:
+        raise ValueError(f"the census needs k >= l >= 14, got l={l}")
+
+
+def _census_pair(wp) -> tuple[WeightPair, float]:
     wp = _as_pair(wp)
-    if wp.l < 14:
-        raise ValueError(f"{kind} census needs k >= l >= 14")
+    _check_census_l(wp.l)
     # the closure needs the side's count, so the arc scan needs its cutoff
     return wp, side_upper_cutoff(wp)
 
 
-def _counted(kind: str, wp, eps: float) -> tuple[int, tuple[ZeroBracket, ...]]:
-    wp, y_max = _census_pair(kind, wp)
-    cells = getattr(_boundary_scan(wp, eps, y_max), kind)
+def _counted(kind: str, wp) -> tuple[int, tuple[ZeroBracket, ...]]:
+    wp, y_max = _census_pair(wp)
+    cells = getattr(_boundary_scan(wp, y_max), kind)
     return len(cells), tuple(
         ZeroBracket(kind, lo, hi, int(np.sign(v_lo)), int(np.sign(v_hi)))
         for lo, hi, v_lo, v_hi in cells)
 
 
-def count_arc_zeros(wp, eps: float = 1e-12,
-                    ) -> tuple[int, tuple[ZeroBracket, ...]]:
+def count_arc_zeros(wp) -> tuple[int, tuple[ZeroBracket, ...]]:
     """Zeros of the arc restriction on the open arc, endpoints excluded.
 
     Counts the certified sign changes at the arc comb
     theta_m = 2 m pi / (k - l) and the two scan ends; the side is scanned
-    with it (see the module docstring).  No point is evaluated at a
-    tolerance coarser than eps.  Returns the count, a lower bound, and its
-    certified cells, unrefined; when the valence identity closes, the
-    count is exact and each cell provably holds exactly one zero.
+    with it (see the module docstring).  Returns the count, a lower bound,
+    and its certified cells, unrefined; when the valence identity closes,
+    the count is exact and each cell provably holds exactly one zero.
     """
-    return _counted("arc", wp, eps)
+    return _counted("arc", wp)
 
 
-def count_side_zeros(wp, eps: float = 1e-12,
-                     ) -> tuple[int, tuple[ZeroBracket, ...]]:
+def count_side_zeros(wp) -> tuple[int, tuple[ZeroBracket, ...]]:
     """Zeros of the side restriction on x = 1/2, sqrt(3)/2 < y <= y_max.
 
     Counts the certified sign changes at the side comb y = tan(pi m / l) / 2
@@ -501,10 +498,10 @@ def count_side_zeros(wp, eps: float = 1e-12,
     cutoff y_max above which no zero can exist.  Scanned with the arc, and
     returns like count_arc_zeros.
     """
-    return _counted("side", wp, eps)
+    return _counted("side", wp)
 
 
-def zero_brackets(wp, eps: float = 1e-12) -> tuple[ZeroBracket, ...]:
+def zero_brackets(wp) -> tuple[ZeroBracket, ...]:
     """Every boundary zero in a certified bracket, arc then side, narrowed
     from the comb cells the counters read by _refine_brackets.
 
@@ -513,17 +510,16 @@ def zero_brackets(wp, eps: float = 1e-12) -> tuple[ZeroBracket, ...]:
     (about 5e-12 at (250, 150) and 5e-11 at (200, 200)).  Raises
     ArithmeticError when the comb changes do not close the valence
     identity, since a cell may then hold more than one zero, or when a
-    cell shows more than one certified change.  No point is evaluated at a
-    tolerance coarser than eps."""
-    wp, y_max = _census_pair("arc", wp)
-    scan = _comb_scan(wp, eps, y_max)
+    cell shows more than one certified change."""
+    wp, y_max = _census_pair(wp)
+    scan = _comb_scan(wp, y_max)
     if not _valence_closes(wp, len(scan.arc) + len(scan.side)):
         raise ArithmeticError(
             f"comb sign changes do not close the valence identity at "
             f"k={wp.k}, l={wp.l}: A>={len(scan.arc)}, B>={len(scan.side)}")
     arc, side = partial(arc_real_batch, wp), partial(side_normalized_batch, wp)
-    return tuple(_refine_brackets(arc, "arc", scan.arc, eps)
-                 + _refine_brackets(side, "side", scan.side, eps))
+    return tuple(_refine_brackets(arc, "arc", scan.arc)
+                 + _refine_brackets(side, "side", scan.side))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +536,7 @@ def _logsumexp(vals: np.ndarray) -> float:
 @lru_cache(maxsize=None)
 def _sigma_table(j: int) -> tuple[int, ...]:
     """sigma_{j-1}(n) for n = 1.._COEFF_COUNT, exactly.  One entry per
-    even weight: bernoulli caps the weights at 400."""
+    even weight up to numerics.MAX_WEIGHT."""
     sig = [0] * (_COEFF_COUNT + 1)
     for d in range(1, _COEFF_COUNT + 1):
         p = d ** (j - 1)
@@ -645,7 +641,7 @@ def _side_upper_cutoff(wp: WeightPair) -> float:
 # the audit
 
 
-def audit(wp, eps: float = 1e-12) -> ZeroCountReport:
+def audit(wp) -> ZeroCountReport:
     """Full boundary census for one pair with the exact valence cross-check.
 
     Measured counts come from the counters' certified sign changes at the
@@ -657,8 +653,8 @@ def audit(wp, eps: float = 1e-12) -> ZeroCountReport:
     """
     wp = _as_pair(wp)
     _boundary_scan.cache_clear()
-    a_count, _ = count_arc_zeros(wp, eps=eps)
-    b_count, _ = count_side_zeros(wp, eps=eps)
+    a_count, _ = count_arc_zeros(wp)
+    b_count, _ = count_side_zeros(wp)
     v_i, v_rho = trivial_orders(wp.weight_sum)
     pa, pb = expected_boundary_counts(wp)
     valence_ok = _valence_closes(wp, a_count + b_count)

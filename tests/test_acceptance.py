@@ -71,9 +71,8 @@ def grid(request):
     interior check; shared by criteria 2, 3, and 10."""
     assert len(GRID_PAIRS) == 990
     jobs = min(4, os.cpu_count() or 1)
-    tasks = [(k, l, 1e-12) for (k, l) in GRID_PAIRS]
     start = time.monotonic()
-    rows = _run_tasks(tasks, jobs)
+    rows = _run_tasks(GRID_PAIRS, jobs)
     elapsed = time.monotonic() - start
     return {"rows": {(r["k"], r["l"]): r for r in rows}, "elapsed": elapsed}
 

@@ -33,12 +33,13 @@ def csv_rows(text):
 
 class TestRunConfig:
     def test_eps_bounds_enforced(self):
+        # eval's --eps, the only one the CLI takes
         with pytest.raises(ValueError, match="eps"):
-            RunConfig("audit", k_values=(82,), l_values=(22,), eps=1e-20)
+            RunConfig("eval", k_values=(12,), eps=1e-20)
         with pytest.raises(ValueError, match="eps"):
-            RunConfig("audit", k_values=(82,), l_values=(22,), eps=1e-3)
-        RunConfig("audit", k_values=(82,), l_values=(22,), eps=1e-15)
-        RunConfig("audit", k_values=(82,), l_values=(22,), eps=1e-6)
+            RunConfig("eval", k_values=(12,), eps=1e-3)
+        RunConfig("eval", k_values=(12,), eps=1e-15)
+        RunConfig("eval", k_values=(12,), eps=1e-6)
 
     def test_ranges_must_be_nonempty(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -276,6 +277,27 @@ class TestAudit:
         assert out == ""
         assert err.startswith("error: ") and str(path) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--k-min", "12", "--k-max", "16", "--l-min", "12",
+         "--l-max", "12"],
+        ["audit", "--k", "20", "--l", "12"],
+        ["plotdata", "--kind", "zeros", "--k", "20", "--l", "12"],
+    ])
+    def test_census_rule_is_a_rejected_configuration(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # l < 14 is rejected with the whole configuration: no row, no work
+        # and no --out file
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on a rejected configuration")
+
+        for name in ("_pair_report", "zero_brackets"):
+            monkeypatch.setattr(cli, name, refuse)
+        path = tmp_path / "x.out"
+        rc, out, err = run_cli(capsys, argv + ["--out", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == "error: the census needs k >= l >= 14, got l=12\n"
+        assert not path.exists()
+
 
 class TestPlotdata:
     def test_zeros_weight_sum_cap(self, capsys):
@@ -488,7 +510,35 @@ PINNED_EVAL = {
 }
 
 
+# sha256 of the whole stdout of the counting commands in JSON: a scan of
+# the block 20 <= l <= 30, 56 <= k <= 66 and the three frozen tables
+PINNED_SCAN_SHA256 = ("66745b4faa1b2d7d075ae247629d1176"
+                      "60b0236baac6eb63d4460b3af7fe972f")
+PINNED_TABLE_SHA256 = {
+    1: "17dee92ca7eeb6ae679482c1c6f4e93c1ce61bd6c663a6b379c0823086e0ec57",
+    2: "da00b4c4ac84798da9bbf84ba2db08ec9fb5907e17f41cc6392cea0d8d886936",
+    3: "f8847a49fb5c102d2cdffccb7dac7bc5ff48c4307d9c0c866cfb1babab18823f",
+}
+
+
 class TestDeterminism:
+    def test_scan_bytes_pinned(self, capsys):
+        rc, out, err = run_cli(capsys, ["scan", "--l-min", "20",
+                                        "--l-max", "30", "--k-min", "56",
+                                        "--k-max", "66", "--format", "json"])
+        assert rc == 0
+        assert err == ("scan: 36 pairs, 0 valence failures, 0 count "
+                       "mismatches, 0 interior reports, 0 errors\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_SHA256
+
+    @pytest.mark.parametrize("which", sorted(PINNED_TABLE_SHA256))
+    def test_table_bytes_pinned(self, capsys, which):
+        rc, out, err = run_cli(capsys, ["table", "--which", str(which),
+                                        "--format", "json"])
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == PINNED_TABLE_SHA256[which]
+
     @pytest.mark.parametrize("k, z", sorted(PINNED_EVAL))
     def test_eval_bytes_pinned(self, capsys, k, z):
         rc, out, _ = run_cli(capsys, ["eval", "--k", str(k), f"--z={z}",
@@ -598,9 +648,15 @@ _ONE_PAIR_SCAN = ["scan", "--k-min", "56", "--k-max", "56",
     ["audit", "--k", "40", "--l", "16", "--oversample", "1"],
     _ONE_PAIR_SCAN + ["--oversample", "2"],
     _ONE_PAIR_SCAN + ["--no-hunt"],
+    ["audit", "--k", "40", "--l", "16", "--eps", "1e-12"],
+    _ONE_PAIR_SCAN + ["--eps", "1e-12"],
+    ["table", "--which", "1", "--eps", "1e-12"],
+    ["plotdata", "--kind", "zeros", "--k", "56", "--l", "20",
+     "--eps", "1e-12"],
 ])
-def test_scan_end_flags_are_unknown(capsys, argv):
-    # the scan ends follow from (k, l) alone, so no flag moves them
+def test_counting_flags_are_unknown(capsys, argv):
+    # the scan ends and the precision ladder follow from (k, l) alone, so
+    # no flag moves them
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2

@@ -20,7 +20,7 @@ from eisenzeros.delta import (
     p_main,
     side_normalized_batch,
 )
-from eisenzeros.eisenstein import eval_ek_lattice
+from eisenzeros.eisenstein import eval_ek_lattice, fk_batch
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -155,6 +155,22 @@ class TestArcRestriction:
 
     def test_no_samples_in_smallest_gap(self):
         assert arc_sample_angles(20, 14) == []
+
+    def test_coarsest_eps_residue_within_tail(self):
+        # at eps = 1e-6 the imaginary truncation residue of F_14 and F_22
+        # at the arc scan ends of (22, 14) exceeds 1e-9 (about 2.7e-9 and
+        # 1.5e-8) but stays within the tail bound fk_batch returns, so
+        # neither evaluator raises, and the signs certify as at 1e-12
+        h = (PI / 6) / (16 * 36)
+        ends = np.array([PI / 3 + 0.5 * h, PI / 3 + (16 * 36 - 0.5) * h])
+        for k in (14, 22, 36):
+            coarse, tail = fk_batch(k, ends, 1e-6)
+            fine, _ = fk_batch(k, ends, 1e-12)
+            assert np.all(np.abs(coarse - fine) <= tail)
+        vals, errs = arc_real_batch(WeightPair(22, 14), ends, 1e-6)
+        fine, _ = arc_real_batch(WeightPair(22, 14), ends, 1e-12)
+        assert np.all(np.abs(vals) > 10.0 * errs)
+        assert np.array_equal(np.sign(vals), np.sign(fine))
 
 
 class TestMainTerms:

@@ -42,7 +42,6 @@ from eisenzeros.eisenstein import (
     theta_eisenstein_transformed,
 )
 from eisenzeros.numerics import LogComplex, bernoulli, gamma_k, lc_sum
-from eisenzeros.zeros import audit, zero_brackets
 
 RHO = cmath.exp(1j * math.pi / 3)
 
@@ -143,16 +142,12 @@ class TestLatticeEvaluator:
     def test_every_lattice_evaluator_keeps_the_certificate_floor(self):
         # a tail bound below roundoff certifies nothing: hk_batch and
         # fk_batch size their disks through the same radius as
-        # eval_ek_lattice, and the counters and refinement reach them
+        # eval_ek_lattice
         floor = "certificate floor"
         with pytest.raises(ValueError, match=floor):
             hk_batch(20, np.array([1.0, 2.0]), 1e-16)
         with pytest.raises(ValueError, match=floor):
             fk_batch(20, np.array([1.2, 1.4]), 1e-16)
-        with pytest.raises(ValueError, match=floor):
-            audit((56, 20), eps=1e-16)
-        with pytest.raises(ValueError, match=floor):
-            zero_brackets((56, 20), eps=1e-16)
 
     def test_one_floor_for_evaluators_ladder_and_cli(self):
         below = math.nextafter(_MIN_EPS, 0.0)
@@ -160,9 +155,9 @@ class TestLatticeEvaluator:
         with pytest.raises(ValueError, match="certificate floor"):
             eval_ek_lattice(12, 2j, eps=below)
         assert zeros._EPS_LADDER[-1] == _MIN_EPS
-        RunConfig("audit", k_values=(56,), l_values=(20,), eps=_MIN_EPS)
+        RunConfig("eval", k_values=(12,), eps=_MIN_EPS)
         with pytest.raises(ValueError, match="eps must lie"):
-            RunConfig("audit", k_values=(56,), l_values=(20,), eps=below)
+            RunConfig("eval", k_values=(12,), eps=below)
 
 
 class TestFourierEvaluator:

@@ -17,8 +17,8 @@ from eisenzeros.delta import (WeightPair, arc_real_batch, m_main, p_main,
 from eisenzeros.numerics import bernoulli
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               SignUncertainError, ZeroBracket, _certify,
-                              _delta_log_coeffs, _ladder, _refine_brackets,
-                              _valence_closes,
+                              _delta_log_coeffs, _EPS_LADDER,
+                              _refine_brackets, _valence_closes,
                               arc_sample_points, audit, count_arc_zeros,
                               count_side_zeros, expected_boundary_counts,
                               interior_zero_hunt, predicted_counts,
@@ -162,7 +162,7 @@ class TestCountSignChanges:
 
         monkeypatch.setattr(zeros, "side_normalized_batch", ev)
         with pytest.raises(SignUncertainError) as info:
-            zeros._comb_scan(wp, 1e-12, side_upper_cutoff(wp))
+            zeros._comb_scan(wp, side_upper_cutoff(wp))
         assert len(blind) == 2
         assert info.value.uncertain == 2
         assert info.value.points == tuple(blind)
@@ -179,8 +179,7 @@ class TestCountSignChanges:
             vals = np.where(np.asarray(xs) == 0.0, 5e-14, 1.0)
             return vals, np.full(len(xs), eps)
 
-        vals, certified = _certify(ev, np.array([0.0, 1.0, 2.0]),
-                                   _ladder(1e-12))
+        vals, certified = _certify(ev, np.array([0.0, 1.0, 2.0]))
         assert certified.all()
         assert vals.tolist() == [5e-14, 1.0, 1.0]
         assert batches == [(3, 1e-12), (1, 1e-14), (1, 1e-15)]
@@ -217,7 +216,7 @@ class TestRefinement:
         cells = root_cells(ev, [(0.0, 0.25), (0.4, 0.6), (0.7, 0.8),
                                 (0.85, 1.0)])
         calls.clear()
-        brackets = _refine_brackets(ev, "arc", cells, 1e-12)
+        brackets = _refine_brackets(ev, "arc", cells)
         for br, (lo, hi, v_lo, v_hi), root in zip(brackets, cells, roots):
             assert lo <= br.lo <= root <= br.hi <= hi
             assert (br.kind, br.sign_lo, br.sign_hi) == (
@@ -241,7 +240,7 @@ class TestRefinement:
 
         cells = root_cells(ev, [(0.0, 1.0)])
         with pytest.raises(ArithmeticError, match="3 certified sign changes"):
-            _refine_brackets(flipped, "side", cells, 1e-12)
+            _refine_brackets(flipped, "side", cells)
 
     @pytest.mark.parametrize("k, l", [(100, 58), (98, 96), (100, 14)])
     def test_brackets_narrow_inside_their_comb_cells(self, k, l):
@@ -272,7 +271,7 @@ class TestRefinement:
                 seen.extend(np.asarray(xs).tolist())
                 return ev(xs, eps)
 
-            brackets = _refine_brackets(recording, kind, cells, 1e-12)
+            brackets = _refine_brackets(recording, kind, cells)
             assert len(brackets) == len(cells) > 0
             assert seen
             ends = {x for lo, hi, _, _ in cells for x in (lo, hi)}
@@ -289,7 +288,7 @@ def fresh_scan():
 def boundary_scan(pair):
     """The counting scan of pair."""
     wp = WeightPair(*pair)
-    return zeros._boundary_scan(wp, 1e-12, side_upper_cutoff(wp))
+    return zeros._boundary_scan(wp, side_upper_cutoff(wp))
 
 
 def scan_points(pair):
@@ -332,8 +331,8 @@ class TestCombRung:
         certified = []
         real = zeros._certify
 
-        def recording(ev, xs, ladder):
-            vals, ok = real(ev, xs, ladder)
+        def recording(ev, xs):
+            vals, ok = real(ev, xs)
             certified.append((xs, vals, ok))
             return vals, ok
 
@@ -559,19 +558,24 @@ class TestScans:
         for kp in (0, 2, 4, 6, 10):
             assert count_arc_zeros((40 + kp, 40))[0] == 0
 
-    def test_fine_eps_reaches_every_rung(self, monkeypatch, fresh_scan):
-        # at eps = 1e-15 every evaluation the counters and zero_brackets
-        # make, in the comb scan and the refinement, is at 1e-15
+    def test_evaluations_climb_the_fixed_ladder(self, monkeypatch,
+                                                fresh_scan):
+        # every evaluation the counters and zero_brackets make, in the comb
+        # scan and the refinement, is at a rung of _EPS_LADDER; each batch
+        # starts at the first rung and climbs one rung at a time.  (98, 72)
+        # has probes that stay ambiguous, so every rung is reached
         seen = []
         for name in ("arc_real_batch", "side_normalized_batch"):
             def recording(wp, xs, eps, real=getattr(zeros, name)):
-                seen.append(eps)
+                seen.append(_EPS_LADDER.index(eps))
                 return real(wp, xs, eps)
             monkeypatch.setattr(zeros, name, recording)
-        count_arc_zeros((98, 72), eps=1e-15)
-        count_side_zeros((98, 72), eps=1e-15)
-        zero_brackets((98, 72), eps=1e-15)
-        assert set(seen) == {1e-15}
+        count_arc_zeros((98, 72))
+        count_side_zeros((98, 72))
+        zero_brackets((98, 72))
+        assert seen[0] == 0
+        assert all(b in (0, a + 1) for a, b in zip(seen, seen[1:]))
+        assert set(seen) == set(range(len(_EPS_LADDER)))
 
 
 class TestAudit:
@@ -626,13 +630,6 @@ class TestAudit:
         brackets = zero_brackets(pair)
         assert [br.kind for br in brackets] == ["arc"] * a + ["side"] * b
         assert all(br.width <= 1e-12 for br in brackets)
-
-    def test_coarsest_eps_counts_as_default(self):
-        # at eps = 1e-6 the arc's imaginary truncation residue exceeds
-        # 1e-9 but stays within the tail bound fk_batch returns
-        coarse, default = audit((22, 14), eps=1e-6), audit((22, 14))
-        assert coarse == default
-        assert coarse.valence_ok and coarse.findings == ()
 
     def test_valence_scatter(self):
         for pair in [(14, 14), (100, 14), (44, 26), (98, 96), (100, 40)]:
@@ -739,7 +736,7 @@ class TestInteriorHunt:
 
     def test_open_count_reports_interior(self, monkeypatch, capsys):
         flip_side_sign(monkeypatch, (100, 58))
-        row = cli._pair_report((100, 58, 1e-12))
+        row = cli._pair_report((100, 58))
         assert row["valence_ok"] is False
         assert row["interior"] == ["interior not excluded: boundary count "
                                    "does not close the valence identity"]
