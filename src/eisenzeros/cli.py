@@ -13,7 +13,8 @@ byte-deterministic for a fixed configuration: scan workers may run in
 parallel but results are reduced in (l, k) order, JSON keys are sorted,
 and CSV uses a bare "\\n" terminator.  Exit status is nonzero exactly
 when some certified check failed (or the configuration was rejected).
-The whole configuration is checked before --out is opened, and --out is
+Each subcommand checks its own arguments (scan, audit and plotdata
+--kind zeros under one pair rule) before --out is opened, and --out is
 opened before any work starts.
 """
 
@@ -27,7 +28,6 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -35,6 +35,9 @@ import numpy as np
 from .delta import WeightPair
 from .eisenstein import (
     _MIN_EPS,
+    _MIN_SCALED_WEIGHT,
+    _check_domain,
+    _check_scaled_weight,
     eval_ek_fourier,
     eval_ek_lattice,
     gk,
@@ -54,7 +57,6 @@ from .zeros import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "RunConfig",
     "parse_point",
     "cmd_eval",
     "cmd_table",
@@ -71,6 +73,7 @@ _FOURIER_ENVELOPE = 1e-6
 
 TABLE_K_VALUES = tuple(range(56, 86, 2))
 TABLE_L_VALUES = (20, 22, 24)
+_REGIMES_K = 300  # plotdata --kind regimes without --k
 
 # Zero counts on the low-weight window reproduced by `table`, frozen so a
 # regression in the scan machinery cannot silently rewrite its own oracle.
@@ -109,43 +112,14 @@ _REGIMES_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    k_values: tuple[int, ...] = ()
-    l_values: tuple[int, ...] = ()
-    eps: float = 1e-12
-    fmt: str = "csv"
-    out: str | None = None
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.command not in ("eval", "table", "scan", "audit", "plotdata"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if not (_MIN_EPS <= self.eps <= _EPS_MAX):
-            raise ValueError(
-                f"eps must lie in [{_MIN_EPS:g}, {_EPS_MAX:g}], got {self.eps:g}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.command in ("table", "scan", "audit"):
-            if not self.k_values or not self.l_values:
-                raise ValueError(f"{self.command} needs non-empty weight ranges")
-            for v in self.k_values + self.l_values:
-                _check_weight(v)
-            _check_census_l(min(self.l_values))
-            _check_pair_sums(self.k_values, self.l_values)
-            if (self.command == "scan"
-                    and max(self.k_values) < min(self.l_values)):
-                raise ValueError("weight ranges produce no pairs with k >= l")
-
-
-def _check_pair_sums(k_values, l_values) -> None:
-    over = [(k, l) for l in l_values for k in k_values
-            if k >= l and k + l > MAX_WEIGHT]
+def _check_pairs(pairs: list[tuple[int, int]]) -> None:
+    """The pair rule of scan, audit and plotdata --kind zeros: each pair is
+    a WeightPair (so both weights keep the weight rule) of the census,
+    under the MAX_WEIGHT cap."""
+    for k, l in pairs:
+        WeightPair(k, l)
+    _check_census_l(min(l for _, l in pairs))
+    over = [pair for pair in pairs if sum(pair) > MAX_WEIGHT]
     if over:
         raise ValueError(
             f"{len(over)} pairs exceed the k + l <= {MAX_WEIGHT} cap, "
@@ -222,11 +196,11 @@ def _e_from_g(k: int, z: complex, g: complex) -> complex:
 def _eval_one(k: int, z: complex, method: str, eps: float) -> dict:
     if method == "lattice":
         value, tail = eval_ek_lattice(k, z, eps=eps)
-        if k >= 8:
+        if k >= _MIN_SCALED_WEIGHT:
             g = gk(k, z, eps=eps)
         else:
-            # scaled route needs k >= 8; at k = 4, 6 the direct product is
-            # safe since |z|^k stays small
+            # below the scaled route's weights, at k = 4, 6, the direct
+            # product is safe since |z|^k stays small
             g = (value - 1.0) * z ** k
         regime, envelope = "LatticeExact", tail
     elif method == "fourier":
@@ -249,10 +223,10 @@ def _eval_one(k: int, z: complex, method: str, eps: float) -> dict:
     }
 
 
-def cmd_eval(cfg: RunConfig, fh, z: complex, method: str) -> int:
-    k = cfg.k_values[0]
+def cmd_eval(fh, fmt: str, k: int, z: complex, method: str,
+             eps: float) -> int:
     methods = ("lattice", "fourier", "theta") if method == "all" else (method,)
-    rows = [_eval_one(k, z, m, cfg.eps) for m in methods]
+    rows = [_eval_one(k, z, m, eps) for m in methods]
     if method == "all":
         values = [complex(r["value_re"], r["value_im"]) for r in rows]
         deviation = max(abs(a - b) for a in values for b in values)
@@ -261,7 +235,7 @@ def cmd_eval(cfg: RunConfig, fh, z: complex, method: str) -> int:
             "k": k, "x": z.real, "y": z.imag,
             "max_pairwise_deviation": deviation,
         })
-    _write_rows(fh, cfg.fmt, _EVAL_FIELDS, rows)
+    _write_rows(fh, fmt, _EVAL_FIELDS, rows)
     return 0
 
 
@@ -272,12 +246,11 @@ def _pair_report(task: tuple) -> dict:
     k, l = task
     row = {"schema_version": SCHEMA_VERSION, "k": k, "l": l}
     try:
-        wp = WeightPair(k, l)
-        report = audit(wp)
+        report = audit(task)
         row.update(
             A=report.A, B=report.B, v_i=report.v_i, v_rho=report.v_rho,
             predicted_A=report.predicted_A, predicted_B=report.predicted_B,
-            n_prime=predicted_counts(wp).N_prime,
+            n_prime=predicted_counts(report.wp).N_prime,
             valence_ok=report.valence_ok,
             findings=list(report.findings),
             interior=list(interior_zero_hunt(report)),
@@ -305,10 +278,8 @@ def _row_failed(row: dict) -> bool:
     return bool(row.get("error") or row.get("findings"))
 
 
-def cmd_scan(cfg: RunConfig, fh) -> int:
-    tasks = [(k, l) for l in sorted(cfg.l_values)
-             for k in sorted(cfg.k_values) if k >= l]
-    rows = _run_tasks(tasks, cfg.jobs)
+def cmd_scan(fh, fmt: str, pairs: list[tuple[int, int]], jobs: int) -> int:
+    rows = _run_tasks(pairs, jobs)
 
     valence_failures = sum(
         1 for r in rows if "valence_ok" in r and not r["valence_ok"])
@@ -322,8 +293,8 @@ def cmd_scan(cfg: RunConfig, fh) -> int:
         "errors": errors,
     }
 
-    _write_rows(fh, cfg.fmt, _REPORT_FIELDS, rows)
-    if cfg.fmt == "json":
+    _write_rows(fh, fmt, _REPORT_FIELDS, rows)
+    if fmt == "json":
         fh.write(json.dumps(summary, sort_keys=True))
         fh.write("\n")
     print(
@@ -333,10 +304,9 @@ def cmd_scan(cfg: RunConfig, fh) -> int:
     return 1 if any(map(_row_failed, rows)) else 0
 
 
-def cmd_audit(cfg: RunConfig, fh) -> int:
-    k, l = cfg.k_values[0], cfg.l_values[0]
+def cmd_audit(fh, fmt: str, k: int, l: int) -> int:
     row = _pair_report((k, l))
-    _write_rows(fh, cfg.fmt, _REPORT_FIELDS, [row])
+    _write_rows(fh, fmt, _REPORT_FIELDS, [row])
     return 1 if _row_failed(row) else 0
 
 
@@ -353,30 +323,29 @@ def _table_cell(which: int, row: dict):
     return row["A"] - row["n_prime"]
 
 
-def cmd_table(cfg: RunConfig, fh, which: int) -> int:
-    tasks = [(k, l) for l in cfg.l_values for k in cfg.k_values]
-    rows = _run_tasks(tasks, cfg.jobs)
+def cmd_table(fh, fmt: str, which: int, jobs: int) -> int:
+    tasks = [(k, l) for l in TABLE_L_VALUES for k in TABLE_K_VALUES]
+    rows = _run_tasks(tasks, jobs)
     cells = {(r["l"], r["k"]): _table_cell(which, r) for r in rows}
 
     expected = _TABLES[which]
     diffs = []
     out_rows = []
-    for l in cfg.l_values:
-        measured = [cells[(l, k)] for k in cfg.k_values]
-        for k, got, want in zip(cfg.k_values, measured, expected[l]):
+    for l in TABLE_L_VALUES:
+        measured = [cells[(l, k)] for k in TABLE_K_VALUES]
+        for k, got, want in zip(TABLE_K_VALUES, measured, expected[l]):
             if got != want:
                 diffs.append(f"table {which} l={l} k={k}: got {got}, expected {want}")
-        if cfg.fmt == "csv":
+        counts = {str(k): v for k, v in zip(TABLE_K_VALUES, measured)}
+        if fmt == "csv":
             out_rows.append({"schema_version": SCHEMA_VERSION, "l": l,
-                             **{str(k): v for k, v in zip(cfg.k_values, measured)}})
+                             **counts})
         else:
-            out_rows.append({
-                "schema_version": SCHEMA_VERSION, "table": which, "l": l,
-                "counts": {str(k): v for k, v in zip(cfg.k_values, measured)},
-            })
+            out_rows.append({"schema_version": SCHEMA_VERSION,
+                             "table": which, "l": l, "counts": counts})
 
-    fieldnames = ("schema_version", "l") + tuple(str(k) for k in cfg.k_values)
-    _write_rows(fh, cfg.fmt, fieldnames, out_rows)
+    fieldnames = ("schema_version", "l") + tuple(str(k) for k in TABLE_K_VALUES)
+    _write_rows(fh, fmt, fieldnames, out_rows)
     for line in diffs:
         print(line, file=sys.stderr)
     return 1 if diffs else 0
@@ -394,9 +363,8 @@ def _plot_phi(r_min: float, r_max: float, points: int) -> list[dict]:
 
 
 def _plot_zeros(k: int, l: int) -> list[dict]:
-    wp = WeightPair(k, l)
     rows = []
-    for bracket in zero_brackets(wp):
+    for bracket in zero_brackets((k, l)):
         rows.append({
             "schema_version": SCHEMA_VERSION, "kind": bracket.kind,
             "location": bracket.location, "lo": bracket.lo, "hi": bracket.hi,
@@ -404,9 +372,14 @@ def _plot_zeros(k: int, l: int) -> list[dict]:
     return rows
 
 
-def _plot_regimes(k: int, x: float, points: int) -> list[dict]:
+def _regime_heights(k: int, points: int) -> np.ndarray:
+    # heights either side of the small-y / theta-mid boundary y = k^0.4
     boundary = k ** 0.4
-    ys = np.geomspace(0.35 * boundary, 1.8 * boundary, points)
+    return np.geomspace(0.35 * boundary, 1.8 * boundary, points)
+
+
+def _plot_regimes(k: int, x: float, points: int) -> list[dict]:
+    ys = _regime_heights(k, points)
     bound_small = 10.0 * math.exp(-k ** (1.0 / 6.0))
     rows = []
     for y in ys:
@@ -424,21 +397,7 @@ def _plot_regimes(k: int, x: float, points: int) -> list[dict]:
     return rows
 
 
-def _check_plotdata(kind: str, k, l, r_min: float, r_max: float) -> None:
-    """The configuration checks of plotdata, made before --out opens."""
-    if kind == "phi" and not 0.0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
-    if kind == "zeros":
-        if k is None or l is None:
-            raise ValueError("plotdata --kind zeros requires --k and --l")
-        _check_pair_sums((k,), (l,))
-        WeightPair(k, l)
-        _check_census_l(l)
-    if kind == "regimes" and k is not None:
-        _check_weight(k)
-
-
-def cmd_plotdata(cfg: RunConfig, fh, kind: str, *, k=None, l=None, x=0.5,
+def cmd_plotdata(fh, fmt: str, kind: str, *, k=None, l=None, x=0.5,
                  r_min=0.05, r_max=10.0, points=0) -> int:
     if kind == "phi":
         rows = _plot_phi(r_min, r_max, points or 40)
@@ -452,11 +411,11 @@ def cmd_plotdata(cfg: RunConfig, fh, kind: str, *, k=None, l=None, x=0.5,
             return 1
         fields = _ZEROS_FIELDS
     elif kind == "regimes":
-        rows = _plot_regimes(300 if k is None else k, x, points or 24)
+        rows = _plot_regimes(_REGIMES_K if k is None else k, x, points or 24)
         fields = _REGIMES_FIELDS
     else:
         raise ValueError(f"unknown plotdata kind {kind!r}")
-    _write_rows(fh, cfg.fmt, fields, rows)
+    _write_rows(fh, fmt, fields, rows)
     return 0
 
 
@@ -530,30 +489,53 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Check the whole configuration, then open --out and run the command."""
-    common = dict(fmt=args.fmt, out=args.out, jobs=getattr(args, "jobs", 1))
+    """Check the subcommand's own arguments, then open --out and run it."""
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError("jobs must be at least 1")
     if args.command == "eval":
-        cfg = RunConfig("eval", k_values=(args.k,), eps=args.eps, **common)
-        run = partial(cmd_eval, cfg, z=parse_point(args.z), method=args.method)
+        if not _MIN_EPS <= args.eps <= _EPS_MAX:
+            raise ValueError(f"eps must lie in [{_MIN_EPS:g}, {_EPS_MAX:g}], "
+                             f"got {args.eps:g}")
+        z = parse_point(args.z)
+        _check_weight(args.k)
+        run = partial(cmd_eval, k=args.k, z=z, method=args.method,
+                      eps=args.eps)
     elif args.command == "table":
-        cfg = RunConfig("table", k_values=TABLE_K_VALUES,
-                        l_values=TABLE_L_VALUES, **common)
-        run = partial(cmd_table, cfg, which=args.which)
+        run = partial(cmd_table, which=args.which, jobs=args.jobs)
     elif args.command == "scan":
-        cfg = RunConfig("scan", k_values=_even_range(args.k_min, args.k_max),
-                        l_values=_even_range(args.l_min, args.l_max), **common)
-        run = partial(cmd_scan, cfg)
+        ks = _even_range(args.k_min, args.k_max)
+        ls = _even_range(args.l_min, args.l_max)
+        if not ks or not ls:
+            raise ValueError("scan needs non-empty weight ranges")
+        pairs = [(k, l) for l in ls for k in ks if k >= l]
+        if not pairs:
+            raise ValueError("weight ranges produce no pairs with k >= l")
+        _check_pairs(pairs)
+        run = partial(cmd_scan, pairs=pairs, jobs=args.jobs)
     elif args.command == "audit":
-        cfg = RunConfig("audit", k_values=(args.k,), l_values=(args.l,), **common)
-        run = partial(cmd_audit, cfg)
+        _check_pairs([(args.k, args.l)])
+        run = partial(cmd_audit, k=args.k, l=args.l)
     else:
-        cfg = RunConfig("plotdata", **common)
-        _check_plotdata(args.kind, args.k, args.l, args.r_min, args.r_max)
-        run = partial(cmd_plotdata, cfg, kind=args.kind, k=args.k, l=args.l,
+        if args.kind == "zeros":
+            if args.k is None or args.l is None:
+                raise ValueError("plotdata --kind zeros requires --k and --l")
+            _check_pairs([(args.k, args.l)])
+        elif args.kind == "phi" and not 0.0 < args.r_min < args.r_max:
+            raise ValueError("need 0 < r_min < r_max")
+        if args.kind != "zeros" and args.points < 0:
+            # numpy's own message, which the series would raise
+            raise ValueError(
+                f"Number of samples, {args.points}, must be non-negative.")
+        if args.kind == "regimes":
+            k = _REGIMES_K if args.k is None else args.k
+            _check_scaled_weight(k)
+            # the lowest height, where gk checks the domain first
+            _check_domain(complex(args.x, float(_regime_heights(k, 1)[0])))
+        run = partial(cmd_plotdata, kind=args.kind, k=args.k, l=args.l,
                       x=args.x, r_min=args.r_min, r_max=args.r_max,
                       points=args.points)
-    with _out_stream(cfg.out) as fh:
-        return run(fh)
+    with _out_stream(args.out) as fh:
+        return run(fh, args.fmt)
 
 
 def main(argv=None) -> int:

@@ -45,6 +45,7 @@ __all__ = [
 _PAIR_BUDGET = 4_000_000   # max lattice points enumerated per evaluation
 _T_HARD = 5_000.0          # absolute radius ceiling
 _MIN_EPS = 1e-15           # certificate floor of every lattice evaluator
+_MIN_SCALED_WEIGHT = 8     # least weight of the scaled route hk_batch / gk
 
 # Widened domain: the fundamental domain plus the corner strip
 # 2/5 <= x <= 3/5, 2^(-1/2) <= y used by the corner expansions.
@@ -62,6 +63,13 @@ class ThetaArgs:
     def __post_init__(self):
         if not self.tau.imag > 0:
             raise ValueError("theta requires Im(tau) > 0")
+
+
+def _check_scaled_weight(k: int) -> None:
+    """The weight rule of the scaled evaluators hk_batch and gk."""
+    _check_weight(k)
+    if k < _MIN_SCALED_WEIGHT:
+        raise ValueError(f"H_k evaluation supports k >= {_MIN_SCALED_WEIGHT}")
 
 
 def _check_domain(z: complex) -> None:
@@ -244,9 +252,7 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
     overflow occurs even at k = 400.  Returns (values, tail_bound);
     values are real up to roundoff when x = 1/2 and are returned complex.
     """
-    _check_weight(k)
-    if k < 8:
-        raise ValueError("H_k evaluation supports k >= 8")
+    _check_scaled_weight(k)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
         return np.empty(0, dtype=np.complex128), 0.0

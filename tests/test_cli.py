@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from eisenzeros import cli
-from eisenzeros.cli import RunConfig, main, parse_point
+from eisenzeros.cli import main, parse_point
 
 
 def run_cli(capsys, argv):
@@ -31,33 +31,112 @@ def csv_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-class TestRunConfig:
-    def test_eps_bounds_enforced(self):
-        # eval's --eps, the only one the CLI takes
-        with pytest.raises(ValueError, match="eps"):
-            RunConfig("eval", k_values=(12,), eps=1e-20)
-        with pytest.raises(ValueError, match="eps"):
-            RunConfig("eval", k_values=(12,), eps=1e-3)
-        RunConfig("eval", k_values=(12,), eps=1e-15)
-        RunConfig("eval", k_values=(12,), eps=1e-6)
+def rejection(capsys, tmp_path, argv):
+    """(exit code, stderr) of a configuration that must write nothing: no
+    stdout and no --out file.  Of argparse's own rejections only the error
+    line is kept, since its usage lines wrap with the terminal width."""
+    path = tmp_path / "rejected.out"
+    try:
+        code = main(argv + ["--out", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not path.exists()
+    err = "".join(line for line in captured.err.splitlines(keepends=True)
+                  if not line.startswith(("usage:", " ")))
+    return code, err
 
-    def test_ranges_must_be_nonempty(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            RunConfig("scan", k_values=(), l_values=(22,))
-        with pytest.raises(ValueError, match="non-empty"):
-            RunConfig("table", k_values=(56,), l_values=())
-        with pytest.raises(ValueError, match="no pairs with k >= l"):
-            RunConfig("scan", k_values=(14, 20), l_values=(22, 24))
 
-    def test_weights_must_be_even(self):
-        with pytest.raises(ValueError, match="even"):
-            RunConfig("audit", k_values=(57,), l_values=(22,))
+def scan_argv(k_min, k_max, l_min, l_max):
+    return ["scan", "--k-min", str(k_min), "--k-max", str(k_max),
+            "--l-min", str(l_min), "--l-max", str(l_max)]
 
-    def test_misc_validation(self):
-        with pytest.raises(ValueError, match="format"):
-            RunConfig("eval", k_values=(6,), fmt="xml")
-        with pytest.raises(ValueError, match="jobs"):
-            RunConfig("scan", k_values=(56,), l_values=(20,), jobs=0)
+
+# Rejected configurations, each with the stderr it gives at exit 2.  A
+# change to the command line's checks shows here as a moved message.
+REJECTIONS = [
+    (["eval", "--k", "12", "--z", "2i", "--eps", "1e-20"],
+     "error: eps must lie in [1e-15, 1e-06], got 1e-20"),
+    (["eval", "--k", "12", "--z", "2i", "--eps", "1e-3"],
+     "error: eps must lie in [1e-15, 1e-06], got 0.001"),
+    (["eval", "--k", "12", "--z", "2i", "--format", "xml"],
+     "eisenzeros eval: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'csv', 'json')"),
+    (["eval", "--k", "5", "--z", "2i"],
+     "error: weight must be even and >= 4, got 5"),
+    (["eval", "--k", "12", "--z", "0.5-2i"],
+     "error: point must lie in the upper half plane, got '0.5-2i'"),
+    (scan_argv(20, 18, 14, 20), "error: scan needs non-empty weight ranges"),
+    (scan_argv(14, 20, 22, 20), "error: scan needs non-empty weight ranges"),
+    (scan_argv(15, 15, 14, 20), "error: scan needs non-empty weight ranges"),
+    (scan_argv(14, 20, 22, 24),
+     "error: weight ranges produce no pairs with k >= l"),
+    (scan_argv(2, 4, 14, 20),
+     "error: weight ranges produce no pairs with k >= l"),
+    (scan_argv(56, 56, 20, 20) + ["--jobs", "0"],
+     "error: jobs must be at least 1"),
+    (scan_argv(0, 20, 0, 20), "error: weight must be even and >= 4, got 0"),
+    (scan_argv(12, 16, 12, 12),
+     "error: the census needs k >= l >= 14, got l=12"),
+    (scan_argv(202, 202, 200, 200),
+     "error: 1 pairs exceed the k + l <= 400 cap, largest (202, 200)"),
+    (scan_argv(14, 400, 14, 14),
+     "error: 7 pairs exceed the k + l <= 400 cap, largest (400, 14)"),
+    (["table", "--which", "1", "--jobs", "0"],
+     "error: jobs must be at least 1"),
+    (["audit", "--k", "57", "--l", "22"],
+     "error: weight must be even and >= 4, got 57"),
+    (["audit", "--k", "20", "--l", "22"],
+     "error: require k >= l, got k=20 < l=22"),
+    (["audit", "--k", "20", "--l", "12"],
+     "error: the census needs k >= l >= 14, got l=12"),
+    (["audit", "--k", "300", "--l", "150"],
+     "error: 1 pairs exceed the k + l <= 400 cap, largest (300, 150)"),
+    (["plotdata", "--kind", "zeros", "--k", "20"],
+     "error: plotdata --kind zeros requires --k and --l"),
+    (["plotdata", "--kind", "zeros", "--k", "20", "--l", "22"],
+     "error: require k >= l, got k=20 < l=22"),
+    (["plotdata", "--kind", "zeros", "--k", "20", "--l", "12"],
+     "error: the census needs k >= l >= 14, got l=12"),
+    (["plotdata", "--kind", "zeros", "--k", "300", "--l", "150"],
+     "error: 1 pairs exceed the k + l <= 400 cap, largest (300, 150)"),
+    (["plotdata", "--kind", "phi", "--r-min", "2", "--r-max", "1"],
+     "error: need 0 < r_min < r_max"),
+    (["plotdata", "--kind", "phi", "--points", "-5"],
+     "error: Number of samples, -5, must be non-negative."),
+    (["plotdata", "--kind", "regimes", "--points", "-5"],
+     "error: Number of samples, -5, must be non-negative."),
+    (["plotdata", "--kind", "regimes", "--k", "0"],
+     "error: weight must be even and >= 4, got 0"),
+    (["plotdata", "--kind", "regimes", "--k", "4"],
+     "error: H_k evaluation supports k >= 8"),
+    (["plotdata", "--kind", "regimes", "--k", "6"],
+     "error: H_k evaluation supports k >= 8"),
+    (["plotdata", "--kind", "regimes", "--x", "5"],
+     "error: point (5+3.427019268263419j) outside the supported strip "
+     "|x| <= 3/5"),
+    (["plotdata", "--kind", "regimes", "--x", "nan"],
+     "error: point (nan+3.427019268263419j) outside the supported strip "
+     "|x| <= 3/5"),
+]
+
+
+class TestRejectedConfig:
+    def test_every_rejection_pinned(self, capsys, tmp_path):
+        got = {" ".join(argv): rejection(capsys, tmp_path, argv)
+               for argv, _ in REJECTIONS}
+        want = {" ".join(argv): (2, message + "\n")
+                for argv, message in REJECTIONS}
+        assert got == want
+
+    def test_eps_bounds_enforced(self, capsys):
+        # eval's --eps, the only one the CLI takes: both ends of its range
+        # are accepted, and values past them are rows of REJECTIONS
+        for eps in ("1e-15", "1e-6"):
+            assert main(["eval", "--k", "12", "--z", "2i", "--eps", eps]) == 0
+            (row,) = json_rows(capsys.readouterr().out)
+            assert row["k"] == 12
 
 
 class TestParsePoint:
@@ -241,13 +320,6 @@ class TestAudit:
         assert rc == 0
         (row,) = json_rows(out)
         assert row["A"] + row["B"] == 2
-
-    def test_reversed_weights_reported_in_band(self, capsys):
-        rc, out, _ = run_cli(capsys, ["audit", "--k", "20", "--l", "22"])
-        assert rc == 1
-        (row,) = json_rows(out)
-        assert "ValueError" in row["error"]
-        assert "A" not in row
 
     def test_weight_sum_cap(self, capsys):
         # a rejected configuration, like scan's, not a failed check

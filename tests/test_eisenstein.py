@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisenzeros import zeros
-from eisenzeros.cli import RunConfig
+from eisenzeros.cli import main
 from eisenzeros.eisenstein import (
     _BLOCK_TERMS,
     _MIN_EPS,
@@ -149,15 +149,20 @@ class TestLatticeEvaluator:
         with pytest.raises(ValueError, match=floor):
             fk_batch(20, np.array([1.2, 1.4]), 1e-16)
 
-    def test_one_floor_for_evaluators_ladder_and_cli(self):
+    def test_one_floor_for_evaluators_ladder_and_cli(self, capsys, tmp_path):
         below = math.nextafter(_MIN_EPS, 0.0)
         eval_ek_lattice(12, 2j, eps=_MIN_EPS)
         with pytest.raises(ValueError, match="certificate floor"):
             eval_ek_lattice(12, 2j, eps=below)
         assert zeros._EPS_LADDER[-1] == _MIN_EPS
-        RunConfig("eval", k_values=(12,), eps=_MIN_EPS)
-        with pytest.raises(ValueError, match="eps must lie"):
-            RunConfig("eval", k_values=(12,), eps=below)
+        argv = ["eval", "--k", "12", "--z", "2i", "--eps"]
+        assert main(argv + [repr(_MIN_EPS)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.json"
+        assert main(argv + [repr(below), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: eps must lie in [{_MIN_EPS:g}, 1e-06], got {below:g}\n")
+        assert not out.exists()
 
 
 class TestFourierEvaluator:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenzeros.cli import RunConfig, main
+from eisenzeros import cli
+from eisenzeros.cli import main
 from eisenzeros.numerics import (
     MAX_WEIGHT,
     LogComplex,
@@ -88,17 +89,27 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli(bad)
 
-    def test_one_weight_cap_for_bernoulli_and_scan(self, capsys):
+    def test_one_weight_cap_for_bernoulli_and_scan(self, capsys, tmp_path,
+                                                   monkeypatch):
         assert bernoulli(MAX_WEIGHT).denominator > 0
         with pytest.raises(ValueError, match=f"\\[2, {MAX_WEIGHT}\\]"):
             bernoulli(MAX_WEIGHT + 2)
         half = MAX_WEIGHT // 2
-        RunConfig("scan", k_values=(half,), l_values=(half,))
-        assert main(["scan", "--k-min", str(half + 2), "--k-max",
-                     str(half + 2), "--l-min", str(half),
-                     "--l-max", str(half)]) == 2
-        err = capsys.readouterr().err
-        assert f"k + l <= {MAX_WEIGHT} cap" in err
+
+        def scan(k):
+            return ["scan", "--k-min", str(k), "--k-max", str(k),
+                    "--l-min", str(half), "--l-max", str(half)]
+
+        # the pair at the cap is accepted; its audit is not the point here
+        monkeypatch.setattr(cli, "_pair_report", lambda task: {})
+        assert main(scan(half)) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.json"
+        assert main(scan(half + 2) + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: 1 pairs exceed the k + l <= {MAX_WEIGHT} cap, "
+            f"largest ({half + 2}, {half})\n"))
+        assert not out.exists()
 
 
 class TestGammaK:
