@@ -122,6 +122,34 @@ REJECTIONS = [
 ]
 
 
+def assert_pinned(capsys, tmp_path, argv):
+    """argv is a row of REJECTIONS and gives that row's exit 2 and stderr."""
+    message = {" ".join(a): m for a, m in REJECTIONS}[" ".join(argv)]
+    assert rejection(capsys, tmp_path, argv) == (2, message + "\n")
+
+
+class TestRunConfig:
+    # each subcommand checks its own arguments before any work; these pick
+    # out rows of REJECTIONS by the rule they break
+    def test_ranges_must_be_nonempty(self, capsys, tmp_path):
+        for argv in (scan_argv(20, 18, 14, 20), scan_argv(14, 20, 22, 20),
+                     scan_argv(15, 15, 14, 20), scan_argv(14, 20, 22, 24),
+                     scan_argv(2, 4, 14, 20)):
+            assert_pinned(capsys, tmp_path, argv)
+
+    def test_weights_must_be_even(self, capsys, tmp_path):
+        for argv in (["audit", "--k", "57", "--l", "22"],
+                     ["eval", "--k", "5", "--z", "2i"],
+                     scan_argv(0, 20, 0, 20)):
+            assert_pinned(capsys, tmp_path, argv)
+
+    def test_misc_validation(self, capsys, tmp_path):
+        for argv in (["eval", "--k", "12", "--z", "2i", "--format", "xml"],
+                     scan_argv(56, 56, 20, 20) + ["--jobs", "0"],
+                     ["table", "--which", "1", "--jobs", "0"]):
+            assert_pinned(capsys, tmp_path, argv)
+
+
 class TestRejectedConfig:
     def test_every_rejection_pinned(self, capsys, tmp_path):
         got = {" ".join(argv): rejection(capsys, tmp_path, argv)
@@ -307,6 +335,11 @@ class TestScan:
 
 
 class TestAudit:
+    def test_reversed_weights_reported_in_band(self, capsys, tmp_path):
+        # k < l is a rejected configuration under the pair rule scan and
+        # plotdata share: exit 2 on stderr, no row and no --out file
+        assert_pinned(capsys, tmp_path, ["audit", "--k", "20", "--l", "22"])
+
     def test_clean_pair(self, capsys):
         rc, out, _ = run_cli(capsys, ["audit", "--k", "82", "--l", "22"])
         assert rc == 0
