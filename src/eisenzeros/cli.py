@@ -37,6 +37,7 @@ from .eisenstein import (
     _MIN_EPS,
     _MIN_SCALED_WEIGHT,
     _check_domain,
+    _check_fourier_domain,
     _check_scaled_weight,
     eval_ek_fourier,
     eval_ek_lattice,
@@ -498,6 +499,10 @@ def _dispatch(args: argparse.Namespace) -> int:
                              f"got {args.eps:g}")
         z = parse_point(args.z)
         _check_weight(args.k)
+        if args.method in ("lattice", "all"):
+            _check_domain(z)
+        if args.method in ("fourier", "all"):
+            _check_fourier_domain(z)
         run = partial(cmd_eval, k=args.k, z=z, method=args.method,
                       eps=args.eps)
     elif args.command == "table":

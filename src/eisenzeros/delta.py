@@ -89,12 +89,12 @@ def arc_real_batch(wp, thetas: np.ndarray,
                    eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """F_k F_l - F_{k+l} on the unit arc, vectorized; returns
     (values, pointwise error bounds).  Real by construction: each factor
-    is evaluated through the arc rescaling with its reality asserted."""
+    is evaluated through the arc rescaling with its reality asserted, all
+    three in one fk_batch call for the weights (k, l, k + l)."""
     wp = _as_pair(wp)
     thetas = np.asarray(thetas, dtype=np.float64)
-    fk_v, tk = fk_batch(wp.k, thetas, eps)
-    fl_v, tl = fk_batch(wp.l, thetas, eps)
-    fkl_v, tkl = fk_batch(wp.weight_sum, thetas, eps)
+    (fk_v, fl_v, fkl_v), (tk, tl, tkl) = fk_batch(
+        (wp.k, wp.l, wp.weight_sum), thetas, eps)
     vals = fk_v * fl_v - fkl_v
     errs = np.abs(fk_v) * tl + np.abs(fl_v) * tk + tk * tl + tkl
     return vals, errs
@@ -106,12 +106,12 @@ def side_normalized_batch(wp, ys: np.ndarray,
     combination H_l + H_k/|z|^(k-l) + (H_k H_l - H_{k+l})/|z|^k.
 
     Equals |z|^(k+l) Delta(1/2+iy) / |z|^k; same sign pattern, O(1) size.
+    The three H's come from one hk_batch call for the weights (k, l, k + l).
     Returns (real values, pointwise error bounds)."""
     wp = _as_pair(wp)
     ys = np.asarray(ys, dtype=np.float64)
-    hk_v, tk = hk_batch(wp.k, ys, eps)
-    hl_v, tl = hk_batch(wp.l, ys, eps)
-    hkl_v, tkl = hk_batch(wp.weight_sum, ys, eps)
+    (hk_v, hl_v, hkl_v), (tk, tl, tkl) = hk_batch(
+        (wp.k, wp.l, wp.weight_sum), ys, eps)
     r = np.abs(0.5 + 1j * ys)
     fall = r ** float(wp.l - wp.k)          # |z|^(l-k) <= 1
     fall_k = r ** float(-wp.k)

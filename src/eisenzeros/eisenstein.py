@@ -79,6 +79,14 @@ def _check_domain(z: complex) -> None:
         raise ValueError(f"point {z} outside the supported strip |x| <= 3/5")
 
 
+def _check_fourier_domain(z: complex) -> None:
+    """The point rule of the Fourier route."""
+    if not z.imag >= 1.0:
+        raise ValueError("Fourier route requires y >= 1; use the lattice")
+    if not math.isfinite(z.real):
+        raise ValueError(f"point {z} has a non-finite real part")
+
+
 # --- lattice evaluator --------------------------------------------------
 
 def _truncation_radius(k: int, z: complex, eps: float,
@@ -242,20 +250,25 @@ def _drow_tail(k: int, log_az: np.ndarray,
     return scale * factor, rem * float(scale.max())
 
 
-def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
-             x: float = 0.5) -> tuple[np.ndarray, float]:
-    """H_k(x+iy) for an array of heights on a vertical line, with one
-    shared truncation certificate (max over the batch).
+def hk_batch(ks: tuple[int, ...], ys: np.ndarray, eps: float = 1e-12,
+             x: float = 0.5) -> tuple[np.ndarray, tuple[float, ...]]:
+    """H_k(x+iy) for each weight k in ks over an array of heights on a
+    vertical line: one row of values and one shared truncation certificate
+    (max over the batch) per weight.
 
     H_k = |z|^k (E_k - 1) is assembled from the kernel terms
     (|z|/(cz+d))^k, of magnitude <= 1 in the fundamental domain, so no
-    overflow occurs even at k = 400.  Returns (values, tail_bound);
+    overflow occurs even at k = 400.  Returns (values, tail_bounds);
     values are real up to roundoff when x = 1/2 and are returned complex.
+    The weights share the octave split and the points' geometry; each has
+    its own disk, so a row equals that weight's one-weight call.
     """
-    _check_scaled_weight(k)
+    for k in ks:
+        _check_scaled_weight(k)
     ys = np.asarray(ys, dtype=np.float64)
+    out = np.empty((len(ks), ys.size), dtype=np.complex128)
     if ys.size == 0:
-        return np.empty(0, dtype=np.complex128), 0.0
+        return out, (0.0,) * len(ks)
     if not (ys > 0).all():
         raise ValueError("heights must be positive")
     y_lo = float(ys.min())
@@ -264,65 +277,73 @@ def hk_batch(k: int, ys: np.ndarray, eps: float = 1e-12,
         # Split into octaves so the shared pair superset stays tight.
         mid = math.sqrt(y_lo * y_hi)
         lo_mask = ys <= mid
-        v_lo, t_lo = hk_batch(k, ys[lo_mask], eps, x)
-        v_hi, t_hi = hk_batch(k, ys[~lo_mask], eps, x)
-        out = np.empty(ys.shape, dtype=np.complex128)
-        out[lo_mask] = v_lo
-        out[~lo_mask] = v_hi
-        return out, max(t_lo, t_hi)
+        out[:, lo_mask], t_lo = hk_batch(ks, ys[lo_mask], eps, x)
+        out[:, ~lo_mask], t_hi = hk_batch(ks, ys[~lo_mask], eps, x)
+        return out, tuple(map(max, t_lo, t_hi))
     _check_domain(complex(x, y_lo))
     z_hi = complex(x, y_hi)
     log_az_hi = math.log(abs(z_hi))
-    t, tail = _truncation_radius(k, z_hi, eps, k * log_az_hi)
     zs = x + 1j * ys
     az = np.abs(zs)
-    vals = _lattice_sum(zs, x, x, y_lo, t, k, 1.0 / az)
-    row, rem = _drow_tail(k, np.log(az), math.floor(t))
-    vals -= row
-    return vals / zeta(k), tail + rem
+    s, log_az = 1.0 / az, np.log(az)
+    tails = []
+    for i, k in enumerate(ks):
+        t, tail = _truncation_radius(k, z_hi, eps, k * log_az_hi)
+        vals = _lattice_sum(zs, x, x, y_lo, t, k, s)
+        row, rem = _drow_tail(k, log_az, math.floor(t))
+        vals -= row
+        out[i] = vals / zeta(k)
+        tails.append(tail + rem)
+    return out, tuple(tails)
 
 
 def gk(k: int, z, eps: float = 1e-12) -> complex:
-    """G_k(z) = z^k (E_k(z) - 1) = e^(ik arg z) H_k(z)."""
+    """G_k(z) = z^k (E_k(z) - 1) = e^(ik arg z) H_k(z), by hk_batch((k,))."""
     z = complex(z)
-    vals, _ = hk_batch(k, np.array([z.imag]), eps, x=z.real)
-    return cmath.exp(1j * k * cmath.phase(z)) * complex(vals[0])
+    vals, _ = hk_batch((k,), np.array([z.imag]), eps, x=z.real)
+    return cmath.exp(1j * k * cmath.phase(z)) * complex(vals[0, 0])
 
 
-def fk_batch(k: int, thetas: np.ndarray,
-             eps: float = 1e-12) -> tuple[np.ndarray, float]:
-    """F_k(theta) = e^(ik theta/2) E_k(e^(i theta)) on the unit arc,
-    vectorized over theta in [pi/3, 2pi/3].  Returns (values, tail_bound).
+def fk_batch(ks: tuple[int, ...], thetas: np.ndarray,
+             eps: float = 1e-12) -> tuple[np.ndarray, tuple[float, ...]]:
+    """F_k(theta) = e^(ik theta/2) E_k(e^(i theta)) on the unit arc for
+    each weight k in ks, vectorized over theta in [pi/3, 2pi/3].  Returns
+    (values, tail_bounds): one real row and one tail bound per weight.
 
-    The enumeration uses one pair superset valid for the whole batch;
+    Each weight enumerates one pair superset valid for the whole batch;
     terms outside an individual point's disk only shrink its truncation
-    error, so the shared certificate remains rigorous.
+    error, so the shared certificate remains rigorous.  The weights share
+    the arc window and geometry, so a row equals a one-weight call's.
     """
-    _check_weight(k)
+    for k in ks:
+        _check_weight(k)
     thetas = np.asarray(thetas, dtype=np.float64)
+    out = np.empty((len(ks), thetas.size))
     if thetas.size == 0:
-        return np.empty(0), 0.0
+        return out, (0.0,) * len(ks)
     if not ((thetas >= math.pi / 3 - 1e-12)
             & (thetas <= 2 * math.pi / 3 + 1e-12)).all():
         raise ValueError("arc angles must lie in [pi/3, 2pi/3]")
     y_min = float(np.sin(thetas).min())
-    # worst-case (largest) radius over the batch
-    t = 0.0
-    tail = 0.0
-    for th in (float(thetas.min()), float(thetas.max())):
-        t_i, tail_i = _truncation_radius(k, cmath.exp(1j * th), eps, 0.0)
-        t = max(t, t_i)
-        tail = max(tail, tail_i)
+    ends = [cmath.exp(1j * float(th)) for th in (thetas.min(), thetas.max())]
     zs = np.exp(1j * thetas)
     xs = np.cos(thetas)
-    vals = _lattice_sum(zs, float(xs.min()), float(xs.max()), y_min, t, k)
-    vals += _axis_sum(k, t)
-    vals = np.exp(0.5j * k * thetas) * vals / zeta(k)
-    # the imaginary part is truncation, so it may reach the tail bound
-    resid = float(np.abs(vals.imag).max())
-    if resid >= 1e-9 + tail:
-        raise ArithmeticError(f"arc rescaling lost reality: residue {resid}")
-    return vals.real, tail
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    tails = []
+    for i, k in enumerate(ks):
+        # worst-case (largest) radius over the batch
+        t, tail = map(max, *(_truncation_radius(k, z, eps, 0.0) for z in ends))
+        vals = _lattice_sum(zs, x_lo, x_hi, y_min, t, k)
+        vals += _axis_sum(k, t)
+        vals = np.exp(0.5j * k * thetas) * vals / zeta(k)
+        # the imaginary part is truncation, so it may reach the tail bound
+        resid = float(np.abs(vals.imag).max())
+        if resid >= 1e-9 + tail:
+            raise ArithmeticError(
+                f"arc rescaling lost reality: residue {resid}")
+        out[i] = vals.real
+        tails.append(tail)
+    return out, tuple(tails)
 
 
 # --- Fourier evaluator --------------------------------------------------
@@ -374,10 +395,7 @@ def ek_minus_one_fourier(k: int, z) -> LogComplex:
     """
     _check_weight(k)
     z = complex(z)
-    if not z.imag >= 1.0:
-        raise ValueError("Fourier route requires y >= 1; use the lattice")
-    if not math.isfinite(z.real):
-        raise ValueError(f"point {z} has a non-finite real part")
+    _check_fourier_domain(z)
     return lc_sum(_fourier_terms(k, z))
 
 

@@ -585,8 +585,10 @@ def side_upper_cutoff(wp) -> float:
     return _side_upper_cutoff(_as_pair(wp))
 
 
-# One pair, read by count_arc_zeros and then by count_side_zeros.
-@lru_cache(maxsize=1)
+# Kept per pair for the process: an audit reads it twice, and the three
+# tables audit the same 45 pairs.  A pure function of (k, l); the census rule
+# l >= 14 and the k + l <= MAX_WEIGHT cap bound the census's keys at 8,836.
+@lru_cache(maxsize=None)
 def _side_upper_cutoff(wp: WeightPair) -> float:
     log_mag = _delta_log_coeffs(wp)
     la1 = float(log_mag[0])

@@ -67,6 +67,12 @@ REJECTIONS = [
      "error: weight must be even and >= 4, got 5"),
     (["eval", "--k", "12", "--z", "0.5-2i"],
      "error: point must lie in the upper half plane, got '0.5-2i'"),
+    (["eval", "--k", "12", "--z", "0.1i"],
+     "error: point 0.1j below the supported strip y >= 2^-0.5"),
+    (["eval", "--k", "12", "--z", "0.5+0.8i", "--method", "fourier"],
+     "error: Fourier route requires y >= 1; use the lattice"),
+    (["eval", "--k", "12", "--z", "0.5+0.8i", "--method", "all"],
+     "error: Fourier route requires y >= 1; use the lattice"),
     (scan_argv(20, 18, 14, 20), "error: scan needs non-empty weight ranges"),
     (scan_argv(14, 20, 22, 20), "error: scan needs non-empty weight ranges"),
     (scan_argv(15, 15, 14, 20), "error: scan needs non-empty weight ranges"),
@@ -733,16 +739,29 @@ class TestDeterminism:
             assert float(c["hi"]) == j["hi"]
 
 
+def after_cli_import(expr):
+    """What expr prints in a fresh interpreter that imported the CLI."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = f"import sys, eisenzeros.cli; print({expr})"
+    return subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout.strip()
+
+
 def test_cli_import_leaves_the_pool_out():
     # --jobs 1 never needs a process pool, so starting the CLI must not
     # pay for importing one
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = ("import sys, eisenzeros.cli; print(sorted(m for m in "
-             "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    assert after_cli_import(
+        "sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules)") == "[]"
+
+
+def test_cli_import_fills_no_numeric_cache():
+    # every run pays for its start-up, so numeric work stays out of import
+    assert after_cli_import(
+        "sys.modules['eisenzeros.zeros']._side_upper_cutoff.cache_info()"
+        ".currsize, len(sys.modules['eisenzeros.numerics']._bernoulli_cache)"
+    ) == "0 0"
 
 
 _ONE_PAIR_SCAN = ["scan", "--k-min", "56", "--k-max", "56",

@@ -164,8 +164,8 @@ class TestArcRestriction:
         h = (PI / 6) / (16 * 36)
         ends = np.array([PI / 3 + 0.5 * h, PI / 3 + (16 * 36 - 0.5) * h])
         for k in (14, 22, 36):
-            coarse, tail = fk_batch(k, ends, 1e-6)
-            fine, _ = fk_batch(k, ends, 1e-12)
+            (coarse,), (tail,) = fk_batch((k,), ends, 1e-6)
+            (fine,), _ = fk_batch((k,), ends, 1e-12)
             assert np.all(np.abs(coarse - fine) <= tail)
         vals, errs = arc_real_batch(WeightPair(22, 14), ends, 1e-6)
         fine, _ = arc_real_batch(WeightPair(22, 14), ends, 1e-12)

@@ -68,7 +68,7 @@ def sigma_log(k1: int, n: int) -> float:
 
 def hk(k: int, z: complex) -> complex:
     """H_k(z) = |z|^k (E_k(z) - 1) at one point, from hk_batch."""
-    vals, _ = hk_batch(k, np.array([z.imag]), x=z.real)
+    (vals,), _ = hk_batch((k,), np.array([z.imag]), x=z.real)
     return complex(vals[0])
 
 
@@ -145,9 +145,9 @@ class TestLatticeEvaluator:
         # eval_ek_lattice
         floor = "certificate floor"
         with pytest.raises(ValueError, match=floor):
-            hk_batch(20, np.array([1.0, 2.0]), 1e-16)
+            hk_batch((20,), np.array([1.0, 2.0]), 1e-16)
         with pytest.raises(ValueError, match=floor):
-            fk_batch(20, np.array([1.2, 1.4]), 1e-16)
+            fk_batch((20,), np.array([1.2, 1.4]), 1e-16)
 
     def test_one_floor_for_evaluators_ladder_and_cli(self, capsys, tmp_path):
         below = math.nextafter(_MIN_EPS, 0.0)
@@ -221,14 +221,14 @@ class TestRescalings:
         # the batch evaluator raises if the imaginary residue reaches 1e-9
         thetas = np.linspace(math.pi / 3, 2 * math.pi / 3, 72)
         for k in range(14, 42, 2):
-            vals, _ = fk_batch(k, thetas)
+            (vals,), _ = fk_batch((k,), thetas)
             assert np.isfinite(vals).all()
 
     def test_fk_scalar_matches_batch(self):
         thetas = np.linspace(math.pi / 3, math.pi / 2, 7)
-        vals, _ = fk_batch(20, thetas)
+        (vals,), _ = fk_batch((20,), thetas)
         for th, v in zip(thetas, vals):
-            single = fk_batch(20, np.array([th]))[0][0]
+            single = fk_batch((20,), np.array([th]))[0][0, 0]
             assert math.isclose(single, v, rel_tol=1e-12, abs_tol=1e-12)
 
     @pytest.mark.parametrize("k", [14, 24, 40])
@@ -237,7 +237,7 @@ class TestRescalings:
         # subtracting the constant term costs the full-phase exponential
         for th in np.linspace(math.pi / 3 + 0.01, 2 * math.pi / 3 - 0.01, 25):
             lhs = gk(k, cmath.exp(1j * th))
-            f = fk_batch(k, np.array([th]))[0][0]
+            f = fk_batch((k,), np.array([th]))[0][0, 0]
             rhs = cmath.exp(0.5j * k * th) * f - cmath.exp(1j * k * th)
             assert abs(lhs - rhs) < 1e-9
 
@@ -250,7 +250,7 @@ class TestRescalings:
                                 rel_tol=1e-12)
 
     def test_hk_real_on_side(self):
-        vals, _ = hk_batch(30, np.linspace(1.0, 8.0, 40))
+        (vals,), _ = hk_batch((30,), np.linspace(1.0, 8.0, 40))
         assert np.abs(vals.imag).max() < 1e-9
 
     def test_hk_matches_scalar_eval(self):
@@ -448,7 +448,7 @@ class TestLatticeKernel:
         # a fence, not the reported bound: that bound covers truncation
         # only, while this gap is mostly rounding
         ys = np.array([0.87, 1.0, 1.4, 2.5, 4.0, 7.5])
-        vals, _ = hk_batch(k, ys)
+        (vals,), _ = hk_batch((k,), ys)
         with mpmath.workdps(50):
             for y, v in zip(ys, vals):
                 z = complex(0.5, y)
@@ -459,13 +459,73 @@ class TestLatticeKernel:
     def test_fk_batch_oracle_fence(self, k):
         thetas = np.array([math.pi / 3 + 1e-3, 1.2, 1.4, math.pi / 2,
                            1.9, 2 * math.pi / 3 - 1e-3])
-        vals, _ = fk_batch(k, thetas)
+        (vals,), _ = fk_batch((k,), thetas)
         with mpmath.workdps(50):
             for th, v in zip(thetas, vals):
                 z = cmath.exp(1j * th)
                 exact = mpmath.exp(0.5j * k * mpmath.mpf(th)) * (
                     1 + ek_minus_one_mp(k, z))
                 assert abs(mpmath.mpf(float(v)) - exact) <= 1e-13, (k, th)
+
+
+def assert_rows_are_one_weight_calls(batch, ks, xs, eps=1e-12):
+    """A several-weight call gives, per weight, the values and the tail
+    bound of that weight's one-weight call, bit for bit."""
+    vals, tails = batch(ks, xs, eps)
+    assert vals.shape == (len(ks), len(xs)) and len(tails) == len(ks)
+    for k, row, tail in zip(ks, vals, tails):
+        (one,), (one_tail,) = batch((k,), xs, eps)
+        assert np.array_equal(row, one), (k, eps)
+        assert tail == one_tail, (k, eps)
+
+
+def comb_batches(k, l):
+    """The arc and side points the count certifies for (k, l): each
+    piece's scan ends and the comb points between them."""
+    wp = zeros.WeightPair(k, l)
+    pieces = []
+    for (lo, hi), comb in (
+            (zeros._arc_ends(wp), zeros.arc_sample_points(wp)),
+            (zeros._side_ends(wp, zeros.side_upper_cutoff(wp)),
+             [0.5 * math.tan(t) for t in zeros.side_sample_points(l)])):
+        pieces.append(np.array([lo] + [x for x in comb if lo < x < hi]
+                               + [hi]))
+    return pieces
+
+
+class TestWeightBatches:
+    # the boundary restrictions evaluate k, l and k + l in one call
+
+    @pytest.mark.parametrize("k, l", [(14, 14), (40, 16), (56, 22),
+                                      (98, 72), (100, 14), (100, 100)])
+    def test_comb_batches_at_every_rung(self, k, l):
+        arc, side = comb_batches(k, l)
+        for eps in zeros._EPS_LADDER:
+            assert_rows_are_one_weight_calls(fk_batch, (k, l, k + l), arc, eps)
+            assert_rows_are_one_weight_calls(hk_batch, (k, l, k + l), side,
+                                             eps)
+
+    def test_side_batch_over_several_octaves(self):
+        ys = np.geomspace(0.87, 12.0, 45)
+        assert ys[-1] / ys[0] > 2.0 ** 3
+        assert_rows_are_one_weight_calls(hk_batch, (60, 24, 84), ys)
+
+    def test_refinement_sized_batches(self):
+        # 2,000 points leave 16 pairs to a kernel block, so the disk of
+        # l = 14 runs many blocks, as plotdata's refinement rounds do
+        thetas = np.linspace(math.pi / 3, math.pi / 2, 2000)
+        t, _ = _truncation_radius(14, cmath.exp(1j * math.pi / 3), 1e-12, 0.0)
+        c, _ = disk_pairs_reference(0.0, 0.5, math.sqrt(3) / 2, t)
+        assert c.size > 10 * (_BLOCK_TERMS // thetas.size)
+        assert_rows_are_one_weight_calls(fk_batch, (22, 14, 36), thetas)
+        assert_rows_are_one_weight_calls(hk_batch, (22, 14, 36),
+                                         np.linspace(0.9, 1.7, 2000))
+
+    def test_empty_batch(self):
+        for batch in (fk_batch, hk_batch):
+            vals, tails = batch((40, 16, 56), np.empty(0))
+            assert vals.shape == (3, 0) and tails == (0.0, 0.0, 0.0)
+            assert_rows_are_one_weight_calls(batch, (40, 16, 56), np.empty(0))
 
 
 class TestArcMainTerms:
@@ -475,17 +535,17 @@ class TestArcMainTerms:
 
     def test_two_term_deviation_bound(self):
         for th in np.linspace(math.pi / 3, math.pi / 2, 200):
-            value = fk_batch(14, np.array([th]))[0][0]
+            value = fk_batch((14,), np.array([th]))[0][0, 0]
             assert abs(value - 2.0 * math.cos(7.0 * th)) <= 1.016
 
     def test_main_terms_sandwich_spot(self):
-        value = fk_batch(24, np.array([1.2]))[0][0]
+        value = fk_batch((24,), np.array([1.2]))[0][0, 0]
         assert abs(value - fk_main_terms(24, 1.2)) <= rk_tail_bound(24)
 
     @pytest.mark.parametrize("k", [14, 20, 30, 40])
     def test_main_terms_sandwich_grid(self, k):
         thetas = np.linspace(math.pi / 3, math.pi / 2, 60)
-        vals, _ = fk_batch(k, thetas)
+        (vals,), _ = fk_batch((k,), thetas)
         bound = rk_tail_bound(k)
         for th, v in zip(thetas, vals):
             assert abs(v - fk_main_terms(k, th)) <= bound

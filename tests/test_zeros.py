@@ -529,6 +529,20 @@ class TestScans:
         count_arc_zeros((56, 22))
         assert calls == [WeightPair(56, 22)]
 
+    def test_reaudit_keeps_the_cutoff(self, monkeypatch):
+        # the cutoff is kept per pair, so auditing another pair in between
+        # does not make a re-audit recompute the Fourier coefficients
+        calls = []
+        real = zeros._delta_log_coeffs
+        monkeypatch.setattr(zeros, "_delta_log_coeffs",
+                            lambda wp: calls.append(wp) or real(wp))
+        zeros._side_upper_cutoff.cache_clear()
+        first = audit((56, 22))
+        audit((40, 16))
+        assert calls == [WeightPair(56, 22), WeightPair(40, 16)]
+        assert audit((56, 22)) == first
+        assert len(calls) == 2
+
     def test_cutoff_certificate_is_sound(self):
         # above y_max the side restriction is certifiably nonzero
         wp = WeightPair(56, 22)
