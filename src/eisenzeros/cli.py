@@ -38,6 +38,7 @@ from .eisenstein import (
     _MIN_SCALED_WEIGHT,
     _check_domain,
     _check_fourier_domain,
+    _check_lattice_disk,
     _check_scaled_weight,
     eval_ek_fourier,
     eval_ek_lattice,
@@ -162,17 +163,6 @@ def _csv_cell(value):
     return value
 
 
-def _json_row(row):
-    clean = {}
-    for key, value in row.items():
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        clean[key] = value
-    return clean
-
-
 def _write_rows(fh, fmt, fieldnames, rows):
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
@@ -181,7 +171,7 @@ def _write_rows(fh, fmt, fieldnames, rows):
             writer.writerow([_csv_cell(row.get(name)) for name in fieldnames])
     else:
         for row in rows:
-            fh.write(json.dumps(_json_row(row), sort_keys=True))
+            fh.write(json.dumps(row, sort_keys=True))
             fh.write("\n")
 
 
@@ -296,8 +286,7 @@ def cmd_scan(fh, fmt: str, pairs: list[tuple[int, int]], jobs: int) -> int:
 
     _write_rows(fh, fmt, _REPORT_FIELDS, rows)
     if fmt == "json":
-        fh.write(json.dumps(summary, sort_keys=True))
-        fh.write("\n")
+        _write_rows(fh, fmt, (), [summary])
     print(
         f"scan: {len(rows)} pairs, {valence_failures} valence failures, "
         f"{mismatches} count mismatches, {interior} interior reports, "
@@ -499,10 +488,12 @@ def _dispatch(args: argparse.Namespace) -> int:
                              f"got {args.eps:g}")
         z = parse_point(args.z)
         _check_weight(args.k)
-        if args.method in ("lattice", "all"):
+        if args.method != "fourier":
             _check_domain(z)
+        if args.method in ("lattice", "all"):
+            _check_lattice_disk(z)
         if args.method in ("fourier", "all"):
-            _check_fourier_domain(z)
+            _check_fourier_domain(args.k, z)
         run = partial(cmd_eval, k=args.k, z=z, method=args.method,
                       eps=args.eps)
     elif args.command == "table":

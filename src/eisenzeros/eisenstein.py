@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import LogComplex, _check_weight, gamma_k, lc_sum, zeta
+from .numerics import (
+    MAX_WEIGHT, LogComplex, _check_weight, gamma_k, lc_sum, zeta)
 
 __all__ = [
     "ThetaArgs",
@@ -79,15 +80,31 @@ def _check_domain(z: complex) -> None:
         raise ValueError(f"point {z} outside the supported strip |x| <= 3/5")
 
 
-def _check_fourier_domain(z: complex) -> None:
-    """The point rule of the Fourier route."""
+def _check_fourier_domain(k: int, z: complex) -> None:
+    """The point rule of the Fourier route, and its weight cap: gamma_k
+    needs B_k, which numerics holds up to MAX_WEIGHT."""
     if not z.imag >= 1.0:
         raise ValueError("Fourier route requires y >= 1; use the lattice")
     if not math.isfinite(z.real):
         raise ValueError(f"point {z} has a non-finite real part")
+    if k > MAX_WEIGHT:
+        raise ValueError(
+            f"bernoulli requires even k in [2, {MAX_WEIGHT}], got {k}")
 
 
 # --- lattice evaluator --------------------------------------------------
+
+def _check_lattice_disk(z: complex) -> tuple[float, float]:
+    """The disk rule of the lattice route: (t_min, cap), the least radius
+    the tail bound holds from and the most the enumeration caps allow.
+    Raises when t_min is out of reach; it depends on z alone."""
+    y = z.imag
+    t_min = 1.0001 * (1.0 + abs(z))
+    cap = min(math.sqrt(_PAIR_BUDGET * 2.0 * y / math.pi), _T_HARD)
+    if t_min > 1.01 * cap:
+        raise ValueError(f"cannot enumerate lattice disk for y={y}")
+    return t_min, cap
+
 
 def _truncation_radius(k: int, z: complex, eps: float,
                        scale_log: float) -> tuple[float, float]:
@@ -104,14 +121,10 @@ def _truncation_radius(k: int, z: complex, eps: float,
     y = z.imag
     a_const = 2.25 * math.pi * k / (y * (k - 2.0))
     log_half_a = math.log(0.5 * a_const / zeta(k))
-    t_min = 1.0001 * (1.0 + abs(z))
     # aim 20% under eps so roundoff in the bound itself cannot exceed it
     t_target = math.exp((scale_log + log_half_a - math.log(0.8 * eps))
                         / (k - 2.0))
-    t_budget = math.sqrt(_PAIR_BUDGET * 2.0 * y / math.pi)
-    cap = min(t_budget, _T_HARD)
-    if t_min > 1.01 * cap:
-        raise ValueError(f"cannot enumerate lattice disk for y={y}")
+    t_min, cap = _check_lattice_disk(z)
     t = max(min(t_target, cap), t_min)
     log_tail = scale_log + log_half_a + (2.0 - k) * math.log(t)
     tail = math.exp(log_tail) if log_tail > -745.0 else 0.0
@@ -395,7 +408,7 @@ def ek_minus_one_fourier(k: int, z) -> LogComplex:
     """
     _check_weight(k)
     z = complex(z)
-    _check_fourier_domain(z)
+    _check_fourier_domain(k, z)
     return lc_sum(_fourier_terms(k, z))
 
 
@@ -440,9 +453,11 @@ def jacobi_theta(args: ThetaArgs) -> complex:
 def theta_eisenstein_transformed(k: int, z) -> complex:
     """The Eisenstein theta specialization evaluated through the modular
     transformation: r^(1/2) exp(-ikx/y + pi x^2/r) *
-    sum_n exp(-pi r (n - k/(2 pi y))^2) e(nx), with r = 2 pi y^2 / k."""
+    sum_n exp(-pi r (n - k/(2 pi y))^2) e(nx), with r = 2 pi y^2 / k,
+    on the lattice route's strip."""
     _check_weight(k)
     z = complex(z)
+    _check_domain(z)
     x, y = z.real, z.imag
     r = 2.0 * math.pi * y * y / k
     n0 = k / (2.0 * math.pi * y)
@@ -455,29 +470,26 @@ def theta_eisenstein_transformed(k: int, z) -> complex:
                                     + math.pi * x * x / r) * total
 
 
-def phi0(r: float) -> float:
-    """sum over n != 0, -1 of exp(-(pi/r)(n^2+n)); pairs n, -1-n match."""
+def _phi_series(r: float, exponent) -> float:
+    """2 sum_{n >= 1} exp(exponent(n)), stopped at the first term below
+    1e-16; the two-sided sums phi0 and phi1 pair their terms this way."""
     if r <= 0:
         raise ValueError("r must be positive")
     total = 0.0
     n = 1
     while True:
-        term = 2.0 * math.exp(-math.pi * n * (n + 1.0) / r)
+        term = 2.0 * math.exp(exponent(n))
         total += term
         if term < 1e-16:
             return total
         n += 1
+
+
+def phi0(r: float) -> float:
+    """sum over n != 0, -1 of exp(-(pi/r)(n^2+n)); pairs n, -1-n match."""
+    return _phi_series(r, lambda n: -math.pi * n * (n + 1.0) / r)
 
 
 def phi1(r: float) -> float:
-    """sum over n != 0 of exp(-pi r n^2)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    total = 0.0
-    n = 1
-    while True:
-        term = 2.0 * math.exp(-math.pi * r * n * n)
-        total += term
-        if term < 1e-16:
-            return total
-        n += 1
+    """sum over n != 0 of exp(-pi r n^2); pairs n, -n match."""
+    return _phi_series(r, lambda n: -math.pi * r * n * n)

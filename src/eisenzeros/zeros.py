@@ -69,17 +69,13 @@ _Y_CEILING = 64.0
 class SignUncertainError(ArithmeticError):
     """A sign stayed uncertain through the full precision escalation.
 
-    Carries the offending points and their count so callers never have to
-    guess how much of a scan was ambiguous.
+    Carries the offending points, so callers never have to guess how much
+    of a scan was ambiguous.
     """
 
     def __init__(self, message: str, points: Sequence[float] = ()) -> None:
         super().__init__(message)
         self.points = tuple(float(p) for p in points)
-
-    @property
-    def uncertain(self) -> int:
-        return len(self.points)
 
 
 class DominanceCertificateError(ArithmeticError):
@@ -100,10 +96,6 @@ class ZeroBracket:
     @property
     def location(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,26 @@ REJECTIONS = [
      "error: Fourier route requires y >= 1; use the lattice"),
     (["eval", "--k", "12", "--z", "0.5+0.8i", "--method", "all"],
      "error: Fourier route requires y >= 1; use the lattice"),
+    (["eval", "--k", "12", "--z", "6000i"],
+     "error: cannot enumerate lattice disk for y=6000.0"),
+    (["eval", "--k", "12", "--z", "6000i", "--method", "all"],
+     "error: cannot enumerate lattice disk for y=6000.0"),
+    (["eval", "--k", "402", "--z", "2i", "--method", "fourier"],
+     "error: bernoulli requires even k in [2, 400], got 402"),
+    (["eval", "--k", "402", "--z", "2i", "--method", "all"],
+     "error: bernoulli requires even k in [2, 400], got 402"),
+    (["eval", "--k", "12", "--z", "1e-150i", "--method", "theta"],
+     "error: point 1e-150j below the supported strip y >= 2^-0.5"),
+    (["eval", "--k", "12", "--z", "1e-300i", "--method", "theta"],
+     "error: point 1e-300j below the supported strip y >= 2^-0.5"),
+    (["eval", "--k", "12", "--z", "0.3+1e-5i", "--method", "theta"],
+     "error: point (0.3+1e-05j) below the supported strip y >= 2^-0.5"),
+    (["eval", "--k", "12", "--z", "1e10+2i", "--method", "theta"],
+     "error: point (10000000000+2j) outside the supported strip |x| <= 3/5"),
+    (["eval", "--k", "12", "--z", "0.1i", "--method", "theta"],
+     "error: point 0.1j below the supported strip y >= 2^-0.5"),
+    (["eval", "--k", "12", "--z", "1.5+2i", "--method", "theta"],
+     "error: point (1.5+2j) outside the supported strip |x| <= 3/5"),
     (scan_argv(20, 18, 14, 20), "error: scan needs non-empty weight ranges"),
     (scan_argv(14, 20, 22, 20), "error: scan needs non-empty weight ranges"),
     (scan_argv(15, 15, 14, 20), "error: scan needs non-empty weight ranges"),
@@ -157,7 +177,14 @@ class TestRunConfig:
 
 
 class TestRejectedConfig:
-    def test_every_rejection_pinned(self, capsys, tmp_path):
+    def test_every_rejection_pinned(self, capsys, tmp_path, monkeypatch):
+        # a rejected configuration does no work, so a missing rule fails
+        # here at once instead of running the evaluator or the audit
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on a rejected configuration")
+
+        for name in ("_eval_one", "_pair_report", "zero_brackets"):
+            monkeypatch.setattr(cli, name, refuse)
         got = {" ".join(argv): rejection(capsys, tmp_path, argv)
                for argv, _ in REJECTIONS}
         want = {" ".join(argv): (2, message + "\n")
@@ -250,6 +277,19 @@ class TestEval:
         assert rc == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("k, z, method", [
+        ("12", "6000i", "fourier"), ("12", "6000i", "theta"),
+        ("402", "2i", "lattice"), ("402", "2i", "theta")])
+    def test_each_rule_binds_its_own_route(self, capsys, k, z, method):
+        # the lattice disk and the Fourier weight cap reject only the
+        # routes they belong to
+        rc, out, err = run_cli(
+            capsys, ["eval", "--k", k, "--z", z, "--method", method])
+        assert (rc, err) == (0, "")
+        (row,) = json_rows(out)
+        assert row["method"] == method
+        assert math.isfinite(row["value_re"]) and math.isfinite(row["g_re"])
 
     def test_theta_keeps_the_weight_rule(self, capsys):
         rc, out, err = run_cli(
@@ -720,10 +760,26 @@ class TestDeterminism:
         assert pooled == serial
 
     def test_json_rows_are_canonical(self, capsys):
-        rc, out, _ = run_cli(capsys, ["audit", "--k", "56", "--l", "20"])
-        assert rc == 0
-        line = out.strip().splitlines()[0]
-        assert json.dumps(json.loads(line), sort_keys=True) == line
+        # each JSON-writing subcommand dumps its rows as built: sorted keys,
+        # and no null field
+        for argv in (
+                ["audit", "--k", "56", "--l", "20"],
+                ["eval", "--k", "20", "--z", "0.5+3i", "--method", "all"],
+                scan_argv(56, 60, 20, 22),
+                ["table", "--which", "3", "--format", "json"],
+                ["plotdata", "--kind", "phi", "--format", "json"],
+                ["plotdata", "--kind", "zeros", "--k", "56", "--l", "20",
+                 "--format", "json"],
+                ["plotdata", "--kind", "regimes", "--points", "5",
+                 "--format", "json"]):
+            rc, out, _ = run_cli(capsys, argv)
+            assert rc == 0
+            lines = out.splitlines()
+            assert lines
+            for line in lines:
+                row = json.loads(line)
+                assert json.dumps(row, sort_keys=True) == line
+                assert None not in row.values()
 
     def test_csv_matches_json_exactly(self, capsys):
         args = ["plotdata", "--kind", "zeros", "--k", "56", "--l", "20"]
