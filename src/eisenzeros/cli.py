@@ -39,7 +39,9 @@ from .eisenstein import (
     _check_domain,
     _check_fourier_domain,
     _check_lattice_disk,
+    _check_phi_range,
     _check_scaled_weight,
+    _check_theta_radius,
     eval_ek_fourier,
     eval_ek_lattice,
     gk,
@@ -494,6 +496,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             _check_lattice_disk(z)
         if args.method in ("fourier", "all"):
             _check_fourier_domain(args.k, z)
+        if args.method in ("theta", "all"):
+            _check_theta_radius(args.k, z)
         run = partial(cmd_eval, k=args.k, z=z, method=args.method,
                       eps=args.eps)
     elif args.command == "table":
@@ -516,8 +520,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             if args.k is None or args.l is None:
                 raise ValueError("plotdata --kind zeros requires --k and --l")
             _check_pairs([(args.k, args.l)])
-        elif args.kind == "phi" and not 0.0 < args.r_min < args.r_max:
-            raise ValueError("need 0 < r_min < r_max")
+        elif args.kind == "phi":
+            _check_phi_range(args.r_min, args.r_max)
         if args.kind != "zeros" and args.points < 0:
             # numpy's own message, which the series would raise
             raise ValueError(

@@ -450,6 +450,17 @@ def jacobi_theta(args: ThetaArgs) -> complex:
     raise ArithmeticError(f"theta series failed to converge: {args}")
 
 
+def _check_theta_radius(k: int, z: complex) -> float:
+    """The theta route's point rule: r = 2 pi y^2 / k must be finite, since
+    past its overflow (y about 1e154 at k = 12) sqrt(r) times the sum,
+    which underflows to 0, is NaN.  Returns r."""
+    r = 2.0 * math.pi * z.imag * z.imag / k
+    if not math.isfinite(r):
+        raise ValueError(f"point {z} too high for the theta route: "
+                         f"r = 2 pi y^2 / k overflows")
+    return r
+
+
 def theta_eisenstein_transformed(k: int, z) -> complex:
     """The Eisenstein theta specialization evaluated through the modular
     transformation: r^(1/2) exp(-ikx/y + pi x^2/r) *
@@ -458,8 +469,8 @@ def theta_eisenstein_transformed(k: int, z) -> complex:
     _check_weight(k)
     z = complex(z)
     _check_domain(z)
+    r = _check_theta_radius(k, z)
     x, y = z.real, z.imag
-    r = 2.0 * math.pi * y * y / k
     n0 = k / (2.0 * math.pi * y)
     width = math.ceil(math.sqrt(-math.log(_THETA_EPS) / (math.pi * r))) + 2
     total = 0.0j
@@ -470,26 +481,51 @@ def theta_eisenstein_transformed(k: int, z) -> complex:
                                     + math.pi * x * x / r) * total
 
 
+def _phi0_exponent(r: float, n: int) -> float:
+    return -math.pi * n * (n + 1.0) / r
+
+
+def _phi1_exponent(r: float, n: int) -> float:
+    return -math.pi * r * n * n
+
+
 def _phi_series(r: float, exponent) -> float:
-    """2 sum_{n >= 1} exp(exponent(n)), stopped at the first term below
-    1e-16; the two-sided sums phi0 and phi1 pair their terms this way."""
+    """2 sum_{n >= 1} exp(exponent(r, n)), stopped at the first term below
+    1e-16; the two-sided sums phi0 and phi1 pair their terms this way.
+    Raises ArithmeticError when none of the first _THETA_MAX_N terms is."""
     if r <= 0:
         raise ValueError("r must be positive")
     total = 0.0
-    n = 1
-    while True:
-        term = 2.0 * math.exp(exponent(n))
+    for n in range(1, _THETA_MAX_N + 1):
+        term = 2.0 * math.exp(exponent(r, n))
         total += term
         if term < 1e-16:
             return total
-        n += 1
+    raise ArithmeticError(f"phi series failed to converge at r = {r!r}")
+
+
+def _check_phi_range(r_min: float, r_max: float) -> None:
+    """The rule of the phi series on [r_min, r_max]: a finite range of
+    positive radii on which both stop within _THETA_MAX_N terms.  The
+    terms fall with n, phi1's more slowly as r falls and phi0's as r
+    grows, so phi1 at r_min and phi0 at r_max decide it (about
+    1.2e-11 <= r <= 8.4e10)."""
+    if not 0.0 < r_min < r_max:
+        raise ValueError("need 0 < r_min < r_max")
+    if not math.isfinite(r_max):
+        raise ValueError("need a finite r_max")
+    for name, r, exponent in (("phi1", r_min, _phi1_exponent),
+                              ("phi0", r_max, _phi0_exponent)):
+        if not 2.0 * math.exp(exponent(r, _THETA_MAX_N)) < 1e-16:
+            raise ValueError(f"{name}({r:g}) needs more than "
+                             f"{_THETA_MAX_N} terms")
 
 
 def phi0(r: float) -> float:
     """sum over n != 0, -1 of exp(-(pi/r)(n^2+n)); pairs n, -1-n match."""
-    return _phi_series(r, lambda n: -math.pi * n * (n + 1.0) / r)
+    return _phi_series(r, _phi0_exponent)
 
 
 def phi1(r: float) -> float:
     """sum over n != 0 of exp(-pi r n^2); pairs n, -n match."""
-    return _phi_series(r, lambda n: -math.pi * r * n * n)
+    return _phi_series(r, _phi1_exponent)

@@ -31,8 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .delta import (WeightPair, _as_pair, arc_real_batch, corner_derivatives,
-                    side_normalized_batch)
+from .delta import WeightPair, _as_pair, arc_real_batch, side_normalized_batch
 from .eisenstein import _MIN_EPS
 # lc_sum is no longer called here but stays importable: perfbench's
 # tracer installs its numerics.lc_sum span at eisenzeros.zeros:lc_sum.
@@ -100,18 +99,12 @@ class ZeroBracket:
 
 @dataclass(frozen=True)
 class PredictedCounts:
-    """Closed-form zero-count predictions for one weight pair.
+    """The stabilized zero counts of one weight pair: N_prime on the arc
+    and T_prime on the side, which its counts equal once k reaches the
+    stabilization point."""
 
-    N and T are the floor counts read off the sample combs alone; N_prime
-    and T_prime the sharpened stabilized values; sp the threshold in k
-    past which the actual counts equal the stabilized ones.
-    """
-
-    N: int
     N_prime: int
-    T: int
     T_prime: int
-    sp: float
 
 
 @dataclass(frozen=True)
@@ -193,45 +186,42 @@ _B_PRESTAB_OFFSET = {
 }
 
 
-def stabilization_point(l: int, j: int) -> float:
-    """Threshold in k past which the boundary counts take their final form.
-
-    Defaults to l (no transient).  Three congruence families have a genuine
-    transient that ends at the larger root of the corner derivative
-    polynomial controlling the local sign there.
-    """
+def _stabilization(l: int, j: int) -> tuple[int, int]:
+    """(c, r) with 2 sp = c + sqrt(r).  Three families have a transient
+    that ends at the larger root of the corner derivative polynomial
+    controlling the local sign there; every other pair has none, sp = l."""
     lm, jm = l % 6, j % 6
     if lm == 0 and jm == 2:
-        return 0.5 * (l - 1.0 + math.sqrt(3.0 * l * l - 1.0))
+        return l - 1, 3 * l * l - 1
     if lm == 4 and jm == 2:
-        return 2.0 * l
+        return 4 * l, 0
     if lm == 4 and jm == 0:
-        return 0.5 * (4.0 * l - 1.0 + math.sqrt(12.0 * l * l - 12.0 * l + 1.0))
-    return float(l)
+        return 4 * l - 1, 12 * l * l - 12 * l + 1
+    return 2 * l, 0
+
+
+def stabilization_point(l: int, j: int) -> float:
+    """Threshold in k past which the boundary counts take their final form,
+    as a float for display; expected_boundary_counts decides k < sp
+    exactly, from _stabilization in integers."""
+    c, r = _stabilization(l, j)
+    return 0.5 * (c + math.sqrt(r))
 
 
 def predicted_counts(wp) -> PredictedCounts:
-    """All closed-form count predictions for one pair."""
+    """The stabilized counts (N_prime, T_prime) of one pair."""
     wp = _as_pair(wp)
-    n, j, l = wp.n, wp.j, wp.l
-    lm = l % 6
-    n_floor = max(0, n - 1 if j in (0, 2, 6) else n)
+    n, j, l, lm = wp.n, wp.j, wp.l, wp.l % 6
     if n == 0:
         # for j = 8 the arc restriction is near 2 at pi/2, so the arc
         # carries its one zero only when the restriction is negative just
-        # right of pi/3.  For l = 0 mod 6 the corner value vanishes and
-        # that sign is the sign of M'' at pi/3, which is positive only for
-        # l <= 18; the zero then lies on the side instead.
-        n_prime = 1 if j == 8 else 0
-        if (n_prime and lm == 0
-                and corner_derivatives(wp).m_double_prime > 0.0):
-            n_prime = 0
+        # right of pi/3.  For l = 0 mod 6 the corner value vanishes and that
+        # sign is the sign of M''(pi/3) = -(l^2 - 17 l - 144) at k = l + 8,
+        # positive only for l <= 18; the zero then lies on the side instead.
+        n_prime = 1 if j == 8 and not (lm == 0 and l <= 18) else 0
     else:
         n_prime = n + _N_PRIME_OFFSET[j][lm]
-    t_floor = l // 6 - (2 if lm == 0 else 1)
-    t_prime = l // 6 + (0 if lm == 4 else -1)
-    return PredictedCounts(n_floor, n_prime, t_floor, t_prime,
-                           stabilization_point(l, j))
+    return PredictedCounts(n_prime, l // 6 + (0 if lm == 4 else -1))
 
 
 def expected_boundary_counts(wp) -> tuple[int, int]:
@@ -239,23 +229,20 @@ def expected_boundary_counts(wp) -> tuple[int, int]:
 
     For n = 0 the special-case values apply at every k, and a j = 8
     zero that predicted_counts moves off the arc lies on the side;
-    otherwise the arc carries one extra zero and the side one fewer until
-    k reaches the stabilization point, and (N_prime, T_prime) from there.
+    otherwise the arc carries one extra zero and the side one fewer while
+    k < sp, that is while 2k - c < sqrt(r), decided in integers, and
+    (N_prime, T_prime) from there.
     """
     wp = _as_pair(wp)
     pc = predicted_counts(wp)
+    b_transient = wp.l // 6 + _B_PRESTAB_OFFSET[wp.j][wp.l % 6]
     if wp.n == 0:
-        a = pc.N_prime
-        b = wp.l // 6 + _B_PRESTAB_OFFSET[wp.j][wp.l % 6]
-        if wp.j == 8 and a == 0:
-            b += 1
-    elif wp.k < pc.sp:
-        a = pc.N_prime + 1
-        b = wp.l // 6 + _B_PRESTAB_OFFSET[wp.j][wp.l % 6]
-    else:
-        a = pc.N_prime
-        b = pc.T_prime
-    return a, b
+        return pc.N_prime, b_transient + (wp.j == 8 and pc.N_prime == 0)
+    c, r = _stabilization(wp.l, wp.j)
+    d = 2 * wp.k - c
+    if d < 0 or d * d < r:
+        return pc.N_prime + 1, b_transient
+    return pc.N_prime, pc.T_prime
 
 
 _TRIVIAL_ORDERS = {0: (0, 0), 2: (1, 2), 4: (0, 1),

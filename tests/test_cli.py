@@ -93,6 +93,15 @@ REJECTIONS = [
      "error: point 0.1j below the supported strip y >= 2^-0.5"),
     (["eval", "--k", "12", "--z", "1.5+2i", "--method", "theta"],
      "error: point (1.5+2j) outside the supported strip |x| <= 3/5"),
+    (["eval", "--k", "12", "--z", "1e154i", "--method", "theta"],
+     "error: point 1e+154j too high for the theta route: "
+     "r = 2 pi y^2 / k overflows"),
+    (["eval", "--k", "12", "--z", "1e160i", "--method", "theta"],
+     "error: point 1e+160j too high for the theta route: "
+     "r = 2 pi y^2 / k overflows"),
+    (["eval", "--k", "12", "--z", "1e300i", "--method", "theta"],
+     "error: point 1e+300j too high for the theta route: "
+     "r = 2 pi y^2 / k overflows"),
     (scan_argv(20, 18, 14, 20), "error: scan needs non-empty weight ranges"),
     (scan_argv(14, 20, 22, 20), "error: scan needs non-empty weight ranges"),
     (scan_argv(15, 15, 14, 20), "error: scan needs non-empty weight ranges"),
@@ -129,6 +138,14 @@ REJECTIONS = [
      "error: 1 pairs exceed the k + l <= 400 cap, largest (300, 150)"),
     (["plotdata", "--kind", "phi", "--r-min", "2", "--r-max", "1"],
      "error: need 0 < r_min < r_max"),
+    (["plotdata", "--kind", "phi", "--r-min", "1e-300", "--r-max", "1",
+      "--points", "2"],
+     "error: phi1(1e-300) needs more than 1000000 terms"),
+    (["plotdata", "--kind", "phi", "--r-min", "1", "--r-max", "1e300",
+      "--points", "2"],
+     "error: phi0(1e+300) needs more than 1000000 terms"),
+    (["plotdata", "--kind", "phi", "--r-min", "1", "--r-max", "inf"],
+     "error: need a finite r_max"),
     (["plotdata", "--kind", "phi", "--points", "-5"],
      "error: Number of samples, -5, must be non-negative."),
     (["plotdata", "--kind", "regimes", "--points", "-5"],
@@ -183,7 +200,8 @@ class TestRejectedConfig:
         def refuse(*args, **kwargs):
             raise AssertionError("work started on a rejected configuration")
 
-        for name in ("_eval_one", "_pair_report", "zero_brackets"):
+        for name in ("_eval_one", "_pair_report", "zero_brackets",
+                     "_plot_phi", "_plot_regimes"):
             monkeypatch.setattr(cli, name, refuse)
         got = {" ".join(argv): rejection(capsys, tmp_path, argv)
                for argv, _ in REJECTIONS}

@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenzeros import zeros
+from eisenzeros import eisenstein, zeros
 from eisenzeros.cli import main
 from eisenzeros.eisenstein import (
     _BLOCK_TERMS,
     _MIN_EPS,
     _PAIR_BUDGET,
+    _check_phi_range,
     _drow_tail,
     _lattice_sum,
     _neg_power,
@@ -608,6 +609,15 @@ class TestRegimeApprox:
             transformed = theta_eisenstein_transformed(k, z)
             assert abs(direct - transformed) < 1e-10
 
+    def test_theta_route_rejects_overflowing_radius(self):
+        # r = 2 pi y^2 / k overflows between y = 1e153 and 1e154 at k = 12;
+        # past it the value would be NaN
+        g = theta_eisenstein_transformed(12, 1e153j)
+        assert math.isfinite(g.real) and math.isfinite(g.imag)
+        for y in (1e154, 1e300):
+            with pytest.raises(ValueError, match="too high for the theta"):
+                theta_eisenstein_transformed(12, complex(0.0, y))
+
     def test_fourier_large_branch(self):
         k, z = 200, 0.5 + 40j
         assert z.imag > k ** (2.0 / 3.0)
@@ -680,6 +690,28 @@ class TestPhiEnvelopes:
             phi0(0.0)
         with pytest.raises(ValueError):
             phi1(-1.0)
+
+    def test_range_rule_matches_term_cap(self, monkeypatch):
+        # with the cap at 100 terms phi1 needs r >= 1.2e-3 and phi0
+        # r <= 845: the range rule accepts exactly the radii at which both
+        # series stop, and past the cap a series raises instead of looping
+        monkeypatch.setattr(eisenstein, "_THETA_MAX_N", 100)
+        for r in (1e-4, 1.19e-3, 1.2e-3, 1.0, 845.0, 846.0, 1e5):
+            try:
+                phi0(r), phi1(r)
+                converges = True
+            except ArithmeticError:
+                converges = False
+            try:
+                _check_phi_range(r, math.nextafter(r, math.inf))
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == converges == (1.2e-3 <= r <= 845.0), r
+
+    def test_range_rule_rejects_infinite_r_max(self):
+        with pytest.raises(ValueError, match="finite r_max"):
+            _check_phi_range(1.0, math.inf)
 
 
 def abs_tail_c_ge_2(k: int, z: complex) -> float:

@@ -1,6 +1,7 @@
 """Tests for boundary zero counting, predictions, sign certification, and
 the audit."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -12,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisenzeros import cli, zeros
-from eisenzeros.delta import (WeightPair, arc_real_batch, m_main, p_main,
-                              side_normalized_batch)
+from eisenzeros.delta import (WeightPair, arc_real_batch, corner_derivatives,
+                              m_main, p_main, side_normalized_batch)
 from eisenzeros.numerics import bernoulli
 from eisenzeros.zeros import (DominanceCertificateError, PredictedCounts,
                               SignUncertainError, ZeroBracket, _certify,
                               _delta_log_coeffs, _EPS_LADDER,
-                              _refine_brackets, _valence_closes,
+                              _refine_brackets, _stabilization,
+                              _valence_closes,
                               arc_sample_points, audit, count_arc_zeros,
                               count_side_zeros, expected_boundary_counts,
                               interior_zero_hunt, predicted_counts,
@@ -33,6 +35,12 @@ even_j = st.sampled_from([0, 2, 4, 6, 8, 10])
 
 def make_pair(l, n, j):
     return WeightPair(l + 12 * n + j, l)
+
+
+# sha256 of the "k,l,A,B,N'" lines of expected_boundary_counts and
+# predicted_counts on every census pair under the cap
+PINNED_PREDICTIONS_SHA256 = ("81dccd6a1346ce60209438a173f3b544"
+                             "255b62516df415d8edb96c8af968e723")
 
 
 class TestSampleCombs:
@@ -97,15 +105,72 @@ class TestPredictedCounts:
     def test_n_prime_example(self):
         pc = predicted_counts((58, 22))
         assert pc.N_prime == 2
-        assert pc.sp == stabilization_point(22, 0)
 
     @given(even_l, small_n, even_j)
     @settings(max_examples=80, deadline=None)
     def test_count_sandwich(self, l, n, j):
-        pc = predicted_counts(make_pair(l, n, j))
-        assert pc.N <= pc.N_prime <= pc.N + 1
-        assert pc.T <= pc.T_prime
-        assert pc.sp >= l
+        # the floor counts read off the sample combs alone are one fewer
+        # than each comb's points; N_prime exceeds the arc's by at most one
+        wp = make_pair(l, n, j)
+        pc = predicted_counts(wp)
+        n_floor = max(0, len(arc_sample_points(wp)) - 1)
+        assert n_floor <= pc.N_prime <= n_floor + 1
+        assert len(side_sample_points(l)) - 1 <= pc.T_prime
+        assert stabilization_point(l, j) >= l
+
+    def test_predictions_pinned_on_capped_pairs(self):
+        # "k,l,A,B,N'" for all 8,836 census pairs under the k + l <= 400
+        # cap, l then k ascending: a moved prediction changes the digest
+        lines = "".join(
+            f"{k},{l},{a},{b},{predicted_counts((k, l)).N_prime}\n"
+            for l in range(14, 201, 2) for k in range(l, 401 - l, 2)
+            for a, b in [expected_boundary_counts((k, l))])
+        assert lines.count("\n") == 8836
+        assert hashlib.sha256(lines.encode()).hexdigest() \
+            == PINNED_PREDICTIONS_SHA256
+
+    def test_transient_rule_matches_float_threshold(self):
+        # the integer test 2k - c < sqrt(r) against the display float
+        # k < sp at every k around sp, for every family and l <= 2000
+        for l in range(14, 2001, 2):
+            for j in (0, 2, 4, 6, 8, 10):
+                c, r = _stabilization(l, j)
+                sp = stabilization_point(l, j)
+                for k in range(math.ceil(sp) - 4, math.ceil(sp) + 5):
+                    d = 2 * k - c
+                    assert (d < 0 or d * d < r) == (k < sp), (k, l, j)
+                    if (k - l) % 12 == j and k >= l + 12:
+                        # n >= 1: the transient adds one arc zero
+                        a, _ = expected_boundary_counts((k, l))
+                        transient = a == predicted_counts((k, l)).N_prime + 1
+                        assert transient == (k < sp), (k, l)
+
+    @pytest.mark.parametrize("k, l", [(1066, 286), (7779004246, 2084377906)])
+    def test_transient_rule_at_pell_pairs(self, k, l):
+        # the pairs with k = sp exactly, where 12 l^2 - 12 l + 1 is a square
+        c, r = _stabilization(l, (k - l) % 12)
+        assert 2 * k - c == math.isqrt(r) and math.isqrt(r) ** 2 == r
+        for kk in (k - 12, k, k + 12):
+            a, _ = expected_boundary_counts((kk, l))
+            transient = a == predicted_counts((kk, l)).N_prime + 1
+            assert transient == (kk < stabilization_point(l, (k - l) % 12))
+            assert transient == (kk < k)
+
+    def test_stabilization_point_pair_pinned(self):
+        # (1066, 286) sits on its stabilization point and is predicted
+        # stabilized; its neighbours in the family either side
+        assert expected_boundary_counts((1054, 286)) == (64, 46)
+        assert expected_boundary_counts((1066, 286)) == (64, 47)
+        assert expected_boundary_counts((1078, 286)) == (65, 47)
+
+    def test_corner_rule_matches_m_double_prime(self):
+        # n = 0, j = 8, l = 0 mod 6: the arc keeps its zero iff M''(pi/3),
+        # from delta's closed form, is not positive
+        for l in range(6, 397, 6):
+            wp = WeightPair(l + 8, l)
+            positive = corner_derivatives(wp).m_double_prime > 0
+            assert positive == (l <= 18), l
+            assert predicted_counts(wp).N_prime == (0 if positive else 1), l
 
     @given(even_l, small_n, even_j)
     @settings(max_examples=80, deadline=None)
