@@ -346,9 +346,9 @@ def cmd_table(fh, fmt: str, which: int, jobs: int) -> int:
 # --- plotdata ---------------------------------------------------------------
 
 
-def _plot_phi(r_min: float, r_max: float, points: int) -> list[dict]:
+def _plot_phi(rs: np.ndarray) -> list[dict]:
     rows = []
-    for r in np.linspace(r_min, r_max, points):
+    for r in rs:
         rows.append({"schema_version": SCHEMA_VERSION, "r": float(r),
                      "phi0": phi0(float(r)), "phi1": phi1(float(r))})
     return rows
@@ -364,14 +364,7 @@ def _plot_zeros(k: int, l: int) -> list[dict]:
     return rows
 
 
-def _regime_heights(k: int, points: int) -> np.ndarray:
-    # heights either side of the small-y / theta-mid boundary y = k^0.4
-    boundary = k ** 0.4
-    return np.geomspace(0.35 * boundary, 1.8 * boundary, points)
-
-
-def _plot_regimes(k: int, x: float, points: int) -> list[dict]:
-    ys = _regime_heights(k, points)
+def _plot_regimes(k: int, x: float, ys: np.ndarray) -> list[dict]:
     bound_small = 10.0 * math.exp(-k ** (1.0 / 6.0))
     rows = []
     for y in ys:
@@ -389,25 +382,15 @@ def _plot_regimes(k: int, x: float, points: int) -> list[dict]:
     return rows
 
 
-def cmd_plotdata(fh, fmt: str, kind: str, *, k=None, l=None, x=0.5,
-                 r_min=0.05, r_max=10.0, points=0) -> int:
-    if kind == "phi":
-        rows = _plot_phi(r_min, r_max, points or 40)
-        fields = _PHI_FIELDS
-    elif kind == "zeros":
-        try:
-            rows = _plot_zeros(k, l)
-        except ArithmeticError as exc:
-            # a failed certified check exits 1, as an audit row error
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        fields = _ZEROS_FIELDS
-    elif kind == "regimes":
-        rows = _plot_regimes(_REGIMES_K if k is None else k, x, points or 24)
-        fields = _REGIMES_FIELDS
-    else:
-        raise ValueError(f"unknown plotdata kind {kind!r}")
-    _write_rows(fh, fmt, fields, rows)
+def cmd_plotdata(fh, fmt: str, rows, fields: tuple[str, ...]) -> int:
+    """Run the row builder rows, which _dispatch binds to a checked input,
+    and write its rows under fields."""
+    try:
+        _write_rows(fh, fmt, fields, rows())
+    except ArithmeticError as exc:
+        # a failed certified check exits 1, as an audit row error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -515,25 +498,29 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "audit":
         _check_pairs([(args.k, args.l)])
         run = partial(cmd_audit, k=args.k, l=args.l)
+    # plotdata: each kind's exact input, built and checked once
+    elif args.kind == "zeros":
+        if args.k is None or args.l is None:
+            raise ValueError("plotdata --kind zeros requires --k and --l")
+        _check_pairs([(args.k, args.l)])
+        run = partial(cmd_plotdata, rows=partial(_plot_zeros, args.k, args.l),
+                      fields=_ZEROS_FIELDS)
+    elif args.kind == "phi":
+        _check_phi_range(args.r_min, args.r_max)
+        rs = np.linspace(args.r_min, args.r_max, args.points or 40)
+        run = partial(cmd_plotdata, rows=partial(_plot_phi, rs),
+                      fields=_PHI_FIELDS)
     else:
-        if args.kind == "zeros":
-            if args.k is None or args.l is None:
-                raise ValueError("plotdata --kind zeros requires --k and --l")
-            _check_pairs([(args.k, args.l)])
-        elif args.kind == "phi":
-            _check_phi_range(args.r_min, args.r_max)
-        if args.kind != "zeros" and args.points < 0:
-            # numpy's own message, which the series would raise
-            raise ValueError(
-                f"Number of samples, {args.points}, must be non-negative.")
-        if args.kind == "regimes":
-            k = _REGIMES_K if args.k is None else args.k
-            _check_scaled_weight(k)
-            # the lowest height, where gk checks the domain first
-            _check_domain(complex(args.x, float(_regime_heights(k, 1)[0])))
-        run = partial(cmd_plotdata, kind=args.kind, k=args.k, l=args.l,
-                      x=args.x, r_min=args.r_min, r_max=args.r_max,
-                      points=args.points)
+        k = _REGIMES_K if args.k is None else args.k
+        _check_scaled_weight(k)
+        # heights either side of the small-y / theta-mid boundary y = k^0.4
+        ys = np.geomspace(0.35 * k ** 0.4, 1.8 * k ** 0.4, args.points or 24)
+        for y in ys:
+            z = complex(args.x, float(y))  # gk's point rule, at every height
+            _check_domain(z)
+            _check_lattice_disk(z)
+        run = partial(cmd_plotdata, rows=partial(_plot_regimes, k, args.x, ys),
+                      fields=_REGIMES_FIELDS)
     with _out_stream(args.out) as fh:
         return run(fh, args.fmt)
 

@@ -162,6 +162,11 @@ REJECTIONS = [
     (["plotdata", "--kind", "regimes", "--x", "nan"],
      "error: point (nan+3.427019268263419j) outside the supported strip "
      "|x| <= 3/5"),
+    # every height must be within the lattice's reach, not the lowest alone
+    (["plotdata", "--kind", "regimes", "--k", "1000000000"],
+     "error: cannot enumerate lattice disk for y=5389.950450961354"),
+    (["plotdata", "--kind", "regimes", "--k", "100000000000"],
+     "error: cannot enumerate lattice disk for y=8791.602510283536"),
 ]
 
 
@@ -609,6 +614,17 @@ PINNED_PLOTDATA_SHA256 = {
     (100, 66): "7f59b0ffabc41fb4d7e385e9c4be6298"
                "29c0d4041cfef5bdb3a9ed86817b6b27",
 }
+# the same for plotdata --kind phi and --kind regimes at their defaults
+PINNED_SERIES_SHA256 = {
+    ("phi", "csv"): "00c36baf4c830fa8d7bcfbe48e1c677f"
+                    "2b0fb1ddafd762b9ce02ea8f68ba94fe",
+    ("phi", "json"): "c0e34cdcebd63dde6d0bb79ad5be1ba9"
+                     "0f164a2364d1d4ddd11b40e7c6e6a0cf",
+    ("regimes", "csv"): "8b1a8e4576cf74b97644780d184eaa8a"
+                        "5a139ee1352bc0979fa7bb3c425d295a",
+    ("regimes", "json"): "8c264a7183b55e4bed53521dc78cb01c"
+                         "0df766de012eb5c031682d0b0201f7a1",
+}
 
 
 # eval --method lattice at parameters that cover the multi-block disks
@@ -740,6 +756,14 @@ class TestDeterminism:
         assert (rc, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() \
             == PINNED_PLOTDATA_SHA256[pair]
+
+    @pytest.mark.parametrize("kind, fmt", sorted(PINNED_SERIES_SHA256))
+    def test_plotdata_series_bytes_pinned(self, capsys, kind, fmt):
+        rc, out, err = run_cli(capsys, ["plotdata", "--kind", kind,
+                                        "--format", fmt])
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == PINNED_SERIES_SHA256[kind, fmt]
 
     def test_parallel_scan_is_byte_identical(self, tmp_path):
         argv = ["scan", "--l-min", "20", "--l-max", "22",

@@ -63,6 +63,17 @@ def delta(k: int, l: int, z: mpmath.mpc, tol: mpmath.mpf,
     return ek * el - ekl, abs(ek) * tl + abs(el) * tk + tk * tl + tkl
 
 
+def series_digits(w: int, y: float) -> int:
+    """Digits E_w's q-series loses to cancellation at Im z = y: the log10
+    of its largest term, at most 2 |g| n^(w-1) |q|^n, whose peak over real
+    n >= 1 sits at n = (w-1) / (2 pi y).  It grows with w and falls with
+    y, to about 24 digits at w = 400 near y = sqrt(3)/2."""
+    n = max(1.0, (w - 1) / (2 * math.pi * y))
+    peak = (float(mpmath.log10(4 * w / abs(mpmath.bernoulli(w))))
+            + ((w - 1) * math.log(n) - 2 * math.pi * y * n) / math.log(10))
+    return max(0, math.ceil(peak))
+
+
 def restriction_sign(kind: str, k: int, l: int, x: float) -> int:
     """The sign of the arc value e^(i (k+l) theta / 2) Delta(e^(i theta))
     at theta = x, or of the side value Delta(1/2 + i x), which the
@@ -70,8 +81,11 @@ def restriction_sign(kind: str, k: int, l: int, x: float) -> int:
     truncation bound, and the imaginary part, zero in exact arithmetic,
     stays inside it."""
     mod_z = 1.0 if kind == "arc" else math.hypot(0.5, x)
-    # the side value is about |z|^(-k-l) of the E_j it cancels from
-    dps = 30 + math.ceil((k + l) * math.log10(mod_z))
+    # the side value is about |z|^(-k-l) of the E_j it cancels from, and
+    # each E_j about 10^(-lost) of its largest term
+    lost = max(series_digits(w, math.sin(x) if kind == "arc" else x)
+               for w in (k, l, k + l))
+    dps = 30 + lost + math.ceil((k + l) * math.log10(mod_z))
     with mpmath.workdps(dps):
         tol = mpmath.mpf(10) ** (-dps + 10)
         x = mpmath.mpf(x)
@@ -82,7 +96,8 @@ def restriction_sign(kind: str, k: int, l: int, x: float) -> int:
         else:
             z = mpmath.mpc(0.5, x)
             value, bound = delta(k, l, z, tol)
-        bound += mpmath.mpf(10) ** (-dps + 5)   # room for mpmath's rounding
+        # room for mpmath's rounding, of the largest term's size
+        bound += mpmath.mpf(10) ** (-dps + 5 + lost)
         assert abs(value.real) > bound, (kind, k, l, x, value, bound)
         assert abs(value.imag) <= bound, (kind, k, l, x, value, bound)
         return 1 if value.real > 0 else -1
@@ -94,3 +109,16 @@ def test_bracket_ends_carry_their_signs(k, l):
     for br in zero_brackets((k, l)):
         assert restriction_sign(br.kind, k, l, br.lo) == br.sign_lo
         assert restriction_sign(br.kind, k, l, br.hi) == br.sign_hi
+
+
+# ROADMAP item 4: a refinement probe's sign is taken once its value clears
+# a bound that covers truncation but not rounding.  At (194, 194) the top
+# side bracket's hi end, y = 21.291335414721097, was taken as + on
+# +1.69e-14 against a bound of 1.6e-15, and its true sign is -.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the refinement "
+                   "bound leaves out rounding")
+def test_top_side_bracket_at_194_194_carries_its_signs():
+    top = max((br for br in zero_brackets((194, 194)) if br.kind == "side"),
+              key=lambda br: br.lo)
+    assert restriction_sign("side", 194, 194, top.lo) == top.sign_lo
+    assert restriction_sign("side", 194, 194, top.hi) == top.sign_hi
