@@ -39,6 +39,7 @@ from .eisenstein import (
     _check_domain,
     _check_fourier_domain,
     _check_lattice_disk,
+    _check_lattice_terms,
     _check_phi_range,
     _check_scaled_weight,
     _check_theta_radius,
@@ -477,6 +478,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             _check_domain(z)
         if args.method in ("lattice", "all"):
             _check_lattice_disk(z)
+            _check_lattice_terms(args.k, z)
         if args.method in ("fourier", "all"):
             _check_fourier_domain(args.k, z)
         if args.method in ("theta", "all"):
@@ -519,6 +521,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             z = complex(args.x, float(y))  # gk's point rule, at every height
             _check_domain(z)
             _check_lattice_disk(z)
+            _check_lattice_terms(k, z)
         run = partial(cmd_plotdata, rows=partial(_plot_regimes, k, args.x, ys),
                       fields=_REGIMES_FIELDS)
     with _out_stream(args.out) as fh:

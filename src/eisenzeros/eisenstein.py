@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -104,6 +105,25 @@ def _check_lattice_disk(z: complex) -> tuple[float, float]:
     if t_min > 1.01 * cap:
         raise ValueError(f"cannot enumerate lattice disk for y={y}")
     return t_min, cap
+
+
+# Largest log of a lattice term: a sum of at most _PAIR_BUDGET terms below
+# e^_TERM_LOG_MAX stays finite, with a factor e to spare for the disk's slack.
+_TERM_LOG_MAX = math.log(sys.float_info.max) - math.log(_PAIR_BUDGET) - 1.0
+
+
+def _check_lattice_terms(k: int, z: complex) -> None:
+    """The term rule of the lattice route.  In the strip the nearest c >= 1
+    lattice point is c = 1, at m = |z - round(x)|: every c >= 2 point has
+    |cz + d| >= 2y >= m.  So the largest term is m^(-k) in E_k and
+    (|z| / m)^k in H_k, both at most (max(1, |z|) / m)^k; raises when its
+    log passes _TERM_LOG_MAX (about 693.6).  The ratio is 1 unless |z| < 1
+    or |x| > 1/2, and at most 2^(1/2), so no k <= 2,000 fails."""
+    m = abs(complex(z.real - round(z.real), z.imag))
+    if k * math.log(max(1.0, abs(z)) / m) > _TERM_LOG_MAX:
+        raise ValueError(
+            f"weight {k} too large for the lattice at {z}: the term "
+            f"(max(1, |z|) / |z - round(x)|)^k passes e^{_TERM_LOG_MAX:.1f}")
 
 
 def _truncation_radius(k: int, z: complex, eps: float,
@@ -224,6 +244,7 @@ def eval_ek_lattice(k: int, z, eps: float = 1e-12) -> tuple[complex, float]:
     _check_weight(k)
     z = complex(z)
     _check_domain(z)
+    _check_lattice_terms(k, z)
     t, tail = _truncation_radius(k, z, eps, 0.0)
     val = complex(_lattice_sum(np.array([z]), z.real, z.real, z.imag, t, k)[0])
     val += _axis_sum(k, t)
@@ -293,7 +314,11 @@ def hk_batch(ks: tuple[int, ...], ys: np.ndarray, eps: float = 1e-12,
         out[:, lo_mask], t_lo = hk_batch(ks, ys[lo_mask], eps, x)
         out[:, ~lo_mask], t_hi = hk_batch(ks, ys[~lo_mask], eps, x)
         return out, tuple(map(max, t_lo, t_hi))
-    _check_domain(complex(x, y_lo))
+    # the point with the largest terms, as each ratio falls with y
+    z_lo = complex(x, y_lo)
+    _check_domain(z_lo)
+    for k in ks:
+        _check_lattice_terms(k, z_lo)
     z_hi = complex(x, y_hi)
     log_az_hi = math.log(abs(z_hi))
     zs = x + 1j * ys

@@ -6,9 +6,9 @@ and the vertical side x = 1/2, y > sqrt(3)/2.  Counting is by certified
 sign changes of the real-valued restrictions from the delta module,
 each sign clearing the evaluator's own error bound by a safety factor.
 
-Both pieces are scanned together, at the paper's sample combs and two
-scan ends per piece.  Certified sign changes are lower bounds on the arc
-and side counts A and B, and the valence identity
+Each piece is scanned on its own, in one batch of its two scan ends and
+the paper's sample comb between them.  Certified sign changes are lower
+bounds on the arc and side counts A and B, and the valence identity
 12 A + 12 B + 6 v_i + 4 v_rho + 12 = k + l fixes their sum, so once the
 changes reach that sum they are the counts: each cell with a change holds
 exactly one simple zero and every other cell holds none.  Changes that
@@ -383,14 +383,6 @@ def _side_ends(wp: WeightPair, y_max: float) -> tuple[float, float]:
     return float(0.5 * np.tan(math.pi / 3.0 + h * 0.5)), y_max
 
 
-@dataclass(frozen=True)
-class _BoundaryScan:
-    """The sign-change cells of the arc and the side."""
-
-    arc: tuple[_Cell, ...]
-    side: tuple[_Cell, ...]
-
-
 def _valence_closes(wp: WeightPair, changes: int) -> bool:
     v_i, v_rho = trivial_orders(wp.weight_sum)
     return 12 * changes + 6 * v_i + 4 * v_rho + 12 == wp.weight_sum
@@ -405,35 +397,33 @@ def _sign_changes(pts: Sequence[float], vals: Sequence[float],
                  if (vals[i] > 0.0) != (vals[i + 1] > 0.0))
 
 
-def _comb_scan(wp: WeightPair, y_max: float) -> _BoundaryScan:
-    """Sign-change cells between the points of the paper's sample combs.
+def _piece_cells(ev: _BatchEval, lo: float, hi: float,
+                 comb: Sequence[float]) -> tuple[_Cell, ...]:
+    """Sign-change cells of one boundary piece at its sample comb.
 
-    Each piece certifies its two scan ends and the comb points between
-    them (side angles mapped to y = tan(theta) / 2) as one batch, and
-    returns its cells whatever they count.  No point is moved: a piece
-    with points still uncertain raises one SignUncertainError naming all
-    of them."""
-    cells = []
-    for ev, (lo, hi), comb in (
-            (partial(arc_real_batch, wp), _arc_ends(wp),
-             arc_sample_points(wp)),
-            (partial(side_normalized_batch, wp), _side_ends(wp, y_max),
-             [0.5 * math.tan(t) for t in side_sample_points(wp.l)])):
-        pts = np.array([lo] + [x for x in comb if lo < x < hi] + [hi])
-        vals, certified = _certify(ev, pts)
-        if not certified.all():
-            uncertain = pts[~certified].tolist()
-            raise SignUncertainError(
-                f"{len(uncertain)} scan point(s) stayed sign-uncertain, "
-                f"first at {uncertain[0]:.12g}", points=uncertain)
-        cells.append(_sign_changes(pts.tolist(), vals.tolist()))
-    return _BoundaryScan(*cells)
+    Certifies the piece's scan ends lo and hi and the comb points between
+    them as one batch, and returns its cells whatever they count.  No
+    point is moved: points still uncertain raise one SignUncertainError
+    naming all of them."""
+    pts = np.array([lo] + [x for x in comb if lo < x < hi] + [hi])
+    vals, certified = _certify(ev, pts)
+    if not certified.all():
+        uncertain = pts[~certified].tolist()
+        raise SignUncertainError(
+            f"{len(uncertain)} scan point(s) stayed sign-uncertain, "
+            f"first at {uncertain[0]:.12g}", points=uncertain)
+    return _sign_changes(pts.tolist(), vals.tolist())
 
 
-# One pair: count_arc_zeros and count_side_zeros share a scan.  audit clears
-# it only because perfbench's test_traced_output_identical_to_untraced traces
-# an audit of a pair just audited untraced (ROADMAP item 1).
-_boundary_scan = lru_cache(maxsize=1)(_comb_scan)
+def _arc_cells(wp: WeightPair) -> tuple[_Cell, ...]:
+    return _piece_cells(partial(arc_real_batch, wp), *_arc_ends(wp),
+                        arc_sample_points(wp))
+
+
+def _side_cells(wp: WeightPair, y_max: float) -> tuple[_Cell, ...]:
+    return _piece_cells(partial(side_normalized_batch, wp),
+                        *_side_ends(wp, y_max),
+                        [0.5 * math.tan(t) for t in side_sample_points(wp.l)])
 
 
 def _check_census_l(l: int) -> None:
@@ -445,13 +435,13 @@ def _check_census_l(l: int) -> None:
 def _census_pair(wp) -> tuple[WeightPair, float]:
     wp = _as_pair(wp)
     _check_census_l(wp.l)
-    # the closure needs the side's count, so the arc scan needs its cutoff
+    # the side scan's top end.  The arc counter reads it too, though its
+    # scan needs none: perfbench pins two side_upper_cutoff calls per audit,
+    # and it keeps the arc's DominanceCertificateError (ROADMAP item 1).
     return wp, side_upper_cutoff(wp)
 
 
-def _counted(kind: str, wp) -> tuple[int, tuple[ZeroBracket, ...]]:
-    wp, y_max = _census_pair(wp)
-    cells = getattr(_boundary_scan(wp, y_max), kind)
+def _counted(kind: str, cells) -> tuple[int, tuple[ZeroBracket, ...]]:
     return len(cells), tuple(
         ZeroBracket(kind, lo, hi, int(np.sign(v_lo)), int(np.sign(v_hi)))
         for lo, hi, v_lo, v_hi in cells)
@@ -461,12 +451,13 @@ def count_arc_zeros(wp) -> tuple[int, tuple[ZeroBracket, ...]]:
     """Zeros of the arc restriction on the open arc, endpoints excluded.
 
     Counts the certified sign changes at the arc comb
-    theta_m = 2 m pi / (k - l) and the two scan ends; the side is scanned
-    with it (see the module docstring).  Returns the count, a lower bound,
-    and its certified cells, unrefined; when the valence identity closes,
+    theta_m = 2 m pi / (k - l) and the two scan ends, and scans nothing
+    else.  Returns the count, a lower bound, and its certified cells,
+    unrefined; when the valence identity closes with the side's count,
     the count is exact and each cell provably holds exactly one zero.
     """
-    return _counted("arc", wp)
+    wp, _ = _census_pair(wp)
+    return _counted("arc", _arc_cells(wp))
 
 
 def count_side_zeros(wp) -> tuple[int, tuple[ZeroBracket, ...]]:
@@ -474,10 +465,11 @@ def count_side_zeros(wp) -> tuple[int, tuple[ZeroBracket, ...]]:
 
     Counts the certified sign changes at the side comb y = tan(pi m / l) / 2
     between a lower end just above the corner and the certified dominance
-    cutoff y_max above which no zero can exist.  Scanned with the arc, and
+    cutoff y_max above which no zero can exist.  Scans the side alone, and
     returns like count_arc_zeros.
     """
-    return _counted("side", wp)
+    wp, y_max = _census_pair(wp)
+    return _counted("side", _side_cells(wp, y_max))
 
 
 def zero_brackets(wp) -> tuple[ZeroBracket, ...]:
@@ -491,14 +483,14 @@ def zero_brackets(wp) -> tuple[ZeroBracket, ...]:
     identity, since a cell may then hold more than one zero, or when a
     cell shows more than one certified change."""
     wp, y_max = _census_pair(wp)
-    scan = _comb_scan(wp, y_max)
-    if not _valence_closes(wp, len(scan.arc) + len(scan.side)):
+    arc, side = _arc_cells(wp), _side_cells(wp, y_max)
+    if not _valence_closes(wp, len(arc) + len(side)):
         raise ArithmeticError(
             f"comb sign changes do not close the valence identity at "
-            f"k={wp.k}, l={wp.l}: A>={len(scan.arc)}, B>={len(scan.side)}")
-    arc, side = partial(arc_real_batch, wp), partial(side_normalized_batch, wp)
-    return tuple(_refine_brackets(arc, "arc", scan.arc)
-                 + _refine_brackets(side, "side", scan.side))
+            f"k={wp.k}, l={wp.l}: A>={len(arc)}, B>={len(side)}")
+    return tuple(
+        _refine_brackets(partial(arc_real_batch, wp), "arc", arc)
+        + _refine_brackets(partial(side_normalized_batch, wp), "side", side))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +625,6 @@ def audit(wp) -> ZeroCountReport:
     differs is reported as a finding, as is a valence failure.
     """
     wp = _as_pair(wp)
-    _boundary_scan.cache_clear()
     a_count, _ = count_arc_zeros(wp)
     b_count, _ = count_side_zeros(wp)
     v_i, v_rho = trivial_orders(wp.weight_sum)

@@ -77,6 +77,20 @@ REJECTIONS = [
      "error: cannot enumerate lattice disk for y=6000.0"),
     (["eval", "--k", "12", "--z", "6000i", "--method", "all"],
      "error: cannot enumerate lattice disk for y=6000.0"),
+    # the lattice's largest term, (max(1, |z|) / |z - round(x)|)^k, must
+    # stay below e^693.6, or its value or g would print inf or NaN
+    (["eval", "--k", "2050", "--z", "0.7072i"],
+     "error: weight 2050 too large for the lattice at 0.7072j: the term "
+     "(max(1, |z|) / |z - round(x)|)^k passes e^693.6"),
+    (["eval", "--k", "5000", "--z", "0.3+0.75i"],
+     "error: weight 5000 too large for the lattice at (0.3+0.75j): the term "
+     "(max(1, |z|) / |z - round(x)|)^k passes e^693.6"),
+    (["eval", "--k", "9000", "--z", "0.6+1i"],
+     "error: weight 9000 too large for the lattice at (0.6+1j): the term "
+     "(max(1, |z|) / |z - round(x)|)^k passes e^693.6"),
+    (["eval", "--k", "1000000", "--z", "0.6+0.7072i"],
+     "error: weight 1000000 too large for the lattice at (0.6+0.7072j): the "
+     "term (max(1, |z|) / |z - round(x)|)^k passes e^693.6"),
     (["eval", "--k", "402", "--z", "2i", "--method", "fourier"],
      "error: bernoulli requires even k in [2, 400], got 402"),
     (["eval", "--k", "402", "--z", "2i", "--method", "all"],
@@ -313,6 +327,31 @@ class TestEval:
         (row,) = json_rows(out)
         assert row["method"] == method
         assert math.isfinite(row["value_re"]) and math.isfinite(row["g_re"])
+
+    def test_lattice_rows_stay_finite_at_any_weight(self, capsys):
+        # strip points against weights up to 1e6: each configuration the
+        # term rule accepts prints finite numbers, with no overflow warning
+        # on the way (the suite fails on any); the rule first binds past
+        # k = 2,000, at y = 2^-0.5, and never where |z| >= 1 >= 2 |x|
+        fields = ("value_re", "value_im", "g_re", "g_im", "envelope")
+        accepted, rejected = set(), set()
+        for k in (400, 2000, 2002, 2004, 2040, 2050, 5000, 9000, 10 ** 5,
+                  10 ** 6):
+            for x in (-0.6, -0.5, 0.0, 0.3, 0.5, 0.55, 0.6):
+                for y in (0.7072, 0.75, 0.9, 1.0, 1.5):
+                    rc, out, err = run_cli(
+                        capsys, ["eval", "--k", str(k), f"--z={x}+{y}i"])
+                    if rc == 2:
+                        assert "too large for the lattice" in err
+                        rejected.add(k)
+                        continue
+                    (row,) = json_rows(out)
+                    assert (rc, err) == (0, "")
+                    assert all(math.isfinite(row[f]) for f in fields), row
+                    accepted.add((k, x, y))
+        assert min(rejected) == 2004
+        assert {(10 ** 6, x, y) for x in (-0.5, 0.0, 0.3, 0.5)
+                for y in (1.0, 1.5)} <= accepted
 
     def test_theta_keeps_the_weight_rule(self, capsys):
         rc, out, err = run_cli(

@@ -227,7 +227,7 @@ class TestCountSignChanges:
 
         monkeypatch.setattr(zeros, "side_normalized_batch", ev)
         with pytest.raises(SignUncertainError) as info:
-            zeros._comb_scan(wp, side_upper_cutoff(wp))
+            zeros._side_cells(wp, side_upper_cutoff(wp))
         assert len(blind) == 2
         assert len(info.value.points) == 2
         assert info.value.points == tuple(blind)
@@ -311,9 +311,8 @@ class TestRefinement:
     def test_brackets_narrow_inside_their_comb_cells(self, k, l):
         # zero_brackets refines the comb cells the counters read: each
         # bracket lies in its own cell, keeps its end signs and is 1e-12
-        scan = boundary_scan((k, l))
-        cells = [("arc", c) for c in scan.arc] + [("side", c)
-                                                  for c in scan.side]
+        arc, side = boundary_scan((k, l))
+        cells = [("arc", c) for c in arc] + [("side", c) for c in side]
         brackets = zero_brackets((k, l))
         assert len(brackets) == len(cells) > 0
         for br, (kind, (lo, hi, v_lo, v_hi)) in zip(brackets, cells):
@@ -325,11 +324,11 @@ class TestRefinement:
     @pytest.mark.parametrize("k, l", [(98, 72), (56, 20)])
     def test_refinement_never_evaluates_cell_ends(self, k, l):
         # refinement starts from the end values the scan certified
-        scan = boundary_scan((k, l))
+        arc, side = boundary_scan((k, l))
         wp = WeightPair(k, l)
         for ev, kind, cells in (
-                (partial(arc_real_batch, wp), "arc", scan.arc),
-                (partial(side_normalized_batch, wp), "side", scan.side)):
+                (partial(arc_real_batch, wp), "arc", arc),
+                (partial(side_normalized_batch, wp), "side", side)):
             seen = []
 
             def recording(xs, eps, ev=ev, seen=seen):
@@ -343,17 +342,10 @@ class TestRefinement:
             assert ends.isdisjoint(seen)
 
 
-@pytest.fixture
-def fresh_scan():
-    zeros._boundary_scan.cache_clear()
-    yield
-    zeros._boundary_scan.cache_clear()
-
-
 def boundary_scan(pair):
-    """The counting scan of pair."""
+    """The cells of pair's arc scan and of its side scan."""
     wp = WeightPair(*pair)
-    return zeros._boundary_scan(wp, side_upper_cutoff(wp))
+    return zeros._arc_cells(wp), zeros._side_cells(wp, side_upper_cutoff(wp))
 
 
 def scan_points(pair):
@@ -381,10 +373,8 @@ def flip_side_sign(monkeypatch, pair):
         return np.where(np.abs(np.asarray(ys) - y) < 1e-9, -vals, vals), errs
 
     monkeypatch.setattr(zeros, "side_normalized_batch", flipped)
-    zeros._boundary_scan.cache_clear()
 
 
-@pytest.mark.usefixtures("fresh_scan")
 class TestCombRung:
     # the counting scan certifies the paper's sample combs and both scan
     # ends of each piece; when their changes close the valence identity
@@ -402,9 +392,8 @@ class TestCombRung:
             return vals, ok
 
         monkeypatch.setattr(zeros, "_certify", recording)
-        scan = boundary_scan((k, l))
-        assert (len(scan.arc), len(scan.side)) == expected_boundary_counts(
-            (k, l))
+        arc, side = boundary_scan((k, l))
+        assert (len(arc), len(side)) == expected_boundary_counts((k, l))
         assert len(certified) == 2
         for (xs, vals, ok), pts in zip(certified, scan_points((k, l))):
             # one batch of the two ends and the comb points between them,
@@ -454,6 +443,18 @@ class TestCombRung:
             assert info.value.points == (end,)
             assert len(info.value.points) == 1
 
+    def test_pieces_are_scanned_apart(self, monkeypatch):
+        # the arc is blind at every point on every rung: the side count
+        # never sees it, and the arc count names all its scan points
+        real = zeros.arc_real_batch
+        monkeypatch.setattr(zeros, "arc_real_batch", lambda wp, thetas, eps: (
+            real(wp, thetas, eps)[0], np.full(len(thetas), np.inf)))
+        assert count_side_zeros((56, 20))[0] == 2
+        with pytest.raises(SignUncertainError) as info:
+            count_arc_zeros((56, 20))
+        assert info.value.points == tuple(scan_points((56, 20))[0])
+        assert len(info.value.points) == 4
+
     def test_uncertain_arc_end_fails_plotdata(self, monkeypatch, capsys):
         # a certified check that fails exits 1, as it does in audit; exit 2
         # stays for a rejected configuration
@@ -481,7 +482,6 @@ def blind_arc_end(monkeypatch):
     return end
 
 
-@pytest.mark.usefixtures("fresh_scan")
 class TestValenceClosure:
     # a count that misses the valence total fails audit, and zero_brackets
     # refines every sign change of a closed comb scan
@@ -492,12 +492,10 @@ class TestValenceClosure:
         # the comb scan closes the valence identity, and each bracket
         # zero_brackets refines lies in its own comb cell, with that
         # cell's end signs
-        scan = boundary_scan((k, l))
-        assert zeros._valence_closes(WeightPair(k, l),
-                                     len(scan.arc) + len(scan.side))
+        arc, side = boundary_scan((k, l))
+        assert zeros._valence_closes(WeightPair(k, l), len(arc) + len(side))
         brackets = zero_brackets((k, l))
-        cells = ([("arc",) + c for c in scan.arc]
-                 + [("side",) + c for c in scan.side])
+        cells = [("arc",) + c for c in arc] + [("side",) + c for c in side]
         assert len(brackets) == len(cells)
         for br, (kind, lo, hi, v_lo, v_hi) in zip(brackets, cells):
             assert br.kind == kind
@@ -579,8 +577,9 @@ class TestScans:
             assert math.sqrt(3) / 2 < br.location < y_max
 
     def test_arc_count_reads_cutoff_through_public_name(self, monkeypatch):
-        # the arc scan needs the side cutoff for the valence closure, and
-        # must reach it where a wrapper of the module attribute sees it
+        # perfbench's traced audit pins two side_upper_cutoff calls, one per
+        # counter, so the arc counter reads the cutoff too, where a wrapper
+        # of the module attribute sees it
         calls = []
         real = zeros.side_upper_cutoff
 
@@ -589,8 +588,7 @@ class TestScans:
             return real(wp)
 
         monkeypatch.setattr(zeros, "side_upper_cutoff", wrapped)
-        for cached in (zeros._boundary_scan, zeros._side_upper_cutoff):
-            cached.cache_clear()
+        zeros._side_upper_cutoff.cache_clear()
         count_arc_zeros((56, 22))
         assert calls == [WeightPair(56, 22)]
 
@@ -637,8 +635,7 @@ class TestScans:
         for kp in (0, 2, 4, 6, 10):
             assert count_arc_zeros((40 + kp, 40))[0] == 0
 
-    def test_evaluations_climb_the_fixed_ladder(self, monkeypatch,
-                                                fresh_scan):
+    def test_evaluations_climb_the_fixed_ladder(self, monkeypatch):
         # every evaluation the counters and zero_brackets make, in the comb
         # scan and the refinement, is at a rung of _EPS_LADDER; each batch
         # starts at the first rung and climbs one rung at a time.  (98, 72)
@@ -801,7 +798,6 @@ class TestFourierCoefficients:
         assert repr(side_upper_cutoff((k, l))) == repr(PINNED_CUTOFFS[k, l])
 
 
-@pytest.mark.usefixtures("fresh_scan")
 class TestInteriorHunt:
     # the interior is excluded exactly when the certified boundary count
     # closes the valence identity
